@@ -30,7 +30,7 @@ from .fileio import (
 )
 from .geometry import flat_metric, metric_from_potential
 from .grid import Grid, make_field, mean_zero_project
-from .solver import SolverConfig, continuity_solve
+from .solver import NonPositiveMetricError, SolverConfig, continuity_solve
 from .verification import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
@@ -55,7 +55,8 @@ def _load_config(path: str) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     for key in ("n", "N"):
-        if key not in cfg or not isinstance(cfg[key], int):
+        value = cfg.get(key)
+        if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"config requires an integer {key!r}")
     return cfg
 
@@ -111,11 +112,11 @@ def _background(cfg: dict, grid: Grid, inputs: dict):
 
 
 def cmd_solve(args) -> int:
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     cfg = _load_config(args.config)
-    grid = Grid(n=cfg["n"], N=cfg["N"])
+    try:
+        grid = Grid(n=cfg["n"], N=cfg["N"])
+    except ValueError as e:
+        raise ConfigError(f"bad grid: {e}") from e
     inputs: dict = {}
     g = _background(cfg, grid, inputs)
     F = _scalar_from_spec(cfg.get("F", "0"), grid, "F", inputs)
@@ -125,7 +126,10 @@ def cmd_solve(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    result = continuity_solve(F, g, solver_cfg)
+    try:
+        result = continuity_solve(F, g, solver_cfg)
+    except NonPositiveMetricError as e:
+        raise ConfigError(str(e)) from e
     elapsed = time.perf_counter() - start
 
     phi_path = out / "phi.cmaf"
@@ -146,7 +150,6 @@ def cmd_solve(args) -> int:
         "converged": result.converged,
         "t_reached": result.t_reached,
         "elapsed_s": elapsed,
-        "threads": args.threads,
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
@@ -225,15 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="run the continuity-method solver")
     p_solve.add_argument("--config", required=True, help="JSON problem description")
     p_solve.add_argument("--out", required=True, help="output directory")
-    p_solve.add_argument("--threads", type=int, default=1,
-                         help="worker threads for the solve")
     p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
     p_verify.add_argument("--suite", required=True,
                           help=f"one of: {', '.join(SUITE_NAMES)}")
     p_verify.add_argument("--out", help="write the suite report as JSON")
-    p_verify.add_argument("--threads", type=int, default=1)
     p_verify.set_defaults(func=cmd_verify)
 
     p_report = sub.add_parser("report", help="render a solve trace as a table")
@@ -252,9 +252,6 @@ def main(argv: list[str] | None = None) -> int:
         if e.code not in (0, None):
             return EXIT_USAGE
         raise
-    if args.command == "verify" and args.threads > 1:
-        print("error: --threads > 1 is only supported for solve", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except ConfigError as e:

@@ -11,6 +11,8 @@ to the sup-norm tolerance.  The Newton correction solves the linearization
 
 by preconditioned conjugate gradients on mean-zero fields; dyadic damping
 keeps the metric eigenvalues above the configured floor along the path.
+Each iterate's metric g~ = g + ddbar phi is formed once, by metric_iterate;
+the residual, the linear solve and the damping all read that one iterate.
 """
 
 from __future__ import annotations
@@ -30,10 +32,8 @@ from .geometry import (
     positivity_check,
 )
 from .grid import (
-    Grid,
     GridMismatchError,
     PeriodicScalarField,
-    integrate,
     make_field,
     mean_zero_project,
     mixed_hessian_symbol,
@@ -117,15 +117,32 @@ class SolveResult:
     message: str = ""
 
 
-@dataclass(frozen=True)
-class YauReport:
-    """Empirically monitored bounded quantities of the a-priori estimates."""
+# ---------------------------------------------------------------------------
+# iterate state
 
-    sup_phi: float
-    sup_grad_phi: float
-    eig_min: float
-    eig_max: float
-    sup_third: float
+@dataclass(frozen=True)
+class MetricIterate:
+    """One Newton iterate: the potential phi and its metric g~ = g + ddbar phi."""
+
+    g: HermitianMetricField
+    phi: PeriodicScalarField
+    gt: HermitianMetricField
+    min_eig: float  # smallest pointwise eigenvalue of gt
+
+
+def metric_iterate(g: HermitianMetricField, phi: PeriodicScalarField) -> MetricIterate:
+    """Form g~ = g + ddbar phi and its smallest eigenvalue, once per iterate."""
+    if phi.grid != g.grid:
+        raise GridMismatchError("phi and g must share a grid")
+    gt = HermitianMetricField(g.grid, g.mats + hermitian_hessian(phi))
+    return MetricIterate(g, phi, gt, positivity_check(gt).min_eig)
+
+
+def _require_positive(it: MetricIterate) -> None:
+    if not it.min_eig > 0.0:
+        raise NonPositiveMetricError(
+            f"metric from potential is not positive (min eig {it.min_eig:.3e})"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -141,43 +158,28 @@ def compatibility_constant(F: PeriodicScalarField, g: HermitianMetricField) -> f
     return vol / den
 
 
-def _metric_and_checks(g, phi):
-    gt = HermitianMetricField(g.grid, g.mats + hermitian_hessian(phi))
-    rep = positivity_check(gt)
-    if not rep.is_positive:
-        raise NonPositiveMetricError(
-            f"metric from potential is not positive (min eig {rep.min_eig:.3e} "
-            f"at {rep.argmin_point})"
-        )
-    return gt
-
-
 def ma_residual(
-    phi: PeriodicScalarField,
+    it: MetricIterate,
     F: PeriodicScalarField,
     t: float,
-    g: HermitianMetricField,
 ) -> PeriodicScalarField:
     """r = det(g + ddbar phi)/det(g) - C(t) e^{tF}; integrates to zero in dV_g."""
-    if phi.grid != g.grid or F.grid != g.grid:
-        raise GridMismatchError("phi, F and g must share a grid")
-    gt = _metric_and_checks(g, phi)
+    g = it.g
+    if F.grid != g.grid:
+        raise GridMismatchError("F and the iterate must share a grid")
+    _require_positive(it)
     tF = make_field(g.grid, t * F.values.real)
     C = compatibility_constant(tF, g)
-    ratio = det_field(gt).values.real / det_field(g).values.real
+    ratio = det_field(it.gt).values.real / det_field(g).values.real
     r = ratio - C * np.exp(tF.values.real)
     return make_field(g.grid, r)
 
 
-def linearized_apply(
-    psi: PeriodicScalarField,
-    phi: PeriodicScalarField,
-    g: HermitianMetricField,
-) -> PeriodicScalarField:
+def linearized_apply(psi: PeriodicScalarField, it: MetricIterate) -> PeriodicScalarField:
     """L[psi] = (det g~/det g) * lap_{g~} psi; annihilates constants."""
-    gt = _metric_and_checks(g, phi)
-    op = _LinearizedOperator(g, gt)
-    return make_field(g.grid, op.apply_L(psi.values.real))
+    _require_positive(it)
+    op = _LinearizedOperator(it)
+    return make_field(it.g.grid, op.apply_L(psi.values.real))
 
 
 class _LinearizedOperator:
@@ -188,12 +190,12 @@ class _LinearizedOperator:
     L[psi] = -B[psi]/det(g).
     """
 
-    def __init__(self, g: HermitianMetricField, gt: HermitianMetricField):
-        self.grid = g.grid
-        n = g.grid.n
-        self.det_g = det_field(g).values.real
-        det_gt = det_field(gt).values.real
-        ginv = inverse_field(gt).mats
+    def __init__(self, it: MetricIterate):
+        self.grid = it.g.grid
+        n = self.grid.n
+        self.det_g = det_field(it.g).values.real
+        det_gt = det_field(it.gt).values.real
+        ginv = inverse_field(it.gt).mats
         # coefficient of d_j dbar_k psi inside det(g~) * lap_{g~}
         self.coef = np.einsum("...kj->...jk", ginv) * det_gt[..., None, None]
         self.symbols = [
@@ -227,14 +229,13 @@ class _LinearizedOperator:
 
 def solve_linearized(
     rhs: PeriodicScalarField,
-    phi: PeriodicScalarField,
-    g: HermitianMetricField,
+    it: MetricIterate,
     cfg: SolverConfig,
 ) -> PeriodicScalarField:
     """Mean-zero psi with ||L[psi] - rhs||_sup <= krylov_tol * ||rhs||_sup."""
-    gt = _metric_and_checks(g, phi)
-    op = _LinearizedOperator(g, gt)
-    return make_field(g.grid, _pcg(op, rhs.values.real, cfg))
+    _require_positive(it)
+    op = _LinearizedOperator(it)
+    return make_field(it.g.grid, _pcg(op, rhs.values.real, cfg))
 
 
 def _project_compatible(rhs: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -279,8 +280,11 @@ def _pcg(op: _LinearizedOperator, rhs: np.ndarray, cfg: SolverConfig) -> np.ndar
 # ---------------------------------------------------------------------------
 # monitored quantities
 
-def yau_estimate_report(phi: PeriodicScalarField, g: HermitianMetricField) -> YauReport:
-    """sup|phi|, sup|grad phi|, eigenvalue range of I + ddbar phi, sup third derivs."""
+def yau_estimate_report(phi: PeriodicScalarField) -> dict[str, float]:
+    """sup|phi|, sup|grad phi|, eigenvalue range of I + ddbar phi, sup third derivs.
+
+    The keys are the monitored fields of ContinuityStep.
+    """
     grid = phi.grid
     n = grid.n
     sup_phi = float(np.max(np.abs(phi.values.real)))
@@ -298,13 +302,13 @@ def yau_estimate_report(phi: PeriodicScalarField, g: HermitianMetricField) -> Ya
             for l in range(n):
                 third = partial_z(comp, l)
                 sup_third = max(sup_third, third.sup_norm())
-    return YauReport(
-        sup_phi=sup_phi,
-        sup_grad_phi=sup_grad,
-        eig_min=float(np.min(lo)),
-        eig_max=float(np.max(hi)),
-        sup_third=sup_third,
-    )
+    return {
+        "sup_phi": sup_phi,
+        "sup_grad_phi": sup_grad,
+        "eig_min": float(np.min(lo)),
+        "eig_max": float(np.max(hi)),
+        "sup_third": sup_third,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -330,42 +334,40 @@ def _band_limit_warning(F: PeriodicScalarField) -> None:
 
 
 def _damped_update(
-    phi: PeriodicScalarField,
+    it: MetricIterate,
     psi: PeriodicScalarField,
-    g: HermitianMetricField,
     floor: float,
-) -> PeriodicScalarField | None:
-    """Largest dyadic lambda in (0,1] keeping min eig of g~ above the floor."""
+) -> MetricIterate | None:
+    """Iterate at the largest dyadic lambda in (0,1] with min eig of g~ >= floor."""
     lam = 1.0
     for _ in range(40):
         cand = mean_zero_project(
-            make_field(phi.grid, phi.values.real + lam * psi.values.real)
+            make_field(it.phi.grid, it.phi.values.real + lam * psi.values.real)
         )
-        gt = HermitianMetricField(g.grid, g.mats + hermitian_hessian(cand))
-        if positivity_check(gt).min_eig >= floor:
-            return cand
+        cand_it = metric_iterate(it.g, cand)
+        if cand_it.min_eig >= floor:
+            return cand_it
         lam *= 0.5
     return None
 
 
-def _newton_at_t(phi, F, t, g, cfg):
-    """Newton iteration at fixed t; returns (phi, iters, residual_sup) or None."""
-    for it in range(cfg.newton_max_iter + 1):
-        r = ma_residual(phi, F, t, g)
+def _newton_at_t(it, F, t, cfg):
+    """Newton iteration at fixed t; returns (iterate, iters, residual_sup) or None."""
+    for k in range(cfg.newton_max_iter + 1):
+        r = ma_residual(it, F, t)
         res_sup = r.sup_norm()
         if res_sup <= cfg.newton_tol:
-            return phi, it, res_sup
-        if it == cfg.newton_max_iter:
+            return it, k, res_sup
+        if k == cfg.newton_max_iter:
             return None
-        rhs = make_field(g.grid, -r.values.real)
+        rhs = make_field(F.grid, -r.values.real)
         try:
-            psi = solve_linearized(rhs, phi, g, cfg)
+            psi = solve_linearized(rhs, it, cfg)
         except KrylovConvergenceError:
             return None
-        phi_next = _damped_update(phi, psi, g, cfg.damping_eig_floor)
-        if phi_next is None:
+        it = _damped_update(it, psi, cfg.damping_eig_floor)
+        if it is None:
             return None
-        phi = phi_next
     return None
 
 
@@ -379,40 +381,25 @@ def continuity_solve(
         raise ValueError("F must be real")
     if F.grid != g.grid:
         raise GridMismatchError("F and g must share a grid")
-    rep = positivity_check(g)
-    if not rep.is_positive:
+    grid = g.grid
+    # at phi = 0 the iterate's metric is g itself
+    it = metric_iterate(g, mean_zero_project(make_field(grid, np.zeros(grid.shape))))
+    if not it.min_eig > 0.0:
         raise NonPositiveMetricError("background metric is not positive")
     _band_limit_warning(F)
 
-    grid = g.grid
-    phi = mean_zero_project(make_field(grid, np.zeros(grid.shape)))
     steps: list[ContinuityStep] = []
     t = 0.0
     dt = cfg.t_step_initial
     fast_successes = 0
-
-    def record(t_now, iters, res_sup, phi_now):
-        rep = yau_estimate_report(phi_now, g)
-        steps.append(
-            ContinuityStep(
-                t=t_now,
-                newton_iters=iters,
-                residual_sup=res_sup,
-                eig_min=rep.eig_min,
-                eig_max=rep.eig_max,
-                sup_phi=rep.sup_phi,
-                sup_grad_phi=rep.sup_grad_phi,
-                sup_third=rep.sup_third,
-            )
-        )
-
     while t < 1.0:
         t_try = min(1.0, t + dt)
-        outcome = _newton_at_t(phi, F, t_try, g, cfg)
+        outcome = _newton_at_t(it, F, t_try, cfg)
         if outcome is not None:
-            phi, iters, res_sup = outcome
+            it, iters, res_sup = outcome
             t = t_try
-            record(t, iters, res_sup, phi)
+            steps.append(ContinuityStep(t=t, newton_iters=iters, residual_sup=res_sup,
+                                        **yau_estimate_report(it.phi)))
             fast_successes = fast_successes + 1 if iters < 5 else 0
             if fast_successes >= 2:
                 dt = min(2.0 * dt, 0.25)
@@ -421,14 +408,14 @@ def continuity_solve(
             dt *= 0.5
             if dt < cfg.t_step_min:
                 return SolveResult(
-                    phi=phi,
+                    phi=it.phi,
                     trace=ContinuityTrace(steps),
                     converged=False,
                     t_reached=t,
                     message=f"continuity step underflow below {cfg.t_step_min} at t={t}",
                 )
     return SolveResult(
-        phi=phi,
+        phi=it.phi,
         trace=ContinuityTrace(steps),
         converged=True,
         t_reached=1.0,

@@ -311,20 +311,18 @@ def _suite_uniqueness() -> list[SuiteCheck]:
     ]
 
 
-def _solve_manufactured(n: int, N: int, cfg: SolverConfig | None = None):
+def _manufactured_error(n: int, N: int) -> float:
     grid = Grid(n=n, N=N)
     g = flat_metric(grid)
     phi_star = manufactured_potential_n1(grid) if n == 1 else manufactured_potential_n2(grid)
     F = manufactured_forcing(g, phi_star)
-    cfg = cfg or SolverConfig(n=n, N=N)
-    result = continuity_solve(F, g, cfg)
-    err = float(np.max(np.abs(result.phi.values.real - phi_star.values.real)))
-    return result, phi_star, err
+    result = continuity_solve(F, g, SolverConfig(n=n, N=N))
+    return float(np.max(np.abs(result.phi.values.real - phi_star.values.real)))
 
 
 def _suite_manufactured() -> list[SuiteCheck]:
-    _, _, err1 = _solve_manufactured(1, 64)
-    _, _, err2 = _solve_manufactured(2, 16)
+    err1 = _manufactured_error(1, 64)
+    err2 = _manufactured_error(2, 16)
     return [
         _check("manufactured.n1_error", err1),
         _check("manufactured.n2_error", err2),
@@ -360,7 +358,7 @@ _SUITES = {
 }
 
 
-def run_suite(name: str, cfg: SolverConfig | None = None) -> SuiteReport:
+def run_suite(name: str) -> SuiteReport:
     """Run one named suite and report per-check values against THRESHOLDS."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")

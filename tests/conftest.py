@@ -19,6 +19,23 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(line)
 
 
+@pytest.fixture(scope="session")
+def suite_report():
+    """run_suite(name), run once per session and shared by every test that reads it.
+
+    Timing gates read the report's own ``elapsed_s``, which does not depend
+    on which test ran the suite first.
+    """
+    reports: dict[str, tm.SuiteReport] = {}
+
+    def get(name: str) -> tm.SuiteReport:
+        if name not in reports:
+            reports[name] = tm.run_suite(name)
+        return reports[name]
+
+    return get
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)

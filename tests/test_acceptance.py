@@ -14,15 +14,17 @@ from conftest import record_acceptance
 
 
 def _solve(F, g, cfg):
+    # the manufactured forcing log det(g~) is not band-limited, so the solver
+    # warns about it; every other warning still fails the test
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.filterwarnings("ignore", message="F carries significant spectral content",
+                                category=RuntimeWarning)
         return tm.continuity_solve(F, g, cfg)
 
 
-def test_criterion_1_identity_suite():
-    start = time.perf_counter()
-    report = tm.run_suite("identities")
-    elapsed = time.perf_counter() - start
+def test_criterion_1_identity_suite(suite_report):
+    report = suite_report("identities")
+    elapsed = report.elapsed_s
     ok = report.passed and elapsed < 10.0
     worst = max(c.value for c in report.checks)
     record_acceptance(1, "identity suite (n=1,2, N=32) <= 1e-12, < 10 s",
@@ -31,10 +33,9 @@ def test_criterion_1_identity_suite():
     assert elapsed < 10.0
 
 
-def test_criterion_2_geometry_suite():
-    start = time.perf_counter()
-    report = tm.run_suite("geometry")
-    elapsed = time.perf_counter() - start
+def test_criterion_2_geometry_suite(suite_report):
+    report = suite_report("geometry")
+    elapsed = report.elapsed_s
     ok = report.passed and elapsed < 30.0
     worst = max(c.value for c in report.checks)
     record_acceptance(2, "geometry suite (trace/Ricci/volume/Chern), < 30 s",
@@ -56,8 +57,21 @@ def _manufactured_case(n, N):
     return result, err, elapsed
 
 
-def test_criterion_3_manufactured_n1():
-    result, err, elapsed = _manufactured_case(1, 64)
+@pytest.fixture(scope="module")
+def manufactured_solve():
+    """_manufactured_case(n, N), solved once per module for criteria 3, 4 and 7."""
+    cases = {}
+
+    def get(n, N):
+        if (n, N) not in cases:
+            cases[(n, N)] = _manufactured_case(n, N)
+        return cases[(n, N)]
+
+    return get
+
+
+def test_criterion_3_manufactured_n1(manufactured_solve):
+    result, err, elapsed = manufactured_solve(1, 64)
     eig_min_path = min(s.eig_min for s in result.trace.steps)
     ok = (err <= 1e-8 and result.t_reached == 1.0
           and eig_min_path > 0.4 and elapsed < 60.0)
@@ -74,8 +88,8 @@ def test_criterion_3_manufactured_n1():
     assert eig_min_path > 0.4
 
 
-def test_criterion_4_manufactured_n2():
-    result, err, elapsed = _manufactured_case(2, 16)
+def test_criterion_4_manufactured_n2(manufactured_solve):
+    result, err, elapsed = manufactured_solve(2, 16)
     eig_min_path = min(s.eig_min for s in result.trace.steps)
     ok = (err <= 1e-6 and result.t_reached == 1.0
           and eig_min_path > 0.4 and elapsed < 600.0)
@@ -123,16 +137,17 @@ def test_criterion_6_uniqueness():
     ("manufactured", 1, 64, 1e-8),
     ("manufactured", 2, 16, 1e-6),
 ], ids=["poisson-n1", "manufactured-n1", "manufactured-n2"])
-def test_criterion_7_ricci_prescription(case, n, N, tol):
+def test_criterion_7_ricci_prescription(case, n, N, tol, manufactured_solve):
     grid = tm.Grid(n=n, N=N)
     g = tm.flat_metric(grid)
     if case == "poisson":
         F = tm.poisson_forcing_n1(grid)
+        result = _solve(F, g, tm.SolverConfig(n=n, N=N))
     else:
         phi_star = (tm.manufactured_potential_n1(grid) if n == 1
                     else tm.manufactured_potential_n2(grid))
         F = tm.manufactured_forcing(g, phi_star)
-    result = _solve(F, g, tm.SolverConfig(n=n, N=N))
+        result, _, _ = manufactured_solve(n, N)
     gt = tm.metric_from_potential(g, result.phi)
     resid = tm.ricci_form(gt).mats - tm.ricci_form(g).mats + tm.hermitian_hessian(F)
     sup = float(np.max(np.abs(resid)))
@@ -159,9 +174,9 @@ def _taylor_remainder(h):
     phi = tm.verification._admissible_potential(grid, seed=31, perturbation=0.3)
     psi = tm.verification._admissible_potential(grid, seed=32, perturbation=0.3)
     F = tm.zero_field(grid)
-    lin = tm.linearized_apply(psi, phi, g)
-    rem = (tm.ma_residual(phi + h * psi, F, 1.0, g)
-           - tm.ma_residual(phi, F, 1.0, g) - h * lin)
+    lin = tm.linearized_apply(psi, tm.metric_iterate(g, phi))
+    rem = (tm.ma_residual(tm.metric_iterate(g, phi + h * psi), F, 1.0)
+           - tm.ma_residual(tm.metric_iterate(g, phi), F, 1.0) - h * lin)
     return rem.sup_norm()
 
 

@@ -153,10 +153,22 @@ class TestCliSolve:
         oracle = tm.poisson_oracle_n1(tm.poisson_forcing_n1(grid), tm.flat_metric(grid))
         assert np.max(np.abs(phi.values.real - oracle.values.real)) <= 1e-8
 
-    def test_malformed_config_exits_64(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
+    @pytest.mark.parametrize("overrides", [
+        None,
+        {"n": 3},
+        {"N": 7},
+        {"n": True},
+        {"background": {"potential": "0.2*cos(2*pi*x1)"}},
+    ], ids=["not-json", "n3", "N7", "n-bool", "non-positive-background"])
+    def test_malformed_config_exits_64(self, tmp_path, capsys, overrides):
+        if overrides is None:
+            path = tmp_path / "bad.json"
+            path.write_text("{not json")
+        else:
+            path = _write_config(tmp_path, **overrides)
         assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_missing_config_exits_64(self, tmp_path):
         assert cli.main(["solve", "--config", str(tmp_path / "no.json"),
@@ -182,8 +194,13 @@ class TestCliVerify:
     def test_unknown_suite_exits_64(self, capsys):
         assert cli.main(["verify", "--suite", "nonsense"]) == 64
 
-    def test_threads_rejected_for_verify(self):
-        assert cli.main(["verify", "--suite", "poisson_n1", "--threads", "2"]) == 64
+    # --threads was removed; argparse rejects the unknown flag as a usage error
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "poisson_n1", "--threads", "2"],
+        ["solve", "--config", "config.json", "--out", "out", "--threads", "2"],
+    ], ids=["verify", "solve"])
+    def test_threads_rejected_for_verify(self, argv):
+        assert cli.main(argv) == 64
 
     def test_passing_suite_exits_0(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -31,10 +31,52 @@ class TestCompatibilityConstant:
         assert lhs == pytest.approx(tm.volume(g), abs=1e-13)
 
 
+class TestMetricIterate:
+    def test_metric_matches_metric_from_potential(self, grid, small_potential):
+        g = tm.flat_metric(grid)
+        it = tm.metric_iterate(g, small_potential)
+        assert np.array_equal(it.gt.mats, tm.metric_from_potential(g, small_potential).mats)
+        assert it.min_eig == tm.positivity_check(it.gt).min_eig
+
+    def test_consumers_never_rebuild_the_metric(self, grid, small_potential, rng,
+                                                monkeypatch):
+        calls = []
+
+        def counting_hessian(phi):
+            calls.append(phi)
+            return tm.hermitian_hessian(phi)
+
+        monkeypatch.setattr(tm.solver, "hermitian_hessian", counting_hessian)
+        g = tm.flat_metric(grid)
+        it = tm.metric_iterate(g, small_potential)
+        assert len(calls) == 1
+        rhs = tm.mean_zero_project(tm.random_band_limited(grid, rng, kmax=2, real=True))
+        r = tm.ma_residual(it, tm.zero_field(grid), 1.0)
+        tm.linearized_apply(r, it)
+        tm.solve_linearized(rhs, it, tm.SolverConfig(n=grid.n, N=grid.N))
+        assert len(calls) == 1
+
+    # ma_residual's rejection is covered by TestResidual
+    @pytest.mark.parametrize("consumer", ["linearized_apply", "solve_linearized"])
+    def test_non_positive_iterate_rejected(self, consumer):
+        grid = tm.Grid(n=1, N=32)
+        phi = tm.make_field(grid, 0.2 * np.cos(2 * np.pi * grid.coordinate(0)))
+        it = tm.metric_iterate(tm.flat_metric(grid), phi)
+        assert it.min_eig < 0
+        zero = tm.zero_field(grid)
+        call = {
+            "linearized_apply": lambda: tm.linearized_apply(zero, it),
+            "solve_linearized": lambda: tm.solve_linearized(
+                zero, it, tm.SolverConfig(n=1, N=32)),
+        }[consumer]
+        with pytest.raises(tm.NonPositiveMetricError):
+            call()
+
+
 class TestResidual:
     def test_zero_at_trivial_data(self, grid):
         g = tm.flat_metric(grid)
-        r = tm.ma_residual(tm.zero_field(grid), tm.zero_field(grid), 1.0, g)
+        r = tm.ma_residual(tm.metric_iterate(g, tm.zero_field(grid)), tm.zero_field(grid), 1.0)
         assert r.sup_norm() < 1e-14
 
     def test_zero_at_manufactured_solution(self):
@@ -42,7 +84,7 @@ class TestResidual:
         g = tm.flat_metric(grid)
         phi_star = tm.manufactured_potential_n2(grid)
         F = tm.manufactured_forcing(g, phi_star)
-        r = tm.ma_residual(phi_star, F, 1.0, g)
+        r = tm.ma_residual(tm.metric_iterate(g, phi_star), F, 1.0)
         assert r.sup_norm() <= 1e-12
 
     def test_non_positive_metric_rejected(self):
@@ -50,14 +92,14 @@ class TestResidual:
         g = tm.flat_metric(grid)
         phi = tm.make_field(grid, 0.2 * np.cos(2 * np.pi * grid.coordinate(0)))
         with pytest.raises(tm.NonPositiveMetricError):
-            tm.ma_residual(phi, tm.zero_field(grid), 1.0, g)
+            tm.ma_residual(tm.metric_iterate(g, phi), tm.zero_field(grid), 1.0)
 
     def test_residual_integral_vanishes(self, grid, small_potential, random_real_field):
         # integral of the residual against dV_g is identically zero in the
         # mean-zero gauge (discrete volume invariance)
         g = tm.flat_metric(grid)
         F = tm.mean_zero_project(random_real_field)
-        r = tm.ma_residual(small_potential, F, 0.7, g)
+        r = tm.ma_residual(tm.metric_iterate(g, small_potential), F, 0.7)
         weighted = float(np.mean(r.values.real * tm.det_field(g).values.real))
         assert abs(weighted) <= 1e-12
 
@@ -66,7 +108,7 @@ class TestLinearization:
     def test_flat_zero_potential_is_quarter_laplacian(self, grid, random_real_field):
         g = tm.flat_metric(grid)
         psi = random_real_field
-        out = tm.linearized_apply(psi, tm.zero_field(grid), g)
+        out = tm.linearized_apply(psi, tm.metric_iterate(g, tm.zero_field(grid)))
         quarter = 0.25 * sum(
             tm.second_partial(psi, a, a) for a in range(grid.num_axes)
         )
@@ -74,12 +116,13 @@ class TestLinearization:
 
     def test_annihilates_constants(self, grid, small_potential):
         g = tm.flat_metric(grid)
-        out = tm.linearized_apply(tm.constant_field(grid, 2.0), small_potential, g)
+        it = tm.metric_iterate(g, small_potential)
+        out = tm.linearized_apply(tm.constant_field(grid, 2.0), it)
         assert out.sup_norm() < 1e-11
 
     def test_image_has_zero_weighted_mean(self, grid, small_potential, random_real_field):
         g = tm.flat_metric(grid)
-        out = tm.linearized_apply(random_real_field, small_potential, g)
+        out = tm.linearized_apply(random_real_field, tm.metric_iterate(g, small_potential))
         weighted = float(np.mean(out.values.real * tm.det_field(g).values.real))
         assert abs(weighted) <= 1e-12
 
@@ -98,20 +141,20 @@ class TestLinearization:
         grid, g, phi, psi = self._linearization_case()
         F = tm.zero_field(grid)
         h = 1e-3
-        plus = tm.ma_residual(phi + h * psi, F, 1.0, g)
-        minus = tm.ma_residual(phi - h * psi, F, 1.0, g)
+        plus = tm.ma_residual(tm.metric_iterate(g, phi + h * psi), F, 1.0)
+        minus = tm.ma_residual(tm.metric_iterate(g, phi - h * psi), F, 1.0)
         fd = (1.0 / (2 * h)) * (plus - minus)
-        lin = tm.linearized_apply(psi, phi, g)
+        lin = tm.linearized_apply(psi, tm.metric_iterate(g, phi))
         assert np.max(np.abs(fd.values - lin.values)) <= 1e-9
 
     @classmethod
     def _taylor_remainder(cls, h: float) -> float:
         grid, g, phi, psi = cls._linearization_case()
         F = tm.zero_field(grid)
-        lin = tm.linearized_apply(psi, phi, g)
+        lin = tm.linearized_apply(psi, tm.metric_iterate(g, phi))
         rem = (
-            tm.ma_residual(phi + h * psi, F, 1.0, g)
-            - tm.ma_residual(phi, F, 1.0, g)
+            tm.ma_residual(tm.metric_iterate(g, phi + h * psi), F, 1.0)
+            - tm.ma_residual(tm.metric_iterate(g, phi), F, 1.0)
             - h * lin
         )
         return rem.sup_norm()
@@ -130,8 +173,8 @@ class TestLinearSolve:
         rhs = tm.mean_zero_project(tm.random_band_limited(grid, rng, kmax=2, real=True))
         # project rhs onto the compatible subspace for this operator
         cfg = tm.SolverConfig(n=grid.n, N=grid.N)
-        psi = tm.solve_linearized(rhs, small_potential, g, cfg)
-        back = tm.linearized_apply(psi, small_potential, g)
+        psi = tm.solve_linearized(rhs, tm.metric_iterate(g, small_potential), cfg)
+        back = tm.linearized_apply(psi, tm.metric_iterate(g, small_potential))
         det_g = tm.det_field(g).values.real
         target = rhs.values.real - np.mean(rhs.values.real * det_g) / np.mean(det_g)
         assert np.max(np.abs(back.values.real - target)) <= 1e-9
@@ -140,7 +183,7 @@ class TestLinearSolve:
         g = tm.flat_metric(grid)
         rhs = tm.mean_zero_project(tm.random_band_limited(grid, rng, kmax=2, real=True))
         cfg = tm.SolverConfig(n=grid.n, N=grid.N)
-        psi = tm.solve_linearized(rhs, small_potential, g, cfg)
+        psi = tm.solve_linearized(rhs, tm.metric_iterate(g, small_potential), cfg)
         assert abs(tm.integrate(psi)) < 1e-12
 
 
@@ -212,14 +255,14 @@ class TestContinuitySolve:
 
 class TestYauReport:
     def test_zero_potential(self, grid):
-        rep = tm.yau_estimate_report(tm.zero_field(grid), tm.flat_metric(grid))
-        assert rep.sup_phi == 0.0
-        assert rep.eig_min == pytest.approx(1.0)
-        assert rep.eig_max == pytest.approx(1.0)
+        rep = tm.yau_estimate_report(tm.zero_field(grid))
+        assert rep["sup_phi"] == 0.0
+        assert rep["eig_min"] == pytest.approx(1.0)
+        assert rep["eig_max"] == pytest.approx(1.0)
 
     def test_bounds_positive_for_nontrivial(self, grid, small_potential):
-        rep = tm.yau_estimate_report(small_potential, tm.flat_metric(grid))
-        assert rep.sup_phi > 0
-        assert rep.sup_grad_phi > 0
-        assert rep.sup_third > 0
-        assert 0 < rep.eig_min < 1 < rep.eig_max
+        rep = tm.yau_estimate_report(small_potential)
+        assert rep["sup_phi"] > 0
+        assert rep["sup_grad_phi"] > 0
+        assert rep["sup_third"] > 0
+        assert 0 < rep["eig_min"] < 1 < rep["eig_max"]

@@ -7,11 +7,11 @@ import torusma as tm
 
 
 class TestThresholds:
-    def test_every_check_name_has_a_threshold(self):
+    def test_every_check_name_has_a_threshold(self, suite_report):
         # cheap suites exercised here; the solver-heavy ones run in the
         # acceptance tests
         for name in ("identities", "geometry", "poisson_n1", "uniqueness"):
-            report = tm.run_suite(name)
+            report = suite_report(name)
             for check in report.checks:
                 assert check.name in tm.THRESHOLDS
                 assert check.threshold == tm.THRESHOLDS[check.name]
@@ -32,13 +32,13 @@ class TestRunSuite:
         assert back["suite"] == "poisson_n1"
         assert back["passed"] is True
 
-    def test_overall_pass_is_conjunction(self):
-        report = tm.run_suite("geometry")
+    def test_overall_pass_is_conjunction(self, suite_report):
+        report = suite_report("geometry")
         assert report.passed == all(c.passed for c in report.checks)
 
     @pytest.mark.parametrize("name", ["geometry", "uniqueness", "poisson_n1"])
-    def test_cheap_suites_pass(self, name):
-        assert tm.run_suite(name).passed
+    def test_cheap_suites_pass(self, name, suite_report):
+        assert suite_report(name).passed
 
 
 class TestPoissonOracle:
@@ -64,7 +64,7 @@ class TestPoissonOracle:
         g = tm.flat_metric(grid)
         F = tm.poisson_forcing_n1(grid)
         phi = tm.poisson_oracle_n1(F, g)
-        r = tm.ma_residual(phi, F, 1.0, g)
+        r = tm.ma_residual(tm.metric_iterate(g, phi), F, 1.0)
         assert r.sup_norm() <= 1e-12
 
 
@@ -74,7 +74,7 @@ class TestManufacturedBuilders:
         g = tm.flat_metric(grid)
         phi_star = tm.manufactured_potential_n1(grid)
         F = tm.manufactured_forcing(g, phi_star)
-        r = tm.ma_residual(phi_star, F, 1.0, g)
+        r = tm.ma_residual(tm.metric_iterate(g, phi_star), F, 1.0)
         assert r.sup_norm() <= 1e-12
 
     @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)], ids=["n1", "n2"])
