@@ -123,8 +123,6 @@ def cmd_solve(args) -> int:
     F = make_field(grid, F.values.real)
     solver_cfg = _solver_config(cfg)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     try:
         result = continuity_solve(F, g, solver_cfg)
@@ -132,6 +130,9 @@ def cmd_solve(args) -> int:
         raise ConfigError(str(e)) from e
     elapsed = time.perf_counter() - start
 
+    # created only now, so a rejected config leaves no directory behind
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     phi_path = out / "phi.cmaf"
     metric_path = out / "metric.cmmf"
     trace_path = out / "trace.json"

@@ -17,7 +17,6 @@ from .grid import (
     GridMismatchError,
     PeriodicScalarField,
     make_field,
-    mixed_hessian_symbol,
     partial_z,
 )
 
@@ -94,15 +93,21 @@ def flat_metric(grid: Grid) -> HermitianMetricField:
 
 
 def hermitian_hessian(phi: PeriodicScalarField) -> np.ndarray:
-    """Matrix field H[j,k] = d/dz^j d/dzbar^k phi, symmetrized to kill roundoff."""
+    """H[j,k] = d_j dbar_k phi of a real phi; H[k,j] = conj(H[j,k]) is set, not transformed."""
+    if not phi.is_real:
+        raise ValueError("the complex Hessian is taken of real fields")
     grid = phi.grid
     n = grid.n
-    spec = np.fft.fftn(phi.values)
-    H = np.empty(grid.shape + (n, n), dtype=complex)
+    spec = grid.rfftn(phi.values.real)
+    H = np.zeros(grid.shape + (n, n), dtype=complex)
     for j in range(n):
-        for k in range(n):
-            H[..., j, k] = np.fft.ifftn(spec * mixed_hessian_symbol(grid, j, k))
-    return 0.5 * (H + np.conj(np.swapaxes(H, -1, -2)))
+        for k in range(j, n):
+            A, B = grid.mixed_symbols(j, k)
+            H.real[..., j, k] = grid.irfftn(spec * A)
+            if k > j:
+                H.imag[..., j, k] = grid.irfftn(spec * B)
+                H[..., k, j] = np.conj(H[..., j, k])
+    return H
 
 
 def metric_from_potential(g0: HermitianMetricField, phi: PeriodicScalarField) -> HermitianMetricField:
@@ -245,7 +250,7 @@ def volume(g: HermitianMetricField) -> float:
 
 
 def laplace_beltrami(g: HermitianMetricField, u: PeriodicScalarField) -> PeriodicScalarField:
-    """lap_g u = sum_jk g^{j kbar} d_j dbar_k u; real output for real input."""
+    """lap_g u = sum_jk g^{j kbar} d_j dbar_k u of a real field u; real output."""
     if u.grid != g.grid:
         raise GridMismatchError("field and metric live on different grids")
     ginv = inverse_field(g).mats

@@ -10,7 +10,7 @@ Holomorphic coordinates are z^j = x^j + i*y^j, so the Wirtinger operators are
 Differentiation is spectral: transform, multiply by the symbol, transform
 back.  The Nyquist mode is zeroed for first derivatives (odd symbol) and kept
 with symbol -(pi*N)^2 for pure second derivatives, which keeps real fields
-real.
+real.  Real fields are transformed by Grid.rfftn/irfftn, complex ones by fftn.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ class Grid:
 
     n: int
     N: int
+    # (j, k) -> half-spectrum (A, B), filled by mixed_symbols; not part of the value
+    _symbols: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n not in (1, 2):
@@ -74,6 +76,25 @@ class Grid:
         shape = [1] * self.num_axes
         shape[axis] = self.N
         return k.reshape(shape)
+
+    def half(self, full: np.ndarray) -> np.ndarray:
+        """The rfftn half of a full-spectrum array: last-axis wavenumbers 0..N/2."""
+        return full[..., : self.N // 2 + 1]
+
+    def rfftn(self, u: np.ndarray) -> np.ndarray:
+        """Half spectrum of a real field's samples."""
+        return np.fft.rfftn(u, axes=tuple(range(self.num_axes)))
+
+    def irfftn(self, spec: np.ndarray) -> np.ndarray:
+        """Real samples of a half spectrum (the inverse of rfftn)."""
+        return np.fft.irfftn(spec, s=self.shape, axes=tuple(range(self.num_axes)))
+
+    def mixed_symbols(self, j: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Real half-spectrum symbols (A, B) of d_j dbar_k = A + iB, built once per grid."""
+        if (j, k) not in self._symbols:
+            s = self.half(mixed_hessian_symbol(self, j, k))
+            self._symbols[j, k] = (np.ascontiguousarray(s.real), np.ascontiguousarray(s.imag))
+        return self._symbols[j, k]
 
 
 @dataclass(frozen=True)

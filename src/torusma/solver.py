@@ -26,7 +26,6 @@ from .geometry import (
     HermitianMetricField,
     det_field,
     eigenvalue_fields,
-    flat_metric,
     hermitian_hessian,
     inverse_field,
     positivity_check,
@@ -36,7 +35,6 @@ from .grid import (
     PeriodicScalarField,
     make_field,
     mean_zero_project,
-    mixed_hessian_symbol,
     partial_x,
     partial_z,
 )
@@ -191,40 +189,36 @@ class _LinearizedOperator:
     """
 
     def __init__(self, it: MetricIterate):
-        self.grid = it.g.grid
-        n = self.grid.n
+        self.grid = grid = it.g.grid
         self.det_g = det_field(it.g).values.real
         det_gt = det_field(it.gt).values.real
         ginv = inverse_field(it.gt).mats
-        # coefficient of d_j dbar_k psi inside det(g~) * lap_{g~}
-        self.coef = np.einsum("...kj->...jk", ginv) * det_gt[..., None, None]
-        self.symbols = [
-            [mixed_hessian_symbol(self.grid, j, k) for k in range(n)]
-            for j in range(n)
-        ]
+        # B[u] = -sum_jk c_jk h_jk with c_jk = det(g~) ginv[k, j], h_jk = d_j dbar_k u; both are
+        # Hermitian in (j, k), so B[u] = -sum_j c_jj h_jj - 2 sum_{j<k} Re(c_jk h_jk)
+        self.terms = []
+        for j in range(grid.n):
+            self.terms.append((grid.mixed_symbols(j, j)[0], det_gt * ginv[..., j, j].real))
+            for k in range(j + 1, grid.n):
+                A, B = grid.mixed_symbols(j, k)
+                c = det_gt * ginv[..., k, j]
+                self.terms += [(A, 2.0 * c.real), (B, -2.0 * c.imag)]
+        # inverse of the flat operator's symbol -(1/4)Delta >= 0, zero on constants
+        flat = -sum(grid.mixed_symbols(j, j)[0] for j in range(grid.n))
+        self.inv_flat = np.divide(1.0, flat, out=np.zeros(flat.shape), where=flat > 0)
 
     def apply_B(self, u: np.ndarray) -> np.ndarray:
-        spec = np.fft.fftn(u)
-        n = self.grid.n
-        acc = np.zeros(self.grid.shape, dtype=complex)
-        for j in range(n):
-            for k in range(n):
-                h = np.fft.ifftn(spec * self.symbols[j][k])
-                acc += self.coef[..., j, k] * h
-        return -acc.real
+        spec = self.grid.rfftn(u)
+        acc = np.zeros(self.grid.shape)
+        for sym, c in self.terms:
+            acc += c * self.grid.irfftn(spec * sym)
+        return -acc
 
     def apply_L(self, u: np.ndarray) -> np.ndarray:
         return -self.apply_B(u) / self.det_g
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
         """Apply the inverse of the flat operator -lap_flat/1 = -(1/4)Delta."""
-        spec = np.fft.fftn(r)
-        sym = np.zeros(self.grid.shape)
-        for j in range(self.grid.n):
-            sym = sym - self.symbols[j][j].real  # -(1/4)Delta symbol, >= 0
-        out = np.zeros_like(spec)
-        np.divide(spec, sym, out=out, where=sym > 0)
-        return np.fft.ifftn(out).real
+        return self.grid.irfftn(self.grid.rfftn(r) * self.inv_flat)
 
 
 def solve_linearized(
@@ -280,11 +274,12 @@ def _pcg(op: _LinearizedOperator, rhs: np.ndarray, cfg: SolverConfig) -> np.ndar
 # ---------------------------------------------------------------------------
 # monitored quantities
 
-def yau_estimate_report(phi: PeriodicScalarField) -> dict[str, float]:
-    """sup|phi|, sup|grad phi|, eigenvalue range of I + ddbar phi, sup third derivs.
+def yau_estimate_report(it: MetricIterate) -> dict[str, float]:
+    """sup|phi|, sup|grad phi|, eigenvalue range of g~ = g + ddbar phi, sup third derivs.
 
     The keys are the monitored fields of ContinuityStep.
     """
+    phi = it.phi
     grid = phi.grid
     n = grid.n
     sup_phi = float(np.max(np.abs(phi.values.real)))
@@ -292,9 +287,8 @@ def yau_estimate_report(phi: PeriodicScalarField) -> dict[str, float]:
     for a in range(grid.num_axes):
         grad_sq += partial_x(phi, a).values.real ** 2
     sup_grad = float(np.sqrt(np.max(grad_sq)))
+    lo, hi = eigenvalue_fields(it.gt)
     H = hermitian_hessian(phi)
-    eye_plus = HermitianMetricField(grid, H + flat_metric(grid).mats)
-    lo, hi = eigenvalue_fields(eye_plus)
     sup_third = 0.0
     for j in range(n):
         for k in range(n):
@@ -315,15 +309,17 @@ def yau_estimate_report(phi: PeriodicScalarField) -> dict[str, float]:
 # continuity method
 
 def _band_limit_warning(F: PeriodicScalarField) -> None:
-    spec = np.abs(np.fft.fftn(F.values))
+    grid = F.grid
+    spec = np.abs(grid.rfftn(F.values.real))
+    # an interior last-axis wavenumber of the half spectrum also stands for its mirror
+    spec[..., 1 : grid.N // 2] *= 2.0
     total = float(np.sum(spec))
     if total == 0.0:
         return
-    grid = F.grid
     cutoff = grid.N // 4
-    mask = np.zeros(grid.shape, dtype=bool)
+    mask = np.zeros(spec.shape, dtype=bool)
     for a in range(grid.num_axes):
-        mask |= np.abs(grid.wavenumbers(a)) > cutoff
+        mask |= grid.half(np.abs(grid.wavenumbers(a)) > cutoff)
     high = float(np.sum(spec[mask]))
     if high > 1e-10 * total:
         warnings.warn(
@@ -399,7 +395,7 @@ def continuity_solve(
             it, iters, res_sup = outcome
             t = t_try
             steps.append(ContinuityStep(t=t, newton_iters=iters, residual_sup=res_sup,
-                                        **yau_estimate_report(it.phi)))
+                                        **yau_estimate_report(it)))
             fast_successes = fast_successes + 1 if iters < 5 else 0
             if fast_successes >= 2:
                 dt = min(2.0 * dt, 0.25)

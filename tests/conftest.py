@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,18 @@ def suite_report():
         return reports[name]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def ricci_flat_solve():
+    """(g, result) of the Ricci-flat n=2 N=16 solve, run once per session."""
+    grid = tm.Grid(n=2, N=16)
+    _, g, F = tm.ricci_flat_background_n2(grid)
+    # F = -log det(g) is not band-limited, so the solver warns about it
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="F carries significant spectral content",
+                                category=RuntimeWarning)
+        return g, tm.continuity_solve(F, g, tm.SolverConfig(n=2, N=16))
 
 
 @pytest.fixture

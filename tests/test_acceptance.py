@@ -103,24 +103,27 @@ def test_criterion_4_manufactured_n2(manufactured_solve):
     assert elapsed < 600.0
 
 
-def test_criterion_5_poisson_oracle_match():
+@pytest.fixture(scope="module")
+def poisson_solve():
+    """(g, F, result) of the default Poisson n=1 N=64 solve, shared by criteria 5, 6, 7, 11."""
     grid = tm.Grid(n=1, N=64)
     g = tm.flat_metric(grid)
     F = tm.poisson_forcing_n1(grid)
+    return g, F, _solve(F, g, tm.SolverConfig(n=1, N=64))
+
+
+def test_criterion_5_poisson_oracle_match(poisson_solve):
+    g, F, result = poisson_solve
     oracle = tm.poisson_oracle_n1(F, g)
-    result = _solve(F, g, tm.SolverConfig(n=1, N=64))
     sup = float(np.max(np.abs(oracle.values.real - result.phi.values.real)))
     ok = sup <= 1e-8
     record_acceptance(5, "Poisson oracle match n=1 N=64 <= 1e-8", ok, f"sup {sup:.2e}")
     assert ok
 
 
-def test_criterion_6_uniqueness():
-    grid = tm.Grid(n=1, N=64)
-    g = tm.flat_metric(grid)
-    F = tm.poisson_forcing_n1(grid)
-    res_a = _solve(F, g, tm.SolverConfig(n=1, N=64, t_step_initial=0.1,
-                                         damping_eig_floor=1e-8))
+def test_criterion_6_uniqueness(poisson_solve):
+    # res_a is the default policy: t_step_initial=0.1, damping_eig_floor=1e-8
+    g, F, res_a = poisson_solve
     res_b = _solve(F, g, tm.SolverConfig(n=1, N=64, t_step_initial=0.05,
                                          damping_eig_floor=1e-6))
     sup = float(np.max(np.abs(res_a.phi.values.real - res_b.phi.values.real)))
@@ -137,12 +140,11 @@ def test_criterion_6_uniqueness():
     ("manufactured", 1, 64, 1e-8),
     ("manufactured", 2, 16, 1e-6),
 ], ids=["poisson-n1", "manufactured-n1", "manufactured-n2"])
-def test_criterion_7_ricci_prescription(case, n, N, tol, manufactured_solve):
+def test_criterion_7_ricci_prescription(case, n, N, tol, manufactured_solve, poisson_solve):
     grid = tm.Grid(n=n, N=N)
     g = tm.flat_metric(grid)
     if case == "poisson":
-        F = tm.poisson_forcing_n1(grid)
-        result = _solve(F, g, tm.SolverConfig(n=n, N=N))
+        g, F, result = poisson_solve
     else:
         phi_star = (tm.manufactured_potential_n1(grid) if n == 1
                     else tm.manufactured_potential_n2(grid))
@@ -157,12 +159,10 @@ def test_criterion_7_ricci_prescription(case, n, N, tol, manufactured_solve):
     assert ok
 
 
-def test_criterion_8_ricci_flat_recovery():
-    grid = tm.Grid(n=2, N=16)
-    _, g, F = tm.ricci_flat_background_n2(grid)
-    result = _solve(F, g, tm.SolverConfig(n=2, N=16))
+def test_criterion_8_ricci_flat_recovery(ricci_flat_solve):
+    g, result = ricci_flat_solve
     gt = tm.metric_from_potential(g, result.phi)
-    dev = float(np.max(np.abs(gt.mats - tm.flat_metric(grid).mats)))
+    dev = float(np.max(np.abs(gt.mats - tm.flat_metric(g.grid).mats)))
     ok = dev <= 1e-7
     record_acceptance(8, "Ricci-flat recovery n=2 N=16 <= 1e-7", ok, f"sup {dev:.2e}")
     assert ok
@@ -218,11 +218,8 @@ def test_criterion_10_spectral_convergence():
     assert ok
 
 
-def test_criterion_11_io_round_trip(tmp_path):
-    grid = tm.Grid(n=1, N=64)
-    g = tm.flat_metric(grid)
-    F = tm.poisson_forcing_n1(grid)
-    result = _solve(F, g, tm.SolverConfig(n=1, N=64))
+def test_criterion_11_io_round_trip(tmp_path, poisson_solve):
+    g, F, result = poisson_solve
     gt = tm.metric_from_potential(g, result.phi)
     artifacts_ok = True
     for name, obj, write, read, values in [

@@ -170,6 +170,12 @@ class TestCliSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    def test_rejected_config_leaves_no_output_directory(self, tmp_path):
+        path = _write_config(tmp_path, background={"potential": "0.2*cos(2*pi*x1)"})
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(path), "--out", str(out)]) == 64
+        assert not out.exists()
+
     def test_missing_config_exits_64(self, tmp_path):
         assert cli.main(["solve", "--config", str(tmp_path / "no.json"),
                          "--out", str(tmp_path)]) == 64

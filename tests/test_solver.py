@@ -255,14 +255,27 @@ class TestContinuitySolve:
 
 class TestYauReport:
     def test_zero_potential(self, grid):
-        rep = tm.yau_estimate_report(tm.zero_field(grid))
+        rep = tm.yau_estimate_report(tm.metric_iterate(tm.flat_metric(grid), tm.zero_field(grid)))
         assert rep["sup_phi"] == 0.0
         assert rep["eig_min"] == pytest.approx(1.0)
         assert rep["eig_max"] == pytest.approx(1.0)
 
     def test_bounds_positive_for_nontrivial(self, grid, small_potential):
-        rep = tm.yau_estimate_report(small_potential)
+        rep = tm.yau_estimate_report(tm.metric_iterate(tm.flat_metric(grid), small_potential))
         assert rep["sup_phi"] > 0
         assert rep["sup_grad_phi"] > 0
         assert rep["sup_third"] > 0
         assert 0 < rep["eig_min"] < 1 < rep["eig_max"]
+
+    def test_eigenvalues_are_those_of_the_solved_metric(self, ricci_flat_solve, tmp_path):
+        # on a non-flat background the trace must report g~ = g + ddbar phi,
+        # the metric the CLI writes, not I + ddbar phi
+        g, result = ricci_flat_solve
+        path = tmp_path / "metric.cmmf"
+        tm.write_metric(path, tm.metric_from_potential(g, result.phi))
+        lo, hi = tm.eigenvalue_fields(tm.read_metric(path))
+        final = result.trace.steps[-1]
+        assert final.eig_min == float(np.min(lo))
+        assert final.eig_max == float(np.max(hi))
+        assert final.eig_min == pytest.approx(1.0, abs=1e-6)
+        assert final.eig_max == pytest.approx(1.0, abs=1e-6)

@@ -1,0 +1,132 @@
+"""The real-to-complex seam: Grid.rfftn/irfftn and the half-spectrum symbols.
+
+Each consumer is checked against the full complex-FFT formula it replaced,
+written out here so that the reference does not go through the seam.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+import torusma as tm
+from torusma.grid import mixed_hessian_symbol
+from torusma.solver import _LinearizedOperator, _band_limit_warning
+
+
+def _rel(new, old):
+    return float(np.max(np.abs(new - old)) / np.max(np.abs(old)))
+
+
+def _complex_hessian(phi):
+    grid = phi.grid
+    n = grid.n
+    spec = np.fft.fftn(phi.values)
+    H = np.empty(grid.shape + (n, n), dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            H[..., j, k] = np.fft.ifftn(spec * mixed_hessian_symbol(grid, j, k))
+    return 0.5 * (H + np.conj(np.swapaxes(H, -1, -2)))
+
+
+def _complex_apply_B(u, it):
+    grid = it.g.grid
+    coef = (np.einsum("...kj->...jk", tm.inverse_field(it.gt).mats)
+            * tm.det_field(it.gt).values.real[..., None, None])
+    spec = np.fft.fftn(u)
+    acc = np.zeros(grid.shape, dtype=complex)
+    for j in range(grid.n):
+        for k in range(grid.n):
+            acc += coef[..., j, k] * np.fft.ifftn(spec * mixed_hessian_symbol(grid, j, k))
+    return -acc.real
+
+
+def _complex_precondition(r, grid):
+    spec = np.fft.fftn(r)
+    sym = np.zeros(grid.shape)
+    for j in range(grid.n):
+        sym = sym - mixed_hessian_symbol(grid, j, j).real
+    out = np.zeros_like(spec)
+    np.divide(spec, sym, out=out, where=sym > 0)
+    return np.fft.ifftn(out).real
+
+
+class TestMatchesComplexTransform:
+    def test_round_trip(self, grid, random_real_field):
+        u = random_real_field.values.real
+        spec = grid.rfftn(u)
+        assert spec.shape == grid.shape[:-1] + (grid.N // 2 + 1,)
+        assert _rel(grid.irfftn(spec), u) <= 1e-14
+
+    def test_hermitian_hessian(self, random_real_field):
+        H = tm.hermitian_hessian(random_real_field)
+        assert _rel(H, _complex_hessian(random_real_field)) <= 1e-12
+        assert np.array_equal(H, np.conj(np.swapaxes(H, -1, -2)))
+
+    def test_apply_B(self, grid, small_potential, random_real_field):
+        it = tm.metric_iterate(tm.flat_metric(grid), small_potential)
+        u = random_real_field.values.real
+        assert _rel(_LinearizedOperator(it).apply_B(u), _complex_apply_B(u, it)) <= 1e-12
+
+    def test_precondition(self, grid, small_potential, random_real_field):
+        op = _LinearizedOperator(tm.metric_iterate(tm.flat_metric(grid), small_potential))
+        r = random_real_field.values.real
+        assert _rel(op.precondition(r), _complex_precondition(r, grid)) <= 1e-12
+
+    def test_hessian_rejects_complex_field(self, grid, rng):
+        with pytest.raises(ValueError):
+            tm.hermitian_hessian(tm.random_band_limited(grid, rng, kmax=2, real=False))
+
+
+def test_precondition_inverts_flat_operator(grid, random_real_field):
+    # at phi = 0 on the flat metric, B = -(1/4) Delta and the preconditioner is exact
+    op = _LinearizedOperator(tm.metric_iterate(tm.flat_metric(grid), tm.zero_field(grid)))
+    u = tm.mean_zero_project(random_real_field).values.real
+    assert _rel(op.precondition(op.apply_B(u)), u) <= 1e-12
+    assert _rel(op.apply_B(op.precondition(u)), u) <= 1e-12
+
+
+@pytest.mark.parametrize("n,N", [(1, 32), (2, 8)], ids=["n1", "n2"])
+def test_symbols_built_once_per_grid(n, N, monkeypatch):
+    builds = []
+    original = tm.grid.mixed_hessian_symbol
+
+    def counting_symbol(grid, j, k):
+        builds.append(grid)
+        return original(grid, j, k)
+
+    monkeypatch.setattr(tm.grid, "mixed_hessian_symbol", counting_symbol)
+    grid = tm.Grid(n=n, N=N)
+    x1, y1 = grid.coordinate(0), grid.coordinate(1)
+    F = tm.make_field(grid, 0.2 * np.sin(2 * np.pi * x1) * np.cos(2 * np.pi * y1))
+    result = tm.continuity_solve(F, tm.flat_metric(grid), tm.SolverConfig(n=n, N=N))
+    assert result.converged
+    assert sum(s.newton_iters for s in result.trace.steps) > 0
+    assert 0 < len(builds) <= n * n
+    assert all(b is grid for b in builds)
+
+
+class TestBandLimitWarning:
+    def test_fires_on_manufactured_forcing(self):
+        grid = tm.Grid(n=2, N=16)
+        F = tm.manufactured_forcing(tm.flat_metric(grid), tm.manufactured_potential_n2(grid))
+        with pytest.warns(RuntimeWarning, match="F carries significant spectral content"):
+            _band_limit_warning(F)
+
+    def test_silent_on_band_limited_field(self, grid, rng):
+        F = tm.random_band_limited(grid, rng, kmax=3, real=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _band_limit_warning(F)
+
+    # the last axis is the one the half spectrum folds
+    @pytest.mark.parametrize("last", [False, True], ids=["first-axis", "last-axis"])
+    def test_cutoff_is_quarter_band(self, grid, last):
+        x = grid.coordinate(grid.num_axes - 1 if last else 0)
+        at = tm.make_field(grid, np.cos(2 * np.pi * (grid.N // 4) * x))
+        above = tm.make_field(grid, np.cos(2 * np.pi * (grid.N // 4 + 1) * x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _band_limit_warning(at)
+        with pytest.warns(RuntimeWarning):
+            _band_limit_warning(above)
