@@ -1,7 +1,8 @@
 """Command-line front end: ``torusma solve|verify|report``.
 
-Exit codes: 0 success, 2 continuity-step underflow, 64 usage or malformed
-configuration, 66 missing or corrupt trace file, 74 file I/O failure.
+Exit codes: 0 success, 1 a verification check failed, 2 continuity-step
+underflow, 64 usage or malformed configuration, 66 missing or corrupt trace
+file, 74 file I/O failure.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import HermitianMetricField, metric_from_potential, positivity_check
-from .grid import Grid, GridMismatchError, PeriodicScalarField, make_field, partial_x, partial_z, partial_zbar
+from .grid import Grid, GridMismatchError, PeriodicScalarField, make_field
 
 Index = tuple[int, ...]
 
@@ -143,57 +143,55 @@ def form_sum(parts: list[PqForm]) -> FormSum:
 # ---------------------------------------------------------------------------
 # Dolbeault operators
 
+def _dolbeault(alpha: PqForm) -> tuple[PqForm, PqForm]:
+    """(del alpha, delbar alpha): (p,q) -> (p+1,q) and (p,q) -> (p,q+1).
+
+    Each component's two real partials along z^j are taken once and feed both
+    d/dz^j (when j is not in J) and d/dzbar^j (when j is not in K).
+    """
+    grid, p, q = alpha.grid, alpha.p, alpha.q
+    holo, anti = zero_form(grid, p + 1, q), zero_form(grid, p, q + 1)
+    front = (-1) ** p  # dzbar^j crosses the dz^J block
+    for (J, K), arr in alpha.components.items():
+        for j in range(grid.n):
+            if j in J and j in K:
+                continue
+            fx = grid.derivative(arr, 2 * j)
+            fy = grid.derivative(arr, 2 * j + 1)
+            if j not in J:
+                merged, sign = merge_sign((j,), J)
+                holo.components[(merged, K)] += sign * (0.5 * (fx - 1j * fy))
+            if j not in K:
+                merged, sign = merge_sign((j,), K)
+                anti.components[(J, merged)] += front * sign * (0.5 * (fx + 1j * fy))
+    return holo, anti
+
+
 def del_(alpha: PqForm) -> PqForm:
     """Holomorphic exterior derivative, (p,q) -> (p+1,q)."""
-    grid, n = alpha.grid, alpha.grid.n
-    out = zero_form(grid, alpha.p + 1, alpha.q)
-    if alpha.p + 1 > n:
-        return out
-    comps = {key: arr.copy() for key, arr in out.components.items()}
-    for (J, K), arr in alpha.components.items():
-        f = make_field(grid, arr)
-        for j in range(n):
-            if j in J:
-                continue
-            merged, sign = merge_sign((j,), J)
-            comps[(merged, K)] = comps[(merged, K)] + sign * partial_z(f, j).values
-    return PqForm(grid, alpha.p + 1, alpha.q, comps)
+    return _dolbeault(alpha)[0]
 
 
 def delbar(alpha: PqForm) -> PqForm:
     """Antiholomorphic exterior derivative, (p,q) -> (p,q+1)."""
-    grid, n = alpha.grid, alpha.grid.n
-    out = zero_form(grid, alpha.p, alpha.q + 1)
-    if alpha.q + 1 > n:
-        return out
-    comps = {key: arr.copy() for key, arr in out.components.items()}
-    front = (-1) ** alpha.p  # dzbar^k crosses the dz^J block
-    for (J, K), arr in alpha.components.items():
-        f = make_field(grid, arr)
-        for k in range(n):
-            if k in K:
-                continue
-            merged, sign = merge_sign((k,), K)
-            comps[(J, merged)] = comps[(J, merged)] + front * sign * partial_zbar(f, k).values
-    return PqForm(grid, alpha.p, alpha.q + 1, comps)
+    return _dolbeault(alpha)[1]
 
 
 def exterior_d(alpha: PqForm) -> FormSum:
     """d = del + delbar, returned as the pair of graded pieces."""
-    return form_sum([del_(alpha), delbar(alpha)])
+    return form_sum(list(_dolbeault(alpha)))
 
 
 def d_sum(alpha: FormSum) -> FormSum:
-    return form_sum([piece for f in alpha.parts.values() for piece in (del_(f), delbar(f))])
+    return form_sum([piece for f in alpha.parts.values() for piece in _dolbeault(f)])
 
 
 def d_c(u: PeriodicScalarField) -> FormSum:
     """d^c u = i (delbar - del) u for a real 0-form u."""
     if not u.is_real:
         raise ValueError("d^c is defined for real functions")
-    holo = del_(scalar_form(u)) * (-1j)
-    anti = delbar(scalar_form(u)) * 1j
-    return form_sum([holo, anti])
+    holo, anti = _dolbeault(scalar_form(u))
+    return form_sum([holo * (-1j), anti * 1j])
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +206,6 @@ def wedge(alpha: PqForm, beta: PqForm) -> PqForm:
     if p > n or q > n:
         raise ValueError(f"wedge overflows the top bidegree: ({p},{q}) with n={n}")
     out = zero_form(grid, p, q)
-    comps = {key: arr.copy() for key, arr in out.components.items()}
     cross = (-1) ** (alpha.q * beta.p)  # dzbar^K1 moves past dz^J2
     for (J1, K1), a in alpha.components.items():
         for (J2, K2), b in beta.components.items():
@@ -217,8 +214,8 @@ def wedge(alpha: PqForm, beta: PqForm) -> PqForm:
             if mj is None or mk is None:
                 continue
             (J, sj), (K, sk) = mj, mk
-            comps[(J, K)] = comps[(J, K)] + (cross * sj * sk) * (a * b)
-    return PqForm(grid, p, q, comps)
+            out.components[(J, K)] += (cross * sj * sk) * (a * b)
+    return out
 
 
 def wedge_sum(alpha: FormSum | PqForm, beta: FormSum | PqForm) -> FormSum:

@@ -21,6 +21,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(line)
 
 
+def axis_derivative(u, axis, N):
+    """First derivative along one axis by a complex 1-D transform, Nyquist mode zeroed.
+
+    The per-axis reference the spectral and forms tests compare against; it
+    does not go through torusma.
+    """
+    k = np.rint(np.fft.fftfreq(N, d=1.0 / N)).astype(int)
+    sym = np.where(np.abs(k) == N // 2, 0.0, 2j * np.pi * k)
+    shape = [1] * u.ndim
+    shape[axis] = N
+    return np.fft.ifft(np.fft.fft(u, axis=axis) * sym.reshape(shape), axis=axis)
+
+
 @pytest.fixture(scope="session")
 def suite_report():
     """run_suite(name), run once per session and shared by every test that reads it.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import torusma as tm
+from conftest import axis_derivative
 from torusma.forms import increasing_indices, merge_sign
 
 
@@ -125,3 +126,88 @@ class TestUniquenessFunctional:
         phi2 = tm.verification._admissible_potential(grid, seed=22, perturbation=0.3)
         val = tm.uniqueness_functional(phi1, phi2, g)
         assert val > 0
+
+
+def _reference_del(alpha, anti):
+    """del (anti=False) or delbar (anti=True), each taking both partials of every component."""
+    grid, n = alpha.grid, alpha.grid.n
+    out = tm.zero_form(grid, *((alpha.p, alpha.q + 1) if anti else (alpha.p + 1, alpha.q)))
+    front = (-1) ** alpha.p if anti else 1
+    for (J, K), arr in alpha.components.items():
+        for j in range(n):
+            if j in (K if anti else J):
+                continue
+            fx = axis_derivative(arr, 2 * j, grid.N)
+            fy = axis_derivative(arr, 2 * j + 1, grid.N)
+            if anti:
+                merged, sign = merge_sign((j,), K)
+                key = (J, merged)
+                val = 0.5 * (fx + 1j * fy)
+            else:
+                merged, sign = merge_sign((j,), J)
+                key = (merged, K)
+                val = 0.5 * (fx - 1j * fy)
+            out.components[key] = out.components[key] + front * sign * val
+    return out
+
+
+def _reference_d(alpha):
+    return tm.form_sum([_reference_del(alpha, False), _reference_del(alpha, True)])
+
+
+def _assert_bitwise(new, ref):
+    if isinstance(ref, tm.FormSum):
+        assert new.parts.keys() == ref.parts.keys()
+        for key in ref.parts:
+            _assert_bitwise(new.parts[key], ref.parts[key])
+        return
+    assert (new.p, new.q) == (ref.p, ref.q)
+    assert new.components.keys() == ref.components.keys()
+    for key, arr in ref.components.items():
+        assert new.components[key].dtype == arr.dtype
+        assert new.components[key].tobytes() == arr.tobytes(), key
+
+
+_BIDEGREES = [(n, N, p, q) for n, N in ((1, 32), (2, 16))
+              for p in range(n + 1) for q in range(n + 1)]
+
+
+class TestDolbeaultKernel:
+    """del_, delbar, exterior_d, d_sum and d_c against the per-component formula."""
+
+    @pytest.mark.parametrize("n,N,p,q", _BIDEGREES,
+                             ids=[f"n{n}-({p},{q})" for n, _, p, q in _BIDEGREES])
+    def test_matches_per_component_formula(self, n, N, p, q):
+        alpha = _random_form(tm.Grid(n=n, N=N), p, q, np.random.default_rng(10 * p + q))
+        _assert_bitwise(tm.del_(alpha), _reference_del(alpha, False))
+        _assert_bitwise(tm.delbar(alpha), _reference_del(alpha, True))
+        d = tm.exterior_d(alpha)
+        _assert_bitwise(d, _reference_d(alpha))
+        _assert_bitwise(tm.d_sum(d), tm.form_sum(
+            [piece for f in d.parts.values() for piece in _reference_d(f).parts.values()]))
+
+    @pytest.mark.parametrize("n,N", [(1, 32), (2, 16)], ids=["n1", "n2"])
+    def test_d_c_matches_per_component_formula(self, n, N, rng):
+        u = tm.random_band_limited(tm.Grid(n=n, N=N), rng, kmax=3, real=True)
+        alpha = tm.scalar_form(u)
+        ref = tm.form_sum([_reference_del(alpha, False) * (-1j), _reference_del(alpha, True) * 1j])
+        _assert_bitwise(tm.d_c(u), ref)
+
+    @pytest.mark.parametrize("p,q", [(0, 0), (0, 1), (1, 0), (1, 1), (2, 1), (2, 2)])
+    def test_two_partials_per_contributing_index(self, p, q, monkeypatch):
+        calls = []
+        original = tm.Grid.derivative
+
+        def counting(self, values, axis):
+            calls.append(axis)
+            return original(self, values, axis)
+
+        monkeypatch.setattr(tm.Grid, "derivative", counting)
+        grid = tm.Grid(n=2, N=8)
+        alpha = _random_form(grid, p, q, np.random.default_rng(0))
+        tm.exterior_d(alpha)
+        contributing = sum(1 for J, K in alpha.components for j in range(grid.n)
+                           if j not in J or j not in K)
+        assert len(calls) == 2 * contributing
+        if (p, q) == (0, 0):
+            assert len(calls) == 4

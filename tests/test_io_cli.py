@@ -216,6 +216,15 @@ class TestCliVerify:
         assert "pass" in captured.out
         assert json.loads(out.read_text())["passed"] is True
 
+    def test_failing_check_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(tm.verification._SUITES, "identities",
+                            lambda: [tm.verification._check("identities.d_squared", 1.0)])
+        out = tmp_path / "report.json"
+        rc = cli.main(["verify", "--suite", "identities", "--out", str(out)])
+        assert rc == 1
+        assert "FAIL" in capsys.readouterr().out
+        assert json.loads(out.read_text())["passed"] is False
+
 
 class TestCliReport:
     def _solved_trace(self, tmp_path):

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import torusma as tm
+from conftest import axis_derivative
 from torusma.grid import mixed_hessian_symbol
-from torusma.solver import _LinearizedOperator, _band_limit_warning
+from torusma.solver import _LinearizedOperator, _band_limit_warning, yau_estimate_report
 
 
 def _rel(new, old):
@@ -51,6 +52,20 @@ def _complex_precondition(r, grid):
     return np.fft.ifftn(out).real
 
 
+def _per_axis_monitor(phi):
+    """(sup |grad phi|, sup |d_l d_j dbar_k phi|) from per-axis derivatives of phi and H."""
+    grid = phi.grid
+    N, n = grid.N, grid.n
+    grad_sq = sum(axis_derivative(phi.values, a, N).real ** 2 for a in range(grid.num_axes))
+    H = _complex_hessian(phi)
+    third = max(
+        np.max(np.abs(0.5 * (axis_derivative(H[..., j, k], 2 * l, N)
+                             - 1j * axis_derivative(H[..., j, k], 2 * l + 1, N))))
+        for l in range(n) for j in range(n) for k in range(n)
+    )
+    return float(np.sqrt(np.max(grad_sq))), float(third)
+
+
 class TestMatchesComplexTransform:
     def test_round_trip(self, grid, random_real_field):
         u = random_real_field.values.real
@@ -72,6 +87,18 @@ class TestMatchesComplexTransform:
         op = _LinearizedOperator(tm.metric_iterate(tm.flat_metric(grid), small_potential))
         r = random_real_field.values.real
         assert _rel(op.precondition(r), _complex_precondition(r, grid)) <= 1e-12
+
+    # with kmax=1 and this seed the n=2 sup of |d_l d_j dbar_k phi| lies at
+    # j != k, where the imaginary symbol B of d_j dbar_k enters
+    @pytest.mark.parametrize("kmax,seed", [(2, 42), (1, 1)], ids=["kmax2", "kmax1"])
+    def test_yau_monitor(self, grid, kmax, seed):
+        phi = tm.mean_zero_project(tm.random_band_limited(
+            grid, np.random.default_rng(seed), kmax=kmax, real=True, amplitude=0.01))
+        report = yau_estimate_report(tm.metric_iterate(tm.flat_metric(grid), phi))
+        grad, third = _per_axis_monitor(phi)
+        assert abs(report["sup_grad_phi"] - grad) <= 1e-12 * grad
+        assert abs(report["sup_third"] - third) <= 1e-12 * third
+        assert report["sup_phi"] == float(np.max(np.abs(phi.values.real)))
 
     def test_hessian_rejects_complex_field(self, grid, rng):
         with pytest.raises(ValueError):
