@@ -77,7 +77,7 @@ def _solver_config(cfg: dict) -> SolverConfig:
 
 
 def _scalar_from_spec(spec, grid: Grid, what: str, inputs: dict):
-    """Build a scalar field from an expression string or a {"path": ...} ref."""
+    """Build a finite scalar field from an expression string or a {"path": ...} ref."""
     if isinstance(spec, str):
         try:
             expr = parse_expression(spec)
@@ -87,8 +87,10 @@ def _scalar_from_spec(spec, grid: Grid, what: str, inputs: dict):
             raise ConfigError(
                 f"{what} expression has harmonics above N/4 for N={grid.N}"
             )
-        return expr.evaluate(grid)
-    if isinstance(spec, dict) and isinstance(spec.get("path"), str):
+        # an overflow is reported below as a non-finite value, not as a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            field = expr.evaluate(grid)
+    elif isinstance(spec, dict) and isinstance(spec.get("path"), str):
         path = spec["path"]
         field = read_field(path)  # may raise OSError / SnapshotFormatError
         if field.grid != grid:
@@ -97,8 +99,11 @@ def _scalar_from_spec(spec, grid: Grid, what: str, inputs: dict):
                 f"does not match the config grid"
             )
         inputs[what] = {"path": path, "sha256": sha256_file(path)}
-        return field
-    raise ConfigError(f"{what} must be an expression string or {{\"path\": ...}}")
+    else:
+        raise ConfigError(f"{what} must be an expression string or {{\"path\": ...}}")
+    if not np.all(np.isfinite(field.values)):
+        raise ConfigError(f"{what} has non-finite (inf or NaN) values")
+    return field
 
 
 def _background(cfg: dict, grid: Grid, inputs: dict):

@@ -3,16 +3,26 @@
 The outer loop walks t from 0 to 1 with adaptive steps.  At each t a damped
 Newton iteration drives the normalized residual
 
-    r = det(g~)/det(g) - C(t) e^{tF},   C(t) = Vol_g / integral(e^{tF} dV_g)
+    r = det(g~)/det(g) - C e^{tF},   C = integral(det g~) / integral(e^{tF} dV_g)
 
-to the sup-norm tolerance.  The Newton correction solves the linearization
+to the sup-norm tolerance.  C is taken from the iterate's discrete volume, so
+r integrates to zero in dV_g exactly, even where the discrete identity
+integral(det g~) = Vol_g fails by rounding or Nyquist content of phi.  The
+Newton correction solves the linearization
 
     L[psi] = (det g~/det g) lap_{g~} psi = -r
 
-by preconditioned conjugate gradients on mean-zero fields; dyadic damping
-keeps the metric eigenvalues above the configured floor along the path.
-Each iterate's metric g~ = g + ddbar phi is formed once, by metric_iterate;
-the residual, the linear solve and the damping all read that one iterate.
+by preconditioned conjugate gradients on mean-zero fields, only as accurately
+as the Newton step needs (inexact Newton, Eisenstat-Walker choice 2): the
+relative Krylov target is eta_0 = 0.1, then
+
+    eta_k = min(0.1, 0.9 (|r_k| / |r_{k-1}|)^2),
+
+floored at krylov_tol and at 0.1 newton_tol / |r_k| so the last step can still
+reach newton_tol (sup norms throughout).  Dyadic damping keeps the metric
+eigenvalues above the configured floor along the path.  Each iterate's metric
+g~ = g + ddbar phi is formed once, by metric_iterate; the residual, the linear
+solve and the damping all read that one iterate.
 """
 
 from __future__ import annotations
@@ -27,7 +37,6 @@ from .geometry import (
     det_field,
     eigenvalue_fields,
     hermitian_hessian,
-    inverse_field,
     positivity_check,
 )
 from .grid import (
@@ -160,16 +169,21 @@ def ma_residual(
     F: PeriodicScalarField,
     t: float,
 ) -> PeriodicScalarField:
-    """r = det(g + ddbar phi)/det(g) - C(t) e^{tF}; integrates to zero in dV_g."""
+    """r = det(g + ddbar phi)/det(g) - C e^{tF}; integrates to zero in dV_g.
+
+    C = mean(det g~) / mean(e^{tF} det g) comes from the iterate's discrete
+    volume.  The equation leaves the constant free, and this choice keeps r
+    compatible with the linear solve, which projects out r's weighted mean.
+    """
     g = it.g
     if F.grid != g.grid:
         raise GridMismatchError("F and the iterate must share a grid")
     _require_positive(it)
-    tF = make_field(g.grid, t * F.values.real)
-    C = compatibility_constant(tF, g)
-    ratio = det_field(it.gt).values.real / det_field(g).values.real
-    r = ratio - C * np.exp(tF.values.real)
-    return make_field(g.grid, r)
+    det_g = det_field(g).values.real
+    det_gt = det_field(it.gt).values.real
+    etF = np.exp(t * F.values.real)
+    C = float(np.mean(det_gt)) / float(np.mean(etF * det_g))
+    return make_field(g.grid, det_gt / det_g - C * etF)
 
 
 def linearized_apply(psi: PeriodicScalarField, it: MetricIterate) -> PeriodicScalarField:
@@ -190,17 +204,22 @@ class _LinearizedOperator:
     def __init__(self, it: MetricIterate):
         self.grid = grid = it.g.grid
         self.det_g = det_field(it.g).values.real
-        det_gt = det_field(it.gt).values.real
-        ginv = inverse_field(it.gt).mats
-        # B[u] = -sum_jk c_jk h_jk with c_jk = det(g~) ginv[k, j], h_jk = d_j dbar_k u; both are
-        # Hermitian in (j, k), so B[u] = -sum_j c_jj h_jj - 2 sum_{j<k} Re(c_jk h_jk)
-        self.terms = []
-        for j in range(grid.n):
-            self.terms.append((grid.mixed_symbols(j, j)[0], det_gt * ginv[..., j, j].real))
-            for k in range(j + 1, grid.n):
-                A, B = grid.mixed_symbols(j, k)
-                c = det_gt * ginv[..., k, j]
-                self.terms += [(A, 2.0 * c.real), (B, -2.0 * c.imag)]
+        # B[u] = -sum_jk c_jk h_jk with c_jk = adj(g~)[k, j], h_jk = d_j dbar_k u; both are
+        # Hermitian in (j, k), so B[u] = -sum_j c_jj h_jj - 2 sum_{j<k} Re(c_jk h_jk).
+        # The adjugate has a closed form: 1 for n = 1; for n = 2 the diagonal
+        # entries swap and the off-diagonal ones change sign.
+        if grid.n == 1:
+            self.terms = [(grid.mixed_symbols(0, 0)[0], 1.0)]
+        else:
+            gt = it.gt.mats
+            A, B = grid.mixed_symbols(0, 1)
+            c01 = -gt[..., 1, 0]
+            self.terms = [
+                (grid.mixed_symbols(0, 0)[0], gt[..., 1, 1].real),
+                (grid.mixed_symbols(1, 1)[0], gt[..., 0, 0].real),
+                (A, 2.0 * c01.real),
+                (B, -2.0 * c01.imag),
+            ]
         # inverse of the flat operator's symbol -(1/4)Delta >= 0, zero on constants
         flat = -sum(grid.mixed_symbols(j, j)[0] for j in range(grid.n))
         self.inv_flat = np.divide(1.0, flat, out=np.zeros(flat.shape), where=flat > 0)
@@ -224,11 +243,17 @@ def solve_linearized(
     rhs: PeriodicScalarField,
     it: MetricIterate,
     cfg: SolverConfig,
+    tol: float | None = None,
 ) -> PeriodicScalarField:
-    """Mean-zero psi with ||L[psi] - rhs||_sup <= krylov_tol * ||rhs||_sup."""
+    """Mean-zero psi with ||L[psi] - rhs||_sup <= tol * ||rhs||_sup.
+
+    rhs is first projected against constants in dV_g, the part L can reach;
+    tol defaults to cfg.krylov_tol.
+    """
     _require_positive(it)
     op = _LinearizedOperator(it)
-    return make_field(it.g.grid, _pcg(op, rhs.values.real, cfg))
+    target = cfg.krylov_tol if tol is None else tol
+    return make_field(it.g.grid, _pcg(op, rhs.values.real, target, cfg.krylov_iter_cap))
 
 
 def _project_compatible(rhs: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -236,12 +261,13 @@ def _project_compatible(rhs: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return rhs - np.mean(rhs * weight) / np.mean(weight)
 
 
-def _pcg(op: _LinearizedOperator, rhs: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+def _pcg(op: _LinearizedOperator, rhs: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+    """PCG for B x = -det(g) rhs until sup|L x - rhs| <= tol * sup|rhs| (rhs projected)."""
     rhs = _project_compatible(rhs, op.det_g)
     rhs_sup = float(np.max(np.abs(rhs)))
     if rhs_sup == 0.0:
         return np.zeros_like(rhs)
-    target = cfg.krylov_tol * rhs_sup
+    target = tol * rhs_sup
 
     b = -op.det_g * rhs
     b = b - np.mean(b)
@@ -251,12 +277,19 @@ def _pcg(op: _LinearizedOperator, rhs: np.ndarray, cfg: SolverConfig) -> np.ndar
     p = z.copy()
     rz = float(np.mean(r * z))
     achieved = np.inf
-    for it in range(cfg.krylov_iter_cap):
+    for it in range(max_iter):
         achieved = float(np.max(np.abs(r / op.det_g)))
         if achieved <= target:
             return x - np.mean(x)
+        # breakdown: B and the preconditioner are positive on mean-zero fields,
+        # so a non-positive rz or p.Bp means no further progress
+        if not rz > 0.0:
+            raise KrylovConvergenceError(achieved, target, it)
         Bp = op.apply_B(p)
-        alpha = rz / float(np.mean(p * Bp))
+        pBp = float(np.mean(p * Bp))
+        if not pBp > 0.0:
+            raise KrylovConvergenceError(achieved, target, it)
+        alpha = rz / pBp
         x += alpha * p
         r -= alpha * Bp
         r -= np.mean(r)
@@ -267,7 +300,7 @@ def _pcg(op: _LinearizedOperator, rhs: np.ndarray, cfg: SolverConfig) -> np.ndar
     achieved = float(np.max(np.abs(r / op.det_g)))
     if achieved <= target:
         return x - np.mean(x)
-    raise KrylovConvergenceError(achieved, target, cfg.krylov_iter_cap)
+    raise KrylovConvergenceError(achieved, target, max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +383,15 @@ def _damped_update(
     return None
 
 
+def _forcing_term(res_sup: float, prev_sup: float | None, cfg: SolverConfig) -> float:
+    """Eisenstat-Walker choice 2 relative Krylov target for the next correction."""
+    eta = 0.1 if prev_sup is None else min(0.1, 0.9 * (res_sup / prev_sup) ** 2)
+    return max(eta, cfg.krylov_tol, 0.1 * cfg.newton_tol / res_sup)
+
+
 def _newton_at_t(it, F, t, cfg):
-    """Newton iteration at fixed t; returns (iterate, iters, residual_sup) or None."""
+    """Inexact Newton iteration at fixed t; returns (iterate, iters, residual_sup) or None."""
+    prev_sup = None
     for k in range(cfg.newton_max_iter + 1):
         r = ma_residual(it, F, t)
         res_sup = r.sup_norm()
@@ -359,9 +399,12 @@ def _newton_at_t(it, F, t, cfg):
             return it, k, res_sup
         if k == cfg.newton_max_iter:
             return None
+        eta = _forcing_term(res_sup, prev_sup, cfg)
+        prev_sup = res_sup
         rhs = make_field(F.grid, -r.values.real)
         try:
-            psi = solve_linearized(rhs, it, cfg)
+            # the operator lives inside solve_linearized and is freed before damping
+            psi = solve_linearized(rhs, it, cfg, tol=eta)
         except KrylovConvergenceError:
             return None
         it = _damped_update(it, psi, cfg.damping_eig_floor)

@@ -131,6 +131,16 @@ def _write_config(tmp_path, **overrides):
     return path
 
 
+def _non_finite_snapshot(tmp_path, value):
+    """{"path": ...} of an n=1 N=32 CMAF snapshot with one sample set to value."""
+    grid = tm.Grid(n=1, N=32)
+    vals = 0.01 * np.sin(2 * np.pi * grid.coordinate(0))
+    vals[3, 5] = value
+    path = tmp_path / "non_finite.cmaf"
+    tm.write_field(path, tm.make_field(grid, vals))
+    return {"path": str(path)}
+
+
 class TestCliSolve:
     def test_flat_solve_writes_artifacts(self, tmp_path):
         cfg = _write_config(tmp_path, F="0")
@@ -159,12 +169,22 @@ class TestCliSolve:
         {"N": 7},
         {"n": True},
         {"background": {"potential": "0.2*cos(2*pi*x1)"}},
-    ], ids=["not-json", "n3", "N7", "n-bool", "non-positive-background"])
+        {"N": 16, "F": "1e400"},
+        {"F": "exp(800)"},
+        lambda tmp: {"F": _non_finite_snapshot(tmp, np.nan)},
+        lambda tmp: {"F": _non_finite_snapshot(tmp, np.inf)},
+        lambda tmp: {"background": {"potential": _non_finite_snapshot(tmp, np.nan)}},
+        lambda tmp: {"background": {"potential": _non_finite_snapshot(tmp, -np.inf)}},
+    ], ids=["not-json", "n3", "N7", "n-bool", "non-positive-background", "F-1e400",
+            "F-exp-overflow", "F-snapshot-nan", "F-snapshot-inf",
+            "background-snapshot-nan", "background-snapshot-inf"])
     def test_malformed_config_exits_64(self, tmp_path, capsys, overrides):
         if overrides is None:
             path = tmp_path / "bad.json"
             path.write_text("{not json")
         else:
+            if callable(overrides):
+                overrides = overrides(tmp_path)
             path = _write_config(tmp_path, **overrides)
         assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 64
         err = capsys.readouterr().err

@@ -2,6 +2,21 @@ import numpy as np
 import pytest
 
 import torusma as tm
+from torusma.solver import _LinearizedOperator, _pcg
+from torusma.verification import THRESHOLDS
+
+
+def _count_apply_B(monkeypatch):
+    """Count _LinearizedOperator.apply_B calls from here on; returns the list of calls."""
+    calls = []
+    apply_B = _LinearizedOperator.apply_B
+
+    def counting(self, u):
+        calls.append(1)
+        return apply_B(self, u)
+
+    monkeypatch.setattr(_LinearizedOperator, "apply_B", counting)
+    return calls
 
 
 class TestConfig:
@@ -94,6 +109,24 @@ class TestResidual:
         with pytest.raises(tm.NonPositiveMetricError):
             tm.ma_residual(tm.metric_iterate(g, phi), tm.zero_field(grid), 1.0)
 
+    def test_discrete_volume_exact_without_nyquist_content(self, grid, small_potential):
+        # integral(det g~) = Vol_g holds to rounding when phi has no Nyquist content
+        g = tm.flat_metric(grid)
+        det_gt = tm.det_field(tm.metric_iterate(g, small_potential).gt).values.real
+        assert abs(float(np.mean(det_gt)) - 1.0) <= 1e-14
+
+    def test_residual_compatible_despite_nyquist_content(self):
+        # Nyquist content of phi breaks the discrete volume identity; C is
+        # taken from the iterate's volume, so r still integrates to zero in dV_g
+        grid = tm.Grid(n=2, N=8)
+        g = tm.flat_metric(grid)
+        phi = tm.mean_zero_project(tm.make_field(
+            grid, 1e-3 * np.random.default_rng(5).standard_normal(grid.shape)))
+        it = tm.metric_iterate(g, phi)
+        assert abs(float(np.mean(tm.det_field(it.gt).values.real)) - 1.0) > 1e-6
+        r = tm.ma_residual(it, tm.zero_field(grid), 1.0)
+        assert abs(float(np.mean(r.values.real))) <= 1e-15
+
     def test_residual_integral_vanishes(self, grid, small_potential, random_real_field):
         # integral of the residual against dV_g is identically zero in the
         # mean-zero gauge (discrete volume invariance)
@@ -179,6 +212,46 @@ class TestLinearSolve:
         target = rhs.values.real - np.mean(rhs.values.real * det_g) / np.mean(det_g)
         assert np.max(np.abs(back.values.real - target)) <= 1e-9
 
+    @pytest.mark.parametrize("tol", [None, 1e-1, 1e-3, 1e-6])
+    def test_tolerance_met_after_projection(self, grid, small_potential, rng, tol):
+        # sup|L[psi] - rhs| <= tol * sup|rhs| for the compatible projection of
+        # rhs; tol=None means cfg.krylov_tol
+        g = tm.flat_metric(grid)
+        it = tm.metric_iterate(g, small_potential)
+        rhs = tm.mean_zero_project(tm.random_band_limited(grid, rng, kmax=2, real=True))
+        cfg = tm.SolverConfig(n=grid.n, N=grid.N)
+        psi = tm.solve_linearized(rhs, it, cfg, tol=tol)
+        det_g = tm.det_field(g).values.real
+        target = rhs.values.real - np.mean(rhs.values.real * det_g) / np.mean(det_g)
+        achieved = np.max(np.abs(tm.linearized_apply(psi, it).values.real - target))
+        eta = cfg.krylov_tol if tol is None else tol
+        assert achieved <= eta * np.max(np.abs(target))
+
+    def test_looser_tolerance_takes_fewer_iterations(self, rng, monkeypatch):
+        grid = tm.Grid(n=2, N=16)
+        it = tm.metric_iterate(tm.flat_metric(grid), tm.manufactured_potential_n2(grid))
+        rhs = tm.mean_zero_project(tm.random_band_limited(grid, rng, kmax=2, real=True))
+        cfg = tm.SolverConfig(n=2, N=16)
+        calls = _count_apply_B(monkeypatch)
+        counts = []
+        for tol in (None, 1e-6, 1e-3, 1e-1):
+            calls.clear()
+            tm.solve_linearized(rhs, it, cfg, tol=tol)
+            counts.append(len(calls))
+        assert counts == sorted(counts, reverse=True) and counts[-1] < counts[0]
+
+    @pytest.mark.parametrize("fault", ["zero-preconditioner", "indefinite-operator"])
+    def test_breakdown_raises_krylov_error(self, grid, small_potential, rng, fault):
+        op = _LinearizedOperator(tm.metric_iterate(tm.flat_metric(grid), small_potential))
+        if fault == "zero-preconditioner":
+            op.precondition = lambda r: np.zeros_like(r)
+        else:
+            apply_B = op.apply_B
+            op.apply_B = lambda u: -apply_B(u)
+        rhs = tm.mean_zero_project(tm.random_band_limited(grid, rng, kmax=2, real=True))
+        with pytest.raises(tm.KrylovConvergenceError):
+            _pcg(op, rhs.values.real, 1e-12, 100)
+
     def test_solution_is_mean_zero(self, grid, small_potential, rng):
         g = tm.flat_metric(grid)
         rhs = tm.mean_zero_project(tm.random_band_limited(grid, rng, kmax=2, real=True))
@@ -228,6 +301,36 @@ class TestContinuitySolve:
         assert result.t_reached == 1.0
         eig_min_path = min(s.eig_min for s in result.trace.steps)
         assert eig_min_path == pytest.approx(1 - 0.1 * np.pi ** 2, abs=1e-3)
+
+    # the manufactured forcing log det(g~) is not band-limited
+    @pytest.mark.filterwarnings("ignore:F carries significant spectral content")
+    def test_forcing_terms_cut_krylov_work(self, monkeypatch):
+        # each correction is solved only as accurately as its Newton step
+        # needs; solving every one to krylov_tol took 310 apply_B calls
+        grid = tm.Grid(n=2, N=16)
+        g = tm.flat_metric(grid)
+        F = tm.manufactured_forcing(g, tm.manufactured_potential_n2(grid))
+        cfg = tm.SolverConfig(n=2, N=16)
+        calls = _count_apply_B(monkeypatch)
+        result = tm.continuity_solve(F, g, cfg)
+        assert result.converged
+        assert len(calls) <= 120
+        assert all(s.residual_sup <= cfg.newton_tol for s in result.trace.steps)
+
+    @pytest.mark.filterwarnings("ignore:F carries significant spectral content")
+    def test_near_degenerate_manufactured_n2(self):
+        # amplitude 0.048 takes the target min eigenvalue to 1 - 2 pi^2 0.048
+        # ~= 0.0525; PCG corrections put mass on the Nyquist planes, where the
+        # discrete volume identity fails, and with C from Vol_g the residual
+        # stalled above newton_tol until the continuity step underflowed
+        grid = tm.Grid(n=2, N=16)
+        g = tm.flat_metric(grid)
+        phi_star = tm.manufactured_potential_n2(grid, amplitude=0.048)
+        F = tm.manufactured_forcing(g, phi_star)
+        result = tm.continuity_solve(F, g, tm.SolverConfig(n=2, N=16))
+        assert result.converged, result.message
+        err = np.max(np.abs(result.phi.values.real - phi_star.values.real))
+        assert err <= THRESHOLDS["manufactured.n2_error"]
 
     def test_rejects_complex_forcing(self, grid):
         g = tm.flat_metric(grid)
