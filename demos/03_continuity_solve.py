@@ -28,5 +28,5 @@ print("\nsup |phi - Poisson oracle| =", diff)
 
 # the solved metric prescribes the Ricci form: ricci(g~) - ricci(g) = -ddbar F
 gt = tm.metric_from_potential(g, result.phi)
-resid = tm.ricci_form(gt).mats - tm.ricci_form(g).mats + tm.hermitian_hessian(F)
+resid = tm.ricci_form(gt).mats - tm.ricci_form(g).mats + tm.hermitian_hessian(F).mats
 print("Ricci prescription sup-error =", np.max(np.abs(resid)))

@@ -30,7 +30,7 @@ from .fileio import (
     write_trace,
 )
 from .geometry import flat_metric, metric_from_potential
-from .grid import Grid, make_field, mean_zero_project
+from .grid import Grid, mean_zero_project
 from .solver import NonPositiveMetricError, SolverConfig, continuity_solve
 from .verification import SUITE_NAMES, run_suite
 
@@ -98,6 +98,8 @@ def _scalar_from_spec(spec, grid: Grid, what: str, inputs: dict):
                 f"{what} snapshot grid (n={field.grid.n}, N={field.grid.N}) "
                 f"does not match the config grid"
             )
+        if not field.is_real:
+            raise ConfigError(f"{what} snapshot is complex; a real field is required")
         inputs[what] = {"path": path, "sha256": sha256_file(path)}
     else:
         raise ConfigError(f"{what} must be an expression string or {{\"path\": ...}}")
@@ -112,7 +114,7 @@ def _background(cfg: dict, grid: Grid, inputs: dict):
         return flat_metric(grid)
     if isinstance(spec, dict) and "potential" in spec:
         psi = _scalar_from_spec(spec["potential"], grid, "background potential", inputs)
-        psi = mean_zero_project(make_field(grid, psi.values.real))
+        psi = mean_zero_project(psi)
         return metric_from_potential(flat_metric(grid), psi)
     raise ConfigError('background must be "flat" or {"potential": ...}')
 
@@ -126,7 +128,6 @@ def cmd_solve(args) -> int:
     inputs: dict = {}
     g = _background(cfg, grid, inputs)
     F = _scalar_from_spec(cfg.get("F", "0"), grid, "F", inputs)
-    F = make_field(grid, F.values.real)
     solver_cfg = _solver_config(cfg)
 
     start = time.perf_counter()

@@ -60,8 +60,7 @@ class Expression:
     max_harmonic: int
 
     def evaluate(self, grid: Grid) -> PeriodicScalarField:
-        values = _eval_node(self._ast, grid)
-        return make_field(grid, values.astype(complex))
+        return make_field(grid, _eval_node(self._ast, grid))
 
     def band_limited(self, grid: Grid) -> bool:
         return self.max_harmonic <= grid.N // 4

@@ -3,11 +3,13 @@
 CMAF: magic "CMAF", version u16 = 1, n u16, N u32, flag u8 (0 real, 1
 complex), then row-major samples as little-endian float64 (real) or
 interleaved re/im pairs (complex).  Axis order x1, y1, ..., xn, yn with the
-last axis fastest.
+last axis fastest.  Flag 0 reads back as a float64 field, flag 1 as complex128.
 
 CMMF: magic "CMMF", version u16 = 1, n u16, N u32, then per-point
 lower-triangle complex entries (j >= k, row by row), little-endian float64
-pairs, same axis order.
+pairs, same axis order.  The packed metric maps onto it as g_{1 1bar} (n = 1)
+or g_{1 1bar}, g_{2 1bar} = off, g_{2 2bar} (n = 2); a diagonal entry must have
+a zero imaginary part.
 """
 
 from __future__ import annotations
@@ -43,71 +45,56 @@ def write_field(path: str | Path, f: PeriodicScalarField) -> None:
     grid = f.grid
     flag = 0 if f.is_real else 1
     header = _FIELD_HEADER.pack(FIELD_MAGIC, VERSION, grid.n, grid.N, flag)
-    if flag == 0:
-        payload = np.ascontiguousarray(f.values.real, dtype="<f8").tobytes()
-    else:
-        payload = np.ascontiguousarray(f.values, dtype="<c16").tobytes()
+    payload = np.ascontiguousarray(f.values, dtype="<f8" if flag == 0 else "<c16").tobytes()
     Path(path).write_bytes(header + payload)
 
 
-def read_field(path: str | Path) -> PeriodicScalarField:
+def _read_snapshot(path: str | Path, header: struct.Struct, magic: bytes) -> tuple[tuple, bytes]:
+    """(the header fields after magic and version, the payload) of a snapshot file."""
     raw = Path(path).read_bytes()
-    if len(raw) < _FIELD_HEADER.size:
+    if len(raw) < header.size:
         raise SnapshotFormatError(f"{path}: truncated header")
-    magic, version, n, N, flag = _FIELD_HEADER.unpack_from(raw)
-    if magic != FIELD_MAGIC:
-        raise SnapshotFormatError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise SnapshotFormatError(f"{path}: unsupported version {version}")
+    fields = header.unpack_from(raw)
+    if fields[0] != magic:
+        raise SnapshotFormatError(f"{path}: bad magic {fields[0]!r}")
+    if fields[1] != VERSION:
+        raise SnapshotFormatError(f"{path}: unsupported version {fields[1]}")
+    return fields[2:], raw[header.size:]
+
+
+def _samples(path: str | Path, body: bytes, shape: tuple[int, ...], dtype: str) -> np.ndarray:
+    expected = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    if len(body) != expected:
+        raise SnapshotFormatError(f"{path}: payload is {len(body)} bytes, expected {expected}")
+    return np.frombuffer(body, dtype=dtype).reshape(shape)
+
+
+def read_field(path: str | Path) -> PeriodicScalarField:
+    (n, N, flag), body = _read_snapshot(path, _FIELD_HEADER, FIELD_MAGIC)
     if flag not in (0, 1):
         raise SnapshotFormatError(f"{path}: bad real/complex flag {flag}")
     grid = Grid(n=n, N=N)
-    body = raw[_FIELD_HEADER.size:]
-    dtype = "<f8" if flag == 0 else "<c16"
-    expected = grid.num_points * np.dtype(dtype).itemsize
-    if len(body) != expected:
-        raise SnapshotFormatError(
-            f"{path}: payload is {len(body)} bytes, expected {expected}"
-        )
-    values = np.frombuffer(body, dtype=dtype).reshape(grid.shape)
-    if flag == 0:
-        return PeriodicScalarField(grid, values.astype(complex), is_real=True)
-    return PeriodicScalarField(grid, values.astype(complex), is_real=False)
+    values = _samples(path, body, grid.shape, "<f8" if flag == 0 else "<c16")
+    return PeriodicScalarField(grid, values.astype(float if flag == 0 else complex))
 
 
 def write_metric(path: str | Path, g: HermitianMetricField) -> None:
     grid = g.grid
     header = _METRIC_HEADER.pack(METRIC_MAGIC, VERSION, grid.n, grid.N)
-    tri = [(j, k) for j in range(grid.n) for k in range(j + 1)]
-    stacked = np.stack([g.mats[..., j, k] for j, k in tri], axis=-1)
-    payload = np.ascontiguousarray(stacked, dtype="<c16").tobytes()
+    lower = [g.diag[0]] if grid.n == 1 else [g.diag[0], g.off, g.diag[1]]  # j >= k, row by row
+    payload = np.ascontiguousarray(np.stack(lower, axis=-1), dtype="<c16").tobytes()
     Path(path).write_bytes(header + payload)
 
 
 def read_metric(path: str | Path) -> HermitianMetricField:
-    raw = Path(path).read_bytes()
-    if len(raw) < _METRIC_HEADER.size:
-        raise SnapshotFormatError(f"{path}: truncated header")
-    magic, version, n, N = _METRIC_HEADER.unpack_from(raw)
-    if magic != METRIC_MAGIC:
-        raise SnapshotFormatError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise SnapshotFormatError(f"{path}: unsupported version {version}")
+    (n, N), body = _read_snapshot(path, _METRIC_HEADER, METRIC_MAGIC)
     grid = Grid(n=n, N=N)
-    tri = [(j, k) for j in range(grid.n) for k in range(j + 1)]
-    body = raw[_METRIC_HEADER.size:]
-    expected = grid.num_points * len(tri) * 16
-    if len(body) != expected:
-        raise SnapshotFormatError(
-            f"{path}: payload is {len(body)} bytes, expected {expected}"
-        )
-    stacked = np.frombuffer(body, dtype="<c16").reshape(grid.shape + (len(tri),))
-    mats = np.empty(grid.shape + (grid.n, grid.n), dtype=complex)
-    for idx, (j, k) in enumerate(tri):
-        mats[..., j, k] = stacked[..., idx]
-        if j != k:
-            mats[..., k, j] = np.conj(stacked[..., idx])
-    return HermitianMetricField(grid, mats)
+    lower = _samples(path, body, grid.shape + (1 if n == 1 else 3,), "<c16")
+    diag = np.stack([lower[..., 0], lower[..., -1]][:n])  # (0,0) and, for n = 2, (1,1)
+    if np.any(diag.imag != 0.0):
+        raise SnapshotFormatError(f"{path}: a diagonal entry is not real")
+    off = np.ascontiguousarray(lower[..., 1], dtype=complex) if n == 2 else None
+    return HermitianMetricField(grid, np.ascontiguousarray(diag.real, dtype=float), off)
 
 
 def write_trace(path: str | Path, trace: ContinuityTrace) -> None:

@@ -150,21 +150,39 @@ def _dolbeault(alpha: PqForm) -> tuple[PqForm, PqForm]:
     d/dz^j (when j is not in J) and d/dzbar^j (when j is not in K).
     """
     grid, p, q = alpha.grid, alpha.p, alpha.q
-    holo, anti = zero_form(grid, p + 1, q), zero_form(grid, p, q + 1)
+    holo: dict[tuple[Index, Index], np.ndarray] = {}
+    anti: dict[tuple[Index, Index], np.ndarray] = {}
     front = (-1) ** p  # dzbar^j crosses the dz^J block
     for (J, K), arr in alpha.components.items():
         for j in range(grid.n):
             if j in J and j in K:
                 continue
             fx = grid.derivative(arr, 2 * j)
-            fy = grid.derivative(arr, 2 * j + 1)
+            ify = np.multiply(1j, grid.derivative(arr, 2 * j + 1))
             if j not in J:
                 merged, sign = merge_sign((j,), J)
-                holo.components[(merged, K)] += sign * (0.5 * (fx - 1j * fy))
+                # fx is still needed below when j is not in K
+                dz = np.subtract(fx, ify, out=fx if j in K else None)
+                _accumulate(holo, (merged, K), dz, sign)
             if j not in K:
                 merged, sign = merge_sign((j,), K)
-                anti.components[(J, merged)] += front * sign * (0.5 * (fx + 1j * fy))
-    return holo, anti
+                _accumulate(anti, (J, merged), np.add(fx, ify, out=fx), front * sign)
+            del fx, ify  # free before the next partials are taken
+    # every component of a bidegree within (n, n) receives at least one term
+    return PqForm(grid, p + 1, q, holo), PqForm(grid, p, q + 1, anti)
+
+
+def _accumulate(comps: dict, key: tuple[Index, Index], value: np.ndarray, sign: int) -> None:
+    """comps[key] += sign * (0.5 * value), rounded as written; value is overwritten.
+
+    A component's first term becomes its array; adding 0.0 rounds it as a zero array would.
+    """
+    np.multiply(0.5, value, out=value)
+    np.multiply(sign, value, out=value)
+    if key in comps:
+        comps[key] += value
+    else:
+        comps[key] = np.add(value, 0.0, out=value)
 
 
 def del_(alpha: PqForm) -> PqForm:
@@ -183,7 +201,18 @@ def exterior_d(alpha: PqForm) -> FormSum:
 
 
 def d_sum(alpha: FormSum) -> FormSum:
-    return form_sum([piece for f in alpha.parts.values() for piece in _dolbeault(f)])
+    """d of a mixed-degree form, summed in form_sum's order; each part's del and
+    delbar are added into the sum as they are made, so only one pair is alive."""
+    acc: dict[tuple[int, int], PqForm] = {}
+    for f in alpha.parts.values():
+        for piece in _dolbeault(f):
+            key = (piece.p, piece.q)
+            if key not in acc:
+                acc[key] = piece
+                continue
+            for idx, arr in acc[key].components.items():
+                arr += piece.components[idx]
+    return FormSum(alpha.grid, acc)
 
 
 def d_c(u: PeriodicScalarField) -> FormSum:
@@ -254,8 +283,9 @@ def integrate_top(alpha: PqForm) -> complex:
 
 def kahler_form(g: HermitianMetricField) -> PqForm:
     """omega(g) = i * sum g_{j kbar} dz^j ^ dzbar^k."""
+    mats = g.mats
     comps = {
-        ((j,), (k,)): 1j * g.mats[..., j, k]
+        ((j,), (k,)): 1j * mats[..., j, k]
         for j in range(g.grid.n)
         for k in range(g.grid.n)
     }
@@ -293,7 +323,7 @@ def uniqueness_functional(
         rep = positivity_check(gi)
         if not rep.is_positive:
             raise ValueError(f"potential {name} is inadmissible (min eig {rep.min_eig:.3e})")
-    u = make_field(g.grid, phi1.values.real - phi2.values.real)
+    u = make_field(g.grid, phi1.values - phi2.values)
     du = exterior_d(scalar_form(u))
     dcu = d_c(u)
     energy = wedge_sum(du, dcu)  # the (1,1) part carries the integral

@@ -9,6 +9,7 @@ Sign conventions (see CONVENTIONS.md):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,43 +21,70 @@ from .grid import (
     partial_z,
 )
 
-HERMITIAN_TOL = 1e-13
-
 
 class SingularMetricError(ValueError):
     """A pointwise matrix operation hit a (near-)singular metric."""
 
-    def __init__(self, message: str, point: tuple[int, ...] | None = None,
-                 min_abs_det: float | None = None):
+    def __init__(self, message: str, point: tuple[int, ...] | None = None):
         super().__init__(message)
         self.point = point
-        self.min_abs_det = min_abs_det
 
 
 @dataclass(frozen=True)
 class HermitianMetricField:
-    """Per-grid-point n x n Hermitian matrix g_{j kbar}."""
+    """Per-grid-point n x n Hermitian matrix g_{j kbar}, stored packed.
+
+    diag holds the real diagonal g_{j jbar}, shape (n,) + grid.shape, float64.
+    For n = 2, off holds g_{2 1bar} (complex128, grid.shape) and
+    g_{1 2bar} = conj(off); for n = 1 off is None.
+    """
 
     grid: Grid
-    mats: np.ndarray  # shape grid.shape + (n, n)
+    diag: np.ndarray
+    off: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         n = self.grid.n
-        if self.mats.shape != self.grid.shape + (n, n):
-            raise ValueError(f"matrix field has shape {self.mats.shape}")
+        if self.diag.shape != (n,) + self.grid.shape or self.diag.dtype != np.float64:
+            raise ValueError(f"diagonal must be float64 of shape {(n,) + self.grid.shape}")
+        if (self.off is None) != (n == 1):
+            raise ValueError("the off-diagonal entry is stored for n = 2 only")
 
-    def hermitian_deviation(self) -> float:
-        return float(np.max(np.abs(self.mats - np.conj(np.swapaxes(self.mats, -1, -2)))))
+    @property
+    def mats(self) -> np.ndarray:
+        """The full matrices, shape grid.shape + (n, n); built on each access."""
+        n = self.grid.n
+        mats = np.zeros(self.grid.shape + (n, n), dtype=complex)
+        for j in range(n):
+            mats[..., j, j] = self.diag[j]
+        if self.off is not None:
+            mats[..., 1, 0] = self.off
+            mats[..., 0, 1] = np.conj(self.off)
+        return mats
+
+    @cached_property
+    def det(self) -> np.ndarray:
+        """Pointwise determinant (float64), formed on first use and kept."""
+        if self.grid.n == 1:
+            return self.diag[0]
+        # |off|^2 as the real part of the complex product, which rounds like numpy's
+        # complex multiply rather than like x^2 + y^2
+        return self.diag[0] * self.diag[1] - (self.off * np.conj(self.off)).real
+
+    def _combine(self, other: "HermitianMetricField", op) -> "HermitianMetricField":
+        if other.grid != self.grid:
+            raise GridMismatchError("metric fields live on different grids")
+        off = None if self.off is None else op(self.off, other.off)
+        return HermitianMetricField(self.grid, op(self.diag, other.diag), off)
 
     def __add__(self, other: "HermitianMetricField") -> "HermitianMetricField":
-        if other.grid != self.grid:
-            raise GridMismatchError("metric fields live on different grids")
-        return HermitianMetricField(self.grid, self.mats + other.mats)
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "HermitianMetricField") -> "HermitianMetricField":
-        if other.grid != self.grid:
-            raise GridMismatchError("metric fields live on different grids")
-        return HermitianMetricField(self.grid, self.mats - other.mats)
+        return self._combine(other, np.subtract)
+
+    def __neg__(self) -> "HermitianMetricField":
+        return HermitianMetricField(self.grid, -self.diag, None if self.off is None else -self.off)
 
 
 @dataclass(frozen=True)
@@ -71,14 +99,6 @@ class ChristoffelField:
 
 
 @dataclass(frozen=True)
-class RicciField:
-    """Ricci components R_{j kbar}, Hermitian at every point."""
-
-    grid: Grid
-    mats: np.ndarray
-
-
-@dataclass(frozen=True)
 class PositivityReport:
     is_positive: bool
     min_eig: float
@@ -86,28 +106,25 @@ class PositivityReport:
 
 
 def flat_metric(grid: Grid) -> HermitianMetricField:
-    mats = np.zeros(grid.shape + (grid.n, grid.n), dtype=complex)
-    for j in range(grid.n):
-        mats[..., j, j] = 1.0
-    return HermitianMetricField(grid, mats)
+    off = np.zeros(grid.shape, dtype=complex) if grid.n == 2 else None
+    return HermitianMetricField(grid, np.ones((grid.n,) + grid.shape), off)
 
 
-def hermitian_hessian(phi: PeriodicScalarField) -> np.ndarray:
-    """H[j,k] = d_j dbar_k phi of a real phi; H[k,j] = conj(H[j,k]) is set, not transformed."""
+def hermitian_hessian(phi: PeriodicScalarField) -> HermitianMetricField:
+    """d_j dbar_k phi of a real phi, packed: n diagonal transforms, and for n = 2
+    d_2 dbar_1 phi = conj(d_1 dbar_2 phi) from the symbols of d_1 dbar_2."""
     if not phi.is_real:
         raise ValueError("the complex Hessian is taken of real fields")
     grid = phi.grid
-    n = grid.n
-    spec = grid.rfftn(phi.values.real)
-    H = np.zeros(grid.shape + (n, n), dtype=complex)
-    for j in range(n):
-        for k in range(j, n):
-            A, B = grid.mixed_symbols(j, k)
-            H.real[..., j, k] = grid.irfftn(spec * A)
-            if k > j:
-                H.imag[..., j, k] = grid.irfftn(spec * B)
-                H[..., k, j] = np.conj(H[..., j, k])
-    return H
+    spec = grid.rfftn(phi.values)
+    diag = np.stack([grid.irfftn(spec * grid.mixed_symbols(j, j)[0]) for j in range(grid.n)])
+    off = None
+    if grid.n == 2:
+        A, B = grid.mixed_symbols(0, 1)
+        off = np.empty(grid.shape, dtype=complex)
+        off.real = grid.irfftn(spec * A)
+        off.imag = -grid.irfftn(spec * B)
+    return HermitianMetricField(grid, diag, off)
 
 
 def metric_from_potential(g0: HermitianMetricField, phi: PeriodicScalarField) -> HermitianMetricField:
@@ -116,21 +133,20 @@ def metric_from_potential(g0: HermitianMetricField, phi: PeriodicScalarField) ->
         raise GridMismatchError("potential and metric live on different grids")
     if not phi.is_real:
         raise ValueError("potential must be real")
-    return HermitianMetricField(g0.grid, g0.mats + hermitian_hessian(phi))
+    return g0 + hermitian_hessian(phi)
+
+
+def det_field(g: HermitianMetricField) -> PeriodicScalarField:
+    """Pointwise determinant, a real field."""
+    return make_field(g.grid, g.det)
 
 
 def eigenvalue_fields(g: HermitianMetricField) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise (min, max) eigenvalues via closed forms (n <= 2)."""
-    n = g.grid.n
-    if n == 1:
-        e = g.mats[..., 0, 0].real
-        return e, e
-    tr = (g.mats[..., 0, 0] + g.mats[..., 1, 1]).real
-    det = (
-        g.mats[..., 0, 0] * g.mats[..., 1, 1]
-        - g.mats[..., 0, 1] * g.mats[..., 1, 0]
-    ).real
-    disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
+    if g.grid.n == 1:
+        return g.diag[0], g.diag[0]
+    tr = g.diag[0] + g.diag[1]
+    disc = np.sqrt(np.maximum(tr * tr - 4.0 * g.det, 0.0))
     return 0.5 * (tr - disc), 0.5 * (tr + disc)
 
 
@@ -142,48 +158,24 @@ def positivity_check(g: HermitianMetricField) -> PositivityReport:
     return PositivityReport(min_eig > 0.0, min_eig, idx)
 
 
-def det_field(g: HermitianMetricField) -> PeriodicScalarField:
-    """Pointwise determinant; real for Hermitian input."""
-    n = g.grid.n
-    if n == 1:
-        d = g.mats[..., 0, 0]
-    else:
-        d = g.mats[..., 0, 0] * g.mats[..., 1, 1] - g.mats[..., 0, 1] * g.mats[..., 1, 0]
-    return make_field(g.grid, d.real.astype(complex))
-
-
 def inverse_field(g: HermitianMetricField) -> HermitianMetricField:
     """Pointwise matrix inverse; raises on singular points."""
-    n = g.grid.n
-    det = det_field(g).values.real
+    det = det_field(g).values
     min_abs = float(np.min(np.abs(det)))
     if min_abs < 1e-14:
         idx = np.unravel_index(int(np.argmin(np.abs(det))), det.shape)
-        raise SingularMetricError(
-            f"singular metric at grid point {idx}, |det| = {min_abs:.3e}",
-            point=idx,
-            min_abs_det=min_abs,
-        )
-    inv = np.empty_like(g.mats)
-    if n == 1:
-        inv[..., 0, 0] = 1.0 / g.mats[..., 0, 0]
-    else:
-        inv[..., 0, 0] = g.mats[..., 1, 1] / det
-        inv[..., 1, 1] = g.mats[..., 0, 0] / det
-        inv[..., 0, 1] = -g.mats[..., 0, 1] / det
-        inv[..., 1, 0] = -g.mats[..., 1, 0] / det
-    return HermitianMetricField(g.grid, inv)
+        raise SingularMetricError(f"singular metric at grid point {idx}, |det| {min_abs:.3e}", idx)
+    if g.grid.n == 1:
+        return HermitianMetricField(g.grid, 1.0 / g.diag)
+    return HermitianMetricField(g.grid, g.diag[::-1] / det, -g.off / det)
 
 
 def log_det_field(g: HermitianMetricField) -> PeriodicScalarField:
-    det = det_field(g).values.real
+    det = det_field(g).values
     if np.min(det) <= 0.0:
         idx = np.unravel_index(int(np.argmin(det)), det.shape)
-        raise SingularMetricError(
-            f"non-positive determinant at grid point {idx}", point=idx,
-            min_abs_det=float(np.min(det)),
-        )
-    return make_field(g.grid, np.log(det).astype(complex))
+        raise SingularMetricError(f"non-positive determinant at grid point {idx}", idx)
+    return make_field(g.grid, np.log(det))
 
 
 def christoffel(g: HermitianMetricField) -> ChristoffelField:
@@ -194,10 +186,11 @@ def christoffel(g: HermitianMetricField) -> ChristoffelField:
     grid = g.grid
     n = grid.n
     ginv = inverse_field(g).mats  # ginv[m, l] = g^{mbar l}
+    mats = g.mats
     dg = np.empty(grid.shape + (n, n, n), dtype=complex)  # dg[j, k, m] = d_j g_{k mbar}
     for k in range(n):
         for m in range(n):
-            comp = make_field(grid, g.mats[..., k, m])
+            comp = make_field(grid, mats[..., k, m])
             for j in range(n):
                 dg[..., j, k, m] = partial_z(comp, j).values
     gamma = np.einsum("...jkm,...ml->...jkl", dg, ginv)
@@ -224,10 +217,9 @@ def log_volume_gradient(g: HermitianMetricField) -> np.ndarray:
     return out
 
 
-def ricci_form(g: HermitianMetricField) -> RicciField:
-    """R_{j kbar} = -d_j dbar_k log det(g), spectral derivatives."""
-    h = hermitian_hessian(log_det_field(g))
-    return RicciField(g.grid, -h)
+def ricci_form(g: HermitianMetricField) -> HermitianMetricField:
+    """Ricci components R_{j kbar} = -d_j dbar_k log det(g), spectral derivatives."""
+    return -hermitian_hessian(log_det_field(g))
 
 
 def first_chern_integral(g: HermitianMetricField) -> float:
@@ -238,23 +230,22 @@ def first_chern_integral(g: HermitianMetricField) -> float:
     """
     if g.grid.n != 1:
         raise ValueError("first Chern integral implemented for n = 1 only")
-    R = ricci_form(g)
-    comp = make_field(g.grid, R.mats[..., 0, 0])
-    val = complex(np.mean(comp.values))
-    return float((2.0 * val / (2.0 * np.pi)).real)
+    return float(2.0 * np.mean(ricci_form(g).diag[0]) / (2.0 * np.pi))
 
 
 def volume(g: HermitianMetricField) -> float:
     """Integral of det(g) over the torus in the real coordinate measure."""
-    return float(np.mean(det_field(g).values.real))
+    return float(np.mean(det_field(g).values))
 
 
 def laplace_beltrami(g: HermitianMetricField, u: PeriodicScalarField) -> PeriodicScalarField:
     """lap_g u = sum_jk g^{j kbar} d_j dbar_k u of a real field u; real output."""
     if u.grid != g.grid:
         raise GridMismatchError("field and metric live on different grids")
-    ginv = inverse_field(g).mats
+    ginv = inverse_field(g)
     H = hermitian_hessian(u)
-    # g^{j kbar} pairs with H[j, k]; in matrix storage g^{j kbar} = ginv[k, j].
-    out = np.einsum("...kj,...jk->...", ginv, H)
+    out = np.sum(ginv.diag * H.diag, axis=0)
+    if g.grid.n == 2:
+        # g^{1 2bar} d_1 dbar_2 u + g^{2 1bar} d_2 dbar_1 u, a sum of conjugates
+        out += 2.0 * (ginv.off * np.conj(H.off)).real
     return make_field(g.grid, out)

@@ -10,8 +10,10 @@ Holomorphic coordinates are z^j = x^j + i*y^j, so the Wirtinger operators are
 Differentiation is spectral: transform, multiply by the symbol, transform
 back.  The Nyquist mode is zeroed for first derivatives (odd symbol) and kept
 with symbol -(pi*N)^2 for pure second derivatives, which keeps real fields
-real.  Real fields are transformed by Grid.rfftn/irfftn; complex sample arrays
-are differentiated per axis by Grid.derivative.
+real.  The dtype of a field's samples decides its realness: float64 samples
+make a real field, complex128 samples a complex one.  Real fields are
+transformed by Grid.rfftn/irfftn; complex sample arrays are differentiated
+per axis by Grid.derivative.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-REAL_IMAG_TOL = 1e-12
 
 
 class GridMismatchError(ValueError):
@@ -105,30 +105,26 @@ class Grid:
 
 @dataclass(frozen=True)
 class PeriodicScalarField:
-    """Scalar samples over a Grid; immutable value object."""
+    """Scalar samples over a Grid; immutable value object.
+
+    float64 samples make a real field and complex128 samples a complex one;
+    make_field picks the dtype from its input.
+    """
 
     grid: Grid
     values: np.ndarray
-    is_real: bool = field(default=False)
 
     def __post_init__(self) -> None:
         if self.values.shape != self.grid.shape:
             raise ValueError(
                 f"value array shape {self.values.shape} != grid shape {self.grid.shape}"
             )
-        if self.is_real:
-            scale = max(1.0, float(np.max(np.abs(self.values.real))))
-            dev = float(np.max(np.abs(self.values.imag)))
-            if dev > REAL_IMAG_TOL * scale:
-                raise ValueError(
-                    f"field flagged real has imaginary deviation {dev:.3e}"
-                )
+        if self.values.dtype not in (np.float64, np.complex128):
+            raise ValueError(f"samples must be float64 or complex128, got {self.values.dtype}")
 
     @property
-    def real_values(self) -> np.ndarray:
-        if not self.is_real:
-            raise ValueError("field is not flagged real")
-        return self.values.real
+    def is_real(self) -> bool:
+        return self.values.dtype == np.float64
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -163,15 +159,14 @@ class PeriodicScalarField:
 
 
 def make_field(grid: Grid, values: np.ndarray) -> PeriodicScalarField:
-    """Build a field, auto-flagging it real when Im is at roundoff level."""
-    values = np.asarray(values, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(values.real))) if values.size else 1.0)
-    is_real = float(np.max(np.abs(values.imag))) <= REAL_IMAG_TOL * scale
-    return PeriodicScalarField(grid, values, is_real)
+    """Build a field: real input gives float64 samples, complex input complex128."""
+    return PeriodicScalarField(
+        grid, np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
+    )
 
 
-def constant_field(grid: Grid, value: complex) -> PeriodicScalarField:
-    return make_field(grid, np.full(grid.shape, value, dtype=complex))
+def constant_field(grid: Grid, value: float | complex) -> PeriodicScalarField:
+    return make_field(grid, np.full(grid.shape, value))
 
 
 def zero_field(grid: Grid) -> PeriodicScalarField:
@@ -201,7 +196,9 @@ def second_symbol(grid: Grid, axis_a: int, axis_b: int) -> np.ndarray:
 
 
 def _apply_axis_symbol(values: np.ndarray, axis: int, symbol: np.ndarray) -> np.ndarray:
-    return np.fft.ifft(np.fft.fft(values, axis=axis) * symbol, axis=axis)
+    spec = np.fft.fft(values, axis=axis)
+    spec *= symbol
+    return np.fft.ifft(spec, axis=axis, out=spec)
 
 
 def partial_x(f: PeriodicScalarField, axis: int) -> PeriodicScalarField:
@@ -259,19 +256,17 @@ def partial_z_zbar(f: PeriodicScalarField, j: int, k: int) -> PeriodicScalarFiel
 # ---------------------------------------------------------------------------
 # quadrature and gauge
 
-def integrate(f: PeriodicScalarField) -> complex:
+def integrate(f: PeriodicScalarField) -> float | complex:
     """Trapezoidal rule = mean of samples (unit torus volume)."""
-    val = complex(np.mean(f.values))
-    if f.is_real:
-        return val.real
-    return val
+    val = np.mean(f.values)
+    return float(val) if f.is_real else complex(val)
 
 
 def mean_zero_project(f: PeriodicScalarField) -> PeriodicScalarField:
     """Remove the mean; the discrete gauge condition integral(phi) = 0."""
     if not f.is_real:
         raise ValueError("mean-zero projection is defined for real fields")
-    return make_field(f.grid, f.values.real - np.mean(f.values.real))
+    return make_field(f.grid, f.values - np.mean(f.values))
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +291,7 @@ def random_band_limited(
     spec[mesh] = block
     vals = np.fft.ifftn(spec) * grid.num_points
     if real:
-        vals = vals.real.astype(complex)
+        vals = vals.real
     sup = np.max(np.abs(vals))
     if sup > 0:
         vals = vals * (amplitude / sup)

@@ -22,7 +22,9 @@ floored at krylov_tol and at 0.1 newton_tol / |r_k| so the last step can still
 reach newton_tol (sup norms throughout).  Dyadic damping keeps the metric
 eigenvalues above the configured floor along the path.  Each iterate's metric
 g~ = g + ddbar phi is formed once, by metric_iterate; the residual, the linear
-solve and the damping all read that one iterate.
+solve and the damping all read that one iterate.  A metric keeps its
+determinant once formed, so det g~ is formed once per iterate and det g once
+per solve.  Every field here is real (float64).
 """
 
 from __future__ import annotations
@@ -109,10 +111,6 @@ class ContinuityTrace:
     def to_json_records(self) -> list[dict]:
         return [asdict(s) for s in self.steps]
 
-    @property
-    def final_t(self) -> float:
-        return self.steps[-1].t if self.steps else 0.0
-
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -140,7 +138,7 @@ def metric_iterate(g: HermitianMetricField, phi: PeriodicScalarField) -> MetricI
     """Form g~ = g + ddbar phi and its smallest eigenvalue, once per iterate."""
     if phi.grid != g.grid:
         raise GridMismatchError("phi and g must share a grid")
-    gt = HermitianMetricField(g.grid, g.mats + hermitian_hessian(phi))
+    gt = g + hermitian_hessian(phi)
     return MetricIterate(g, phi, gt, positivity_check(gt).min_eig)
 
 
@@ -158,9 +156,9 @@ def compatibility_constant(F: PeriodicScalarField, g: HermitianMetricField) -> f
     """C with C * integral(e^F dV_g) = Vol_g(M)."""
     if not F.is_real:
         raise ValueError("F must be real")
-    w = det_field(g).values.real
+    w = det_field(g).values
     vol = float(np.mean(w))
-    den = float(np.mean(np.exp(F.values.real) * w))
+    den = float(np.mean(np.exp(F.values) * w))
     return vol / den
 
 
@@ -179,18 +177,16 @@ def ma_residual(
     if F.grid != g.grid:
         raise GridMismatchError("F and the iterate must share a grid")
     _require_positive(it)
-    det_g = det_field(g).values.real
-    det_gt = det_field(it.gt).values.real
-    etF = np.exp(t * F.values.real)
-    C = float(np.mean(det_gt)) / float(np.mean(etF * det_g))
-    return make_field(g.grid, det_gt / det_g - C * etF)
+    etF = np.exp(t * F.values)
+    C = float(np.mean(it.gt.det)) / float(np.mean(etF * g.det))
+    return make_field(g.grid, it.gt.det / g.det - C * etF)
 
 
 def linearized_apply(psi: PeriodicScalarField, it: MetricIterate) -> PeriodicScalarField:
     """L[psi] = (det g~/det g) * lap_{g~} psi; annihilates constants."""
     _require_positive(it)
     op = _LinearizedOperator(it)
-    return make_field(it.g.grid, op.apply_L(psi.values.real))
+    return make_field(it.g.grid, op.apply_L(psi.values))
 
 
 class _LinearizedOperator:
@@ -203,7 +199,7 @@ class _LinearizedOperator:
 
     def __init__(self, it: MetricIterate):
         self.grid = grid = it.g.grid
-        self.det_g = det_field(it.g).values.real
+        self.det_g = it.g.det
         # B[u] = -sum_jk c_jk h_jk with c_jk = adj(g~)[k, j], h_jk = d_j dbar_k u; both are
         # Hermitian in (j, k), so B[u] = -sum_j c_jj h_jj - 2 sum_{j<k} Re(c_jk h_jk).
         # The adjugate has a closed form: 1 for n = 1; for n = 2 the diagonal
@@ -211,12 +207,11 @@ class _LinearizedOperator:
         if grid.n == 1:
             self.terms = [(grid.mixed_symbols(0, 0)[0], 1.0)]
         else:
-            gt = it.gt.mats
             A, B = grid.mixed_symbols(0, 1)
-            c01 = -gt[..., 1, 0]
+            c01 = -it.gt.off  # adj(g~)[0, 1] = -g~_{2 1bar}
             self.terms = [
-                (grid.mixed_symbols(0, 0)[0], gt[..., 1, 1].real),
-                (grid.mixed_symbols(1, 1)[0], gt[..., 0, 0].real),
+                (grid.mixed_symbols(0, 0)[0], it.gt.diag[1]),
+                (grid.mixed_symbols(1, 1)[0], it.gt.diag[0]),
                 (A, 2.0 * c01.real),
                 (B, -2.0 * c01.imag),
             ]
@@ -253,7 +248,7 @@ def solve_linearized(
     _require_positive(it)
     op = _LinearizedOperator(it)
     target = cfg.krylov_tol if tol is None else tol
-    return make_field(it.g.grid, _pcg(op, rhs.values.real, target, cfg.krylov_iter_cap))
+    return make_field(it.g.grid, _pcg(op, rhs.values, target, cfg.krylov_iter_cap))
 
 
 def _project_compatible(rhs: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -314,7 +309,7 @@ def yau_estimate_report(it: MetricIterate) -> dict[str, float]:
     |d_l d_j dbar_k phi| over all l, j, k.
     """
     grid = it.phi.grid
-    phi = it.phi.values.real
+    phi = it.phi.values
     spec = grid.rfftn(phi)
     grad_sq = np.zeros(grid.shape)
     for a in range(grid.num_axes):
@@ -346,7 +341,7 @@ def yau_estimate_report(it: MetricIterate) -> dict[str, float]:
 
 def _band_limit_warning(F: PeriodicScalarField) -> None:
     grid = F.grid
-    spec = np.abs(grid.rfftn(F.values.real))
+    spec = np.abs(grid.rfftn(F.values))
     # an interior last-axis wavenumber of the half spectrum also stands for its mirror
     spec[..., 1 : grid.N // 2] *= 2.0
     total = float(np.sum(spec))
@@ -373,9 +368,7 @@ def _damped_update(
     """Iterate at the largest dyadic lambda in (0,1] with min eig of g~ >= floor."""
     lam = 1.0
     for _ in range(40):
-        cand = mean_zero_project(
-            make_field(it.phi.grid, it.phi.values.real + lam * psi.values.real)
-        )
+        cand = mean_zero_project(make_field(it.phi.grid, it.phi.values + lam * psi.values))
         cand_it = metric_iterate(it.g, cand)
         if cand_it.min_eig >= floor:
             return cand_it
@@ -401,7 +394,7 @@ def _newton_at_t(it, F, t, cfg):
             return None
         eta = _forcing_term(res_sup, prev_sup, cfg)
         prev_sup = res_sup
-        rhs = make_field(F.grid, -r.values.real)
+        rhs = make_field(F.grid, -r.values)
         try:
             # the operator lives inside solve_linearized and is freed before damping
             psi = solve_linearized(rhs, it, cfg, tol=eta)
@@ -421,11 +414,12 @@ def continuity_solve(
     """Path-follow t from 0 to 1 with warm-started damped Newton corrections."""
     if not F.is_real:
         raise ValueError("F must be real")
+    if not np.all(np.isfinite(F.values)):
+        raise ValueError("F has non-finite (inf or NaN) values")
     if F.grid != g.grid:
         raise GridMismatchError("F and g must share a grid")
-    grid = g.grid
     # at phi = 0 the iterate's metric is g itself
-    it = metric_iterate(g, mean_zero_project(make_field(grid, np.zeros(grid.shape))))
+    it = metric_iterate(g, make_field(g.grid, np.zeros(g.grid.shape)))
     if not it.min_eig > 0.0:
         raise NonPositiveMetricError("background metric is not positive")
     _band_limit_warning(F)

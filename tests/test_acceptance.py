@@ -151,7 +151,7 @@ def test_criterion_7_ricci_prescription(case, n, N, tol, manufactured_solve, poi
         F = tm.manufactured_forcing(g, phi_star)
         result, _, _ = manufactured_solve(n, N)
     gt = tm.metric_from_potential(g, result.phi)
-    resid = tm.ricci_form(gt).mats - tm.ricci_form(g).mats + tm.hermitian_hessian(F)
+    resid = tm.ricci_form(gt).mats - tm.ricci_form(g).mats + tm.hermitian_hessian(F).mats
     sup = float(np.max(np.abs(resid)))
     ok = sup <= tol
     record_acceptance(7, f"Ricci prescription {case} n={n} <= {tol:.0e}",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,24 @@ def _assert_bitwise(new, ref):
 
 _BIDEGREES = [(n, N, p, q) for n, N in ((1, 32), (2, 16))
               for p in range(n + 1) for q in range(n + 1)]
+
+
+def test_d_sum_peak_memory():
+    # d(d alpha) of an n=2 (0,0)-form: a six-component result from a
+    # four-component input.  Building every del and delbar piece in full and
+    # then summing them peaked at 3.0 times the result.
+    grid = tm.Grid(n=2, N=16)
+    alpha = _random_form(grid, 0, 0, np.random.default_rng(3))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = tm.d_sum(tm.exterior_d(alpha))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    result = sum(a.nbytes for f in out.parts.values() for a in f.components.values())
+    assert result == 6 * grid.num_points * 16
+    assert peak <= 2.8 * result, peak / result
 
 
 class TestDolbeaultKernel:

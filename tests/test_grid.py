@@ -111,6 +111,19 @@ class TestFieldConstruction:
         f = tm.make_field(grid, 1j * np.ones(grid.shape))
         assert not f.is_real
 
+    def test_dtype_decides_realness(self, grid):
+        real = tm.make_field(grid, np.arange(grid.num_points).reshape(grid.shape))
+        assert real.values.dtype == np.float64 and real.is_real
+        # a complex array stays complex even when its imaginary part is zero
+        cplx = tm.make_field(grid, np.ones(grid.shape, dtype=complex))
+        assert cplx.values.dtype == np.complex128 and not cplx.is_real
+        assert tm.constant_field(grid, 2.5).values.dtype == np.float64
+        assert tm.random_band_limited(grid, np.random.default_rng(1)).values.dtype == np.float64
+
+    def test_rejects_other_dtypes(self, grid):
+        with pytest.raises(ValueError):
+            tm.PeriodicScalarField(grid, np.ones(grid.shape, dtype=np.float32))
+
     def test_random_band_limited_respects_band(self, grid, rng):
         f = tm.random_band_limited(grid, rng, kmax=2, real=True)
         spec = np.fft.fftn(f.values)

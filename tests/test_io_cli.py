@@ -1,4 +1,5 @@
 import json
+import struct
 import warnings
 
 import numpy as np
@@ -38,6 +39,60 @@ class TestFieldRoundTrip:
         path.write_bytes(raw[:-8])
         with pytest.raises(tm.SnapshotFormatError):
             tm.read_field(path)
+
+
+class TestDtypes:
+    def test_real_snapshot_reads_as_float64(self, tmp_path, grid, rng):
+        path = tmp_path / "f.cmaf"
+        tm.write_field(path, tm.random_band_limited(grid, rng, kmax=3, real=True))
+        assert path.read_bytes()[12] == 0  # the real/complex flag
+        assert tm.read_field(path).values.dtype == np.float64
+
+    def test_complex_snapshot_reads_as_complex128(self, tmp_path, grid, rng):
+        path = tmp_path / "f.cmaf"
+        tm.write_field(path, tm.random_band_limited(grid, rng, kmax=3, real=False))
+        assert tm.read_field(path).values.dtype == np.complex128
+
+    @pytest.mark.parametrize("background", [False, True], ids=["flat", "non-flat"])
+    def test_packed_metric_writes_the_lower_triangle_layout(self, tmp_path, grid,
+                                                             small_potential, background):
+        g = tm.flat_metric(grid)
+        if background:
+            g = tm.metric_from_potential(g, 0.5 * small_potential)
+        gt = tm.metric_from_potential(g, small_potential)
+        # the layout written out by hand: the full complex128 matrices, each
+        # Hessian entry added to the background's, lower triangle (j >= k) per point
+        n = grid.n
+        mats = np.zeros(grid.shape + (n, n), dtype=complex)
+        for j in range(n):
+            mats[..., j, j] = 1.0
+        potentials = ([0.5 * small_potential] if background else []) + [small_potential]
+        for phi in potentials:
+            H = np.zeros(grid.shape + (n, n), dtype=complex)
+            spec = grid.rfftn(phi.values)
+            for j in range(n):
+                for k in range(j, n):
+                    A, B = grid.mixed_symbols(j, k)
+                    H.real[..., j, k] = grid.irfftn(spec * A)
+                    if k > j:
+                        H.imag[..., j, k] = grid.irfftn(spec * B)
+                        H[..., k, j] = np.conj(H[..., j, k])
+            mats = mats + H
+        tri = np.stack([mats[..., j, k] for j in range(n) for k in range(j + 1)], axis=-1)
+        expected = struct.pack("<4sHHI", b"CMMF", 1, n, grid.N) + tri.astype("<c16").tobytes()
+        path = tmp_path / "g.cmmf"
+        tm.write_metric(path, gt)
+        assert path.read_bytes() == expected
+
+    def test_metric_with_complex_diagonal_rejected(self, tmp_path):
+        grid = tm.Grid(n=1, N=16)
+        path = tmp_path / "g.cmmf"
+        tm.write_metric(path, tm.flat_metric(grid))
+        raw = bytearray(path.read_bytes())
+        raw[12 + 8: 12 + 16] = struct.pack("<d", 1e-3)  # imaginary part of the first entry
+        path.write_bytes(bytes(raw))
+        with pytest.raises(tm.SnapshotFormatError):
+            tm.read_metric(path)
 
 
 class TestMetricRoundTrip:
@@ -141,6 +196,16 @@ def _non_finite_snapshot(tmp_path, value):
     return {"path": str(path)}
 
 
+def _complex_snapshot(tmp_path):
+    """{"path": ...} of an n=1 N=32 CMAF snapshot of 0.1 sin(2 pi x1) + 5i cos(2 pi x1)."""
+    grid = tm.Grid(n=1, N=32)
+    x = grid.coordinate(0)
+    path = tmp_path / "complex.cmaf"
+    vals = 0.1 * np.sin(2 * np.pi * x) + 5j * np.cos(2 * np.pi * x)
+    tm.write_field(path, tm.make_field(grid, vals))
+    return {"path": str(path)}
+
+
 class TestCliSolve:
     def test_flat_solve_writes_artifacts(self, tmp_path):
         cfg = _write_config(tmp_path, F="0")
@@ -175,9 +240,12 @@ class TestCliSolve:
         lambda tmp: {"F": _non_finite_snapshot(tmp, np.inf)},
         lambda tmp: {"background": {"potential": _non_finite_snapshot(tmp, np.nan)}},
         lambda tmp: {"background": {"potential": _non_finite_snapshot(tmp, -np.inf)}},
+        lambda tmp: {"F": _complex_snapshot(tmp)},
+        lambda tmp: {"background": {"potential": _complex_snapshot(tmp)}},
     ], ids=["not-json", "n3", "N7", "n-bool", "non-positive-background", "F-1e400",
             "F-exp-overflow", "F-snapshot-nan", "F-snapshot-inf",
-            "background-snapshot-nan", "background-snapshot-inf"])
+            "background-snapshot-nan", "background-snapshot-inf",
+            "F-snapshot-complex", "background-snapshot-complex"])
     def test_malformed_config_exits_64(self, tmp_path, capsys, overrides):
         if overrides is None:
             path = tmp_path / "bad.json"

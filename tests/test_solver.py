@@ -19,6 +19,37 @@ def _count_apply_B(monkeypatch):
     return calls
 
 
+class TestDtypes:
+    """Every real field the solver makes holds float64 samples."""
+
+    def test_det_field(self, grid, small_potential):
+        gt = tm.metric_from_potential(tm.flat_metric(grid), small_potential)
+        assert tm.det_field(gt).values.dtype == np.float64
+        assert tm.log_det_field(gt).values.dtype == np.float64
+
+    def test_residual_and_linear_solve(self, grid, small_potential, rng):
+        it = tm.metric_iterate(tm.flat_metric(grid), small_potential)
+        F = tm.random_band_limited(grid, rng, kmax=2, real=True, amplitude=0.1)
+        r = tm.ma_residual(it, F, 1.0)
+        assert r.values.dtype == np.float64
+        cfg = tm.SolverConfig(n=grid.n, N=grid.N)
+        assert tm.solve_linearized(r, it, cfg).values.dtype == np.float64
+
+    def test_continuity_solve(self, grid, rng):
+        F = tm.random_band_limited(grid, rng, kmax=2, real=True, amplitude=0.1)
+        result = tm.continuity_solve(F, tm.flat_metric(grid), tm.SolverConfig(n=grid.n, N=grid.N))
+        assert result.converged
+        assert result.phi.values.dtype == np.float64
+
+    def test_determinant_formed_once_per_metric(self, grid, small_potential, rng):
+        g = tm.metric_from_potential(tm.flat_metric(grid), 0.5 * small_potential)
+        it = tm.metric_iterate(g, small_potential)
+        assert it.gt.det.dtype == np.float64
+        # det_field, the residual and the operator read the array the metric keeps
+        assert tm.det_field(it.gt).values is it.gt.det
+        assert _LinearizedOperator(it).det_g is g.det
+
+
 class TestConfig:
     def test_defaults_valid(self):
         cfg = tm.SolverConfig()
@@ -338,12 +369,19 @@ class TestContinuitySolve:
         with pytest.raises(ValueError):
             tm.continuity_solve(F, g, tm.SolverConfig(n=grid.n, N=grid.N))
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_rejects_non_finite_forcing(self, value):
+        grid = tm.Grid(n=1, N=16)
+        vals = 0.1 * np.sin(2 * np.pi * grid.coordinate(0))
+        vals[3, 5] = value
+        F = tm.make_field(grid, vals)
+        with pytest.raises(ValueError, match="non-finite"):
+            tm.continuity_solve(F, tm.flat_metric(grid), tm.SolverConfig(n=1, N=16))
+
     def test_rejects_non_positive_background(self):
         grid = tm.Grid(n=1, N=32)
         phi = tm.make_field(grid, 0.2 * np.cos(2 * np.pi * grid.coordinate(0)))
-        bad = tm.HermitianMetricField(
-            grid, tm.flat_metric(grid).mats + tm.hermitian_hessian(phi)
-        )
+        bad = tm.flat_metric(grid) + tm.hermitian_hessian(phi)
         with pytest.raises(tm.NonPositiveMetricError):
             tm.continuity_solve(tm.zero_field(grid), bad, tm.SolverConfig(n=1, N=32))
 

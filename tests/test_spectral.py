@@ -74,7 +74,7 @@ class TestMatchesComplexTransform:
         assert _rel(grid.irfftn(spec), u) <= 1e-14
 
     def test_hermitian_hessian(self, random_real_field):
-        H = tm.hermitian_hessian(random_real_field)
+        H = tm.hermitian_hessian(random_real_field).mats
         assert _rel(H, _complex_hessian(random_real_field)) <= 1e-12
         assert np.array_equal(H, np.conj(np.swapaxes(H, -1, -2)))
 
