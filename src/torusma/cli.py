@@ -144,7 +144,7 @@ def cmd_solve(args) -> int:
     metric_path = out / "metric.cmmf"
     trace_path = out / "trace.json"
     write_field(phi_path, result.phi)
-    write_metric(metric_path, metric_from_potential(g, result.phi))
+    write_metric(metric_path, result.metric)
     write_trace(trace_path, result.trace)
     manifest = {
         "version": __version__,

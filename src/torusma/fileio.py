@@ -49,8 +49,9 @@ def write_field(path: str | Path, f: PeriodicScalarField) -> None:
     Path(path).write_bytes(header + payload)
 
 
-def _read_snapshot(path: str | Path, header: struct.Struct, magic: bytes) -> tuple[tuple, bytes]:
-    """(the header fields after magic and version, the payload) of a snapshot file."""
+def _read_snapshot(path: str | Path, header: struct.Struct,
+                   magic: bytes) -> tuple[Grid, tuple, bytes]:
+    """(the header's grid, its fields after n and N, the payload) of a snapshot file."""
     raw = Path(path).read_bytes()
     if len(raw) < header.size:
         raise SnapshotFormatError(f"{path}: truncated header")
@@ -59,7 +60,11 @@ def _read_snapshot(path: str | Path, header: struct.Struct, magic: bytes) -> tup
         raise SnapshotFormatError(f"{path}: bad magic {fields[0]!r}")
     if fields[1] != VERSION:
         raise SnapshotFormatError(f"{path}: unsupported version {fields[1]}")
-    return fields[2:], raw[header.size:]
+    try:
+        grid = Grid(n=fields[2], N=fields[3])
+    except ValueError as e:
+        raise SnapshotFormatError(f"{path}: bad grid in header: {e}") from e
+    return grid, fields[4:], raw[header.size:]
 
 
 def _samples(path: str | Path, body: bytes, shape: tuple[int, ...], dtype: str) -> np.ndarray:
@@ -70,10 +75,9 @@ def _samples(path: str | Path, body: bytes, shape: tuple[int, ...], dtype: str) 
 
 
 def read_field(path: str | Path) -> PeriodicScalarField:
-    (n, N, flag), body = _read_snapshot(path, _FIELD_HEADER, FIELD_MAGIC)
+    grid, (flag,), body = _read_snapshot(path, _FIELD_HEADER, FIELD_MAGIC)
     if flag not in (0, 1):
         raise SnapshotFormatError(f"{path}: bad real/complex flag {flag}")
-    grid = Grid(n=n, N=N)
     values = _samples(path, body, grid.shape, "<f8" if flag == 0 else "<c16")
     return PeriodicScalarField(grid, values.astype(float if flag == 0 else complex))
 
@@ -87,13 +91,12 @@ def write_metric(path: str | Path, g: HermitianMetricField) -> None:
 
 
 def read_metric(path: str | Path) -> HermitianMetricField:
-    (n, N), body = _read_snapshot(path, _METRIC_HEADER, METRIC_MAGIC)
-    grid = Grid(n=n, N=N)
-    lower = _samples(path, body, grid.shape + (1 if n == 1 else 3,), "<c16")
-    diag = np.stack([lower[..., 0], lower[..., -1]][:n])  # (0,0) and, for n = 2, (1,1)
+    grid, _, body = _read_snapshot(path, _METRIC_HEADER, METRIC_MAGIC)
+    lower = _samples(path, body, grid.shape + (1 if grid.n == 1 else 3,), "<c16")
+    diag = np.stack([lower[..., 0], lower[..., -1]][:grid.n])  # (0,0) and, for n = 2, (1,1)
     if np.any(diag.imag != 0.0):
         raise SnapshotFormatError(f"{path}: a diagonal entry is not real")
-    off = np.ascontiguousarray(lower[..., 1], dtype=complex) if n == 2 else None
+    off = np.ascontiguousarray(lower[..., 1], dtype=complex) if grid.n == 2 else None
     return HermitianMetricField(grid, np.ascontiguousarray(diag.real, dtype=float), off)
 
 

@@ -90,6 +90,12 @@ class Grid:
         """Real samples of a half spectrum (the inverse of rfftn)."""
         return np.fft.irfftn(spec, s=self.shape, axes=tuple(range(self.num_axes)))
 
+    def inner(self, U: np.ndarray, V: np.ndarray) -> float:
+        """mean(u * v) of two real fields from their half spectra U, V (Parseval)."""
+        # an interior last-axis wavenumber also stands for its mirror; 0 and N/2 do not
+        edges = np.vdot(U[..., 0], V[..., 0]) + np.vdot(U[..., -1], V[..., -1])
+        return float(2.0 * np.vdot(U, V).real - edges.real) / self.num_points ** 2
+
     def derivative(self, values: np.ndarray, axis: int) -> np.ndarray:
         """Spectral first derivative of a sample array along real axis ``axis``."""
         self.check_axis(axis)

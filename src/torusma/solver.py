@@ -12,14 +12,18 @@ Newton correction solves the linearization
 
     L[psi] = (det g~/det g) lap_{g~} psi = -r
 
-by preconditioned conjugate gradients on mean-zero fields, only as accurately
-as the Newton step needs (inexact Newton, Eisenstat-Walker choice 2): the
-relative Krylov target is eta_0 = 0.1, then
+by preconditioned conjugate gradients on mean-zero fields, kept in the rfftn
+half spectrum with the Parseval inner product, only as accurately as the
+Newton step needs (inexact Newton, Eisenstat-Walker choice 2): the relative
+Krylov target is eta_0 = 0.1, then
 
     eta_k = min(0.1, 0.9 (|r_k| / |r_{k-1}|)^2),
 
 floored at krylov_tol and at 0.1 newton_tol / |r_k| so the last step can still
-reach newton_tol (sup norms throughout).  Dyadic damping keeps the metric
+reach newton_tol (sup norms throughout).  After a step that needed more than
+one Newton iteration, the next t-step starts from the secant predictor
+phi_t + s (phi_t - phi_prev), s = (t_next - t) / (t - t_prev), unless its
+metric falls below the eigenvalue floor.  Dyadic damping keeps the metric
 eigenvalues above the configured floor along the path.  Each iterate's metric
 g~ = g + ddbar phi is formed once, by metric_iterate; the residual, the linear
 solve and the damping all read that one iterate.  A metric keeps its
@@ -115,6 +119,7 @@ class ContinuityTrace:
 @dataclass(frozen=True)
 class SolveResult:
     phi: PeriodicScalarField
+    metric: HermitianMetricField  # g~ = g + ddbar phi of the final iterate
     trace: ContinuityTrace
     converged: bool
     t_reached: float
@@ -219,19 +224,19 @@ class _LinearizedOperator:
         flat = -sum(grid.mixed_symbols(j, j)[0] for j in range(grid.n))
         self.inv_flat = np.divide(1.0, flat, out=np.zeros(flat.shape), where=flat > 0)
 
-    def apply_B(self, u: np.ndarray) -> np.ndarray:
-        spec = self.grid.rfftn(u)
+    def apply_B(self, spec: np.ndarray) -> np.ndarray:
+        """Physical samples of B[u] from the half spectrum of u: n^2 irfftn."""
         acc = np.zeros(self.grid.shape)
         for sym, c in self.terms:
             acc += c * self.grid.irfftn(spec * sym)
         return -acc
 
     def apply_L(self, u: np.ndarray) -> np.ndarray:
-        return -self.apply_B(u) / self.det_g
+        return -self.apply_B(self.grid.rfftn(u)) / self.det_g
 
-    def precondition(self, r: np.ndarray) -> np.ndarray:
-        """Apply the inverse of the flat operator -lap_flat/1 = -(1/4)Delta."""
-        return self.grid.irfftn(self.grid.rfftn(r) * self.inv_flat)
+    def precondition(self, spec: np.ndarray) -> np.ndarray:
+        """Half spectrum of the flat operator -(1/4)Delta's inverse applied to spec."""
+        return spec * self.inv_flat
 
 
 def solve_linearized(
@@ -257,45 +262,50 @@ def _project_compatible(rhs: np.ndarray, weight: np.ndarray) -> np.ndarray:
 
 
 def _pcg(op: _LinearizedOperator, rhs: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    """PCG for B x = -det(g) rhs until sup|L x - rhs| <= tol * sup|rhs| (rhs projected)."""
+    """PCG for B x = -det(g) rhs until sup|L x - rhs| <= tol * sup|rhs| (rhs projected).
+
+    x, p, z and r are half spectra (Parseval inner product); r is also kept
+    physical for the stopping test.  An iteration takes n^2 irfftn and one rfftn.
+    """
     rhs = _project_compatible(rhs, op.det_g)
     rhs_sup = float(np.max(np.abs(rhs)))
     if rhs_sup == 0.0:
         return np.zeros_like(rhs)
     target = tol * rhs_sup
+    grid = op.grid
 
-    b = -op.det_g * rhs
-    b = b - np.mean(b)
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = op.precondition(r)
-    p = z.copy()
-    rz = float(np.mean(r * z))
-    achieved = np.inf
-    for it in range(max_iter):
+    r = -op.det_g * rhs
+    r -= np.mean(r)
+    # the constant mode of r_hat never enters: the preconditioner zeroes it
+    r_hat = grid.rfftn(r)
+    x_hat = np.zeros_like(r_hat)
+    z_hat = op.precondition(r_hat)
+    p_hat = z_hat
+    rz = grid.inner(r_hat, z_hat)
+    for it in range(max_iter + 1):
         achieved = float(np.max(np.abs(r / op.det_g)))
         if achieved <= target:
-            return x - np.mean(x)
+            break
         # breakdown: B and the preconditioner are positive on mean-zero fields,
         # so a non-positive rz or p.Bp means no further progress
-        if not rz > 0.0:
+        if it == max_iter or not rz > 0.0:
             raise KrylovConvergenceError(achieved, target, it)
-        Bp = op.apply_B(p)
-        pBp = float(np.mean(p * Bp))
+        Bp = op.apply_B(p_hat)
+        Bp_hat = grid.rfftn(Bp)
+        pBp = grid.inner(p_hat, Bp_hat)
         if not pBp > 0.0:
             raise KrylovConvergenceError(achieved, target, it)
         alpha = rz / pBp
-        x += alpha * p
+        x_hat += alpha * p_hat
         r -= alpha * Bp
         r -= np.mean(r)
-        z = op.precondition(r)
-        rz_new = float(np.mean(r * z))
-        p = z + (rz_new / rz) * p
+        r_hat -= alpha * Bp_hat
+        z_hat = op.precondition(r_hat)
+        rz_new = grid.inner(r_hat, z_hat)
+        p_hat = z_hat + (rz_new / rz) * p_hat
         rz = rz_new
-    achieved = float(np.max(np.abs(r / op.det_g)))
-    if achieved <= target:
-        return x - np.mean(x)
-    raise KrylovConvergenceError(achieved, target, max_iter)
+    x = grid.irfftn(x_hat)
+    return x - np.mean(x)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +329,7 @@ def yau_estimate_report(it: MetricIterate) -> dict[str, float]:
     for l in range(grid.n):
         dl = grid.half(0.5 * (first_symbol(grid, 2 * l) - 1j * first_symbol(grid, 2 * l + 1)))
         P, Q = dl.real, dl.imag
-        for j in range(grid.n):
+        for j in range(l, grid.n):  # d_l d_j dbar_k is symmetric in (l, j)
             for k in range(grid.n):
                 # d_l d_j dbar_k has symbol (P + iQ)(A + iB), P and Q odd, A and B
                 # even: i(PB + QA) gives the real part, -i(PA - QB) the imaginary part
@@ -382,8 +392,18 @@ def _forcing_term(res_sup: float, prev_sup: float | None, cfg: SolverConfig) -> 
     return max(eta, cfg.krylov_tol, 0.1 * cfg.newton_tol / res_sup)
 
 
-def _newton_at_t(it, F, t, cfg):
+def _secant_start(it, phi_prev, s, floor):
+    """The iterate at phi + s (phi - phi_prev), or it if that one is below the floor."""
+    phi = it.phi.values
+    pred = metric_iterate(it.g, mean_zero_project(
+        make_field(it.phi.grid, phi + s * (phi - phi_prev.values))))
+    return pred if pred.min_eig >= floor else it
+
+
+def _newton_at_t(it, F, t, cfg, secant=None):
     """Inexact Newton iteration at fixed t; returns (iterate, iters, residual_sup) or None."""
+    if secant is not None:  # (phi_prev, s); no local name outlives the start's replacement
+        it = _secant_start(it, *secant, cfg.damping_eig_floor)
     prev_sup = None
     for k in range(cfg.newton_max_iter + 1):
         r = ma_residual(it, F, t)
@@ -428,11 +448,19 @@ def continuity_solve(
     t = 0.0
     dt = cfg.t_step_initial
     fast_successes = 0
+    message = ""
+    # (t, phi) accepted before the current one, kept only when the last step
+    # needed more than one Newton iteration: otherwise (n = 1, where the
+    # equation is linear in phi) a prediction costs a Hessian and saves nothing
+    prev = None
     while t < 1.0:
         t_try = min(1.0, t + dt)
-        outcome = _newton_at_t(it, F, t_try, cfg)
+        secant = None if prev is None else (prev[1], (t_try - t) / (t - prev[0]))
+        outcome = _newton_at_t(it, F, t_try, cfg, secant)
         if outcome is not None:
-            it, iters, res_sup = outcome
+            accepted, iters, res_sup = outcome
+            prev = (t, it.phi) if iters > 1 else None
+            it = accepted
             t = t_try
             steps.append(ContinuityStep(t=t, newton_iters=iters, residual_sup=res_sup,
                                         **yau_estimate_report(it)))
@@ -443,16 +471,7 @@ def continuity_solve(
         else:
             dt *= 0.5
             if dt < cfg.t_step_min:
-                return SolveResult(
-                    phi=it.phi,
-                    trace=ContinuityTrace(steps),
-                    converged=False,
-                    t_reached=t,
-                    message=f"continuity step underflow below {cfg.t_step_min} at t={t}",
-                )
-    return SolveResult(
-        phi=it.phi,
-        trace=ContinuityTrace(steps),
-        converged=True,
-        t_reached=1.0,
-    )
+                message = f"continuity step underflow below {cfg.t_step_min} at t={t}"
+                break
+    return SolveResult(phi=it.phi, metric=it.gt, trace=ContinuityTrace(steps),
+                       converged=not message, t_reached=t, message=message)

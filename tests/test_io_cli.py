@@ -95,6 +95,42 @@ class TestDtypes:
             tm.read_metric(path)
 
 
+def _bad_grid_header(path, n=3):
+    """Rewrite the n field of a snapshot header (u16 after magic and version)."""
+    raw = bytearray(path.read_bytes())
+    raw[6:8] = struct.pack("<H", n)
+    path.write_bytes(bytes(raw))
+
+
+class TestBadGridHeader:
+    # the header's grid is checked like the rest of the file, so a bad one
+    # is a SnapshotFormatError (exit 74), not a bare ValueError
+    def test_field(self, tmp_path):
+        path = tmp_path / "f.cmaf"
+        tm.write_field(path, tm.zero_field(tm.Grid(n=1, N=16)))
+        _bad_grid_header(path)
+        with pytest.raises(tm.SnapshotFormatError, match="bad grid"):
+            tm.read_field(path)
+
+    def test_metric(self, tmp_path):
+        path = tmp_path / "g.cmmf"
+        tm.write_metric(path, tm.flat_metric(tm.Grid(n=1, N=16)))
+        _bad_grid_header(path)
+        with pytest.raises(tm.SnapshotFormatError, match="bad grid"):
+            tm.read_metric(path)
+
+    def test_cli_solve_exits_74(self, tmp_path, capsys):
+        fpath = tmp_path / "F.cmaf"
+        tm.write_field(fpath, tm.zero_field(tm.Grid(n=1, N=16)))
+        _bad_grid_header(fpath)
+        cfg = _write_config(tmp_path, N=16, F={"path": str(fpath)})
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 74
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+
 class TestMetricRoundTrip:
     def test_bit_exact(self, tmp_path, grid, small_potential):
         g = tm.metric_from_potential(tm.flat_metric(grid), small_potential)
@@ -218,6 +254,22 @@ class TestCliSolve:
         assert manifest["converged"] is True
         assert (out / "metric.cmmf").exists()
         assert (out / "trace.json").exists()
+
+    @pytest.mark.parametrize("background", [
+        "flat", {"potential": "0.02*cos(2*pi*x1)*cos(2*pi*y1)"}], ids=["flat", "potential"])
+    def test_metric_is_that_of_the_written_potential(self, tmp_path, background):
+        # the CLI writes the solver's final g~ instead of re-forming it from phi
+        cfg = _write_config(tmp_path, background=background)
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        grid = tm.Grid(n=1, N=32)
+        g = tm.flat_metric(grid)
+        if background != "flat":
+            psi = parse_expression(background["potential"]).evaluate(grid)
+            g = tm.metric_from_potential(g, tm.mean_zero_project(psi))
+        ref = tmp_path / "ref.cmmf"
+        tm.write_metric(ref, tm.metric_from_potential(g, tm.read_field(out / "phi.cmaf")))
+        assert (out / "metric.cmmf").read_bytes() == ref.read_bytes()
 
     def test_solve_recovers_oracle(self, tmp_path):
         cfg = _write_config(tmp_path, N=64, F="0.3*sin(2*pi*x1)*sin(2*pi*y1)")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import torusma as tm
+from torusma import solver
 from torusma.solver import _LinearizedOperator, _pcg
 from torusma.verification import THRESHOLDS
 
@@ -349,6 +350,19 @@ class TestContinuitySolve:
         assert all(s.residual_sup <= cfg.newton_tol for s in result.trace.steps)
 
     @pytest.mark.filterwarnings("ignore:F carries significant spectral content")
+    def test_secant_predictor_cuts_newton_work(self, monkeypatch):
+        # each t-step starts from the secant through the last two accepted
+        # potentials; cold restarts took 23 Newton iterations and 96 apply_B calls
+        grid = tm.Grid(n=2, N=16)
+        g = tm.flat_metric(grid)
+        F = tm.manufactured_forcing(g, tm.manufactured_potential_n2(grid))
+        calls = _count_apply_B(monkeypatch)
+        result = tm.continuity_solve(F, g, tm.SolverConfig(n=2, N=16))
+        assert result.converged
+        assert len(calls) <= 85
+        assert sum(s.newton_iters for s in result.trace.steps) <= 18
+
+    @pytest.mark.filterwarnings("ignore:F carries significant spectral content")
     def test_near_degenerate_manufactured_n2(self):
         # amplitude 0.048 takes the target min eigenvalue to 1 - 2 pi^2 0.048
         # ~= 0.0525; PCG corrections put mass on the Nyquist planes, where the
@@ -392,6 +406,72 @@ class TestContinuitySolve:
         F = tm.make_field(grid, 0.05 * np.cos(2 * np.pi * k * grid.coordinate(0)))
         with pytest.warns(RuntimeWarning):
             tm.continuity_solve(F, g, tm.SolverConfig(n=1, N=16))
+
+
+def _first_residual_iterates(monkeypatch):
+    """The iterate of each ma_residual call from here on."""
+    seen = []
+    ma_residual = solver.ma_residual
+
+    def spy(it, F, t):
+        seen.append(it)
+        return ma_residual(it, F, t)
+
+    monkeypatch.setattr(solver, "ma_residual", spy)
+    return seen
+
+
+class TestSecantPredictor:
+    @pytest.fixture
+    def accepted(self):
+        """(F, cfg, iterate at t = 0.2) of a small n=2 path."""
+        grid = tm.Grid(n=2, N=8)
+        x1, y2 = grid.coordinate(0), grid.coordinate(3)
+        F = tm.make_field(grid, 0.5 * np.sin(2 * np.pi * x1) * np.cos(2 * np.pi * y2))
+        cfg = tm.SolverConfig(n=2, N=8)
+        it = tm.metric_iterate(tm.flat_metric(grid), tm.zero_field(grid))
+        it, _, _ = solver._newton_at_t(it, F, 0.2, cfg)
+        return F, cfg, it
+
+    def test_starts_from_the_extrapolation(self, accepted, monkeypatch):
+        F, cfg, it = accepted
+        prev = tm.make_field(it.phi.grid, 0.5 * it.phi.values)
+        seen = _first_residual_iterates(monkeypatch)
+        assert solver._newton_at_t(it, F, 0.3, cfg, (prev, 0.5)) is not None
+        expected = tm.mean_zero_project(it.phi + 0.5 * (it.phi - prev))
+        assert np.array_equal(seen[0].phi.values, expected.values)
+
+    def test_falls_back_below_the_floor(self, accepted, monkeypatch):
+        F, cfg, it = accepted
+        # phi + s (phi - prev) = 1001 phi leaves the positive cone
+        prev = tm.make_field(it.phi.grid, -1000.0 * it.phi.values)
+        assert tm.metric_iterate(it.g, 1001.0 * it.phi).min_eig < cfg.damping_eig_floor
+        seen = _first_residual_iterates(monkeypatch)
+        assert solver._newton_at_t(it, F, 0.3, cfg, (prev, 1.0)) is not None
+        assert seen[0] is it
+
+    def test_linear_n1_solve_builds_no_prediction(self, monkeypatch):
+        # at n = 1 each t-step takes one Newton iteration, so no secant is
+        # formed: the Hessian count equals that of cold restarts
+        grid = tm.Grid(n=1, N=64)
+        F = tm.poisson_forcing_n1(grid)
+        cfg = tm.SolverConfig(n=1, N=64)
+        hessians = []
+        hermitian_hessian = solver.hermitian_hessian
+
+        def counting(phi):
+            hessians.append(1)
+            return hermitian_hessian(phi)
+
+        monkeypatch.setattr(solver, "hermitian_hessian", counting)
+        tm.continuity_solve(F, tm.flat_metric(grid), cfg)
+        with_predictor = len(hessians)
+        hessians.clear()
+        newton_at_t = solver._newton_at_t
+        monkeypatch.setattr(solver, "_newton_at_t",
+                            lambda it, F, t, cfg, secant=None: newton_at_t(it, F, t, cfg))
+        tm.continuity_solve(F, tm.flat_metric(grid), cfg)
+        assert with_predictor == len(hessians) > 0
 
 
 class TestYauReport:

@@ -81,12 +81,14 @@ class TestMatchesComplexTransform:
     def test_apply_B(self, grid, small_potential, random_real_field):
         it = tm.metric_iterate(tm.flat_metric(grid), small_potential)
         u = random_real_field.values.real
-        assert _rel(_LinearizedOperator(it).apply_B(u), _complex_apply_B(u, it)) <= 1e-12
+        Bu = _LinearizedOperator(it).apply_B(grid.rfftn(u))
+        assert _rel(Bu, _complex_apply_B(u, it)) <= 1e-12
 
     def test_precondition(self, grid, small_potential, random_real_field):
         op = _LinearizedOperator(tm.metric_iterate(tm.flat_metric(grid), small_potential))
         r = random_real_field.values.real
-        assert _rel(op.precondition(r), _complex_precondition(r, grid)) <= 1e-12
+        z = grid.irfftn(op.precondition(grid.rfftn(r)))
+        assert _rel(z, _complex_precondition(r, grid)) <= 1e-12
 
     # with kmax=1 and this seed the n=2 sup of |d_l d_j dbar_k phi| lies at
     # j != k, where the imaginary symbol B of d_j dbar_k enters
@@ -105,12 +107,25 @@ class TestMatchesComplexTransform:
             tm.hermitian_hessian(tm.random_band_limited(grid, rng, kmax=2, real=False))
 
 
+def test_parseval_inner_product(grid, rng):
+    # white noise has content on every Nyquist plane, where the half
+    # spectrum's last-axis edges weigh 1 and its interior 2
+    u = rng.standard_normal(grid.shape)
+    v = u + 0.5 * rng.standard_normal(grid.shape)
+    for a, b in ((u, v), (u, u)):
+        ref = float(np.mean(a * b))
+        assert abs(grid.inner(grid.rfftn(a), grid.rfftn(b)) - ref) <= 1e-14 * abs(ref)
+    nyquist = np.cos(np.pi * grid.N * grid.coordinate(grid.num_axes - 1))
+    assert grid.inner(grid.rfftn(nyquist), grid.rfftn(nyquist)) == pytest.approx(1.0, rel=1e-14)
+
+
 def test_precondition_inverts_flat_operator(grid, random_real_field):
     # at phi = 0 on the flat metric, B = -(1/4) Delta and the preconditioner is exact
     op = _LinearizedOperator(tm.metric_iterate(tm.flat_metric(grid), tm.zero_field(grid)))
     u = tm.mean_zero_project(random_real_field).values.real
-    assert _rel(op.precondition(op.apply_B(u)), u) <= 1e-12
-    assert _rel(op.apply_B(op.precondition(u)), u) <= 1e-12
+    spec = grid.rfftn(u)
+    assert _rel(grid.irfftn(op.precondition(grid.rfftn(op.apply_B(spec)))), u) <= 1e-12
+    assert _rel(op.apply_B(op.precondition(spec)), u) <= 1e-12
 
 
 @pytest.mark.parametrize("n,N", [(1, 32), (2, 8)], ids=["n1", "n2"])
