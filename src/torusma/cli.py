@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -66,6 +67,22 @@ _TOLERANCE_KEYS = (
     "newton_tol", "newton_max_iter", "t_step_initial", "t_step_min",
     "damping_eig_floor", "krylov_tol", "krylov_max_iter",
 )
+
+
+# traced peak of `torusma solve` on the manufactured n=2 N=16 problem, in
+# float64 fields of the grid (33 of them in the library solve alone)
+_SOLVE_PEAK_FIELDS = 40
+
+
+def _check_solve_memory(grid: Grid) -> None:
+    """Reject a grid whose estimated solve peak exceeds the physical memory."""
+    need = _SOLVE_PEAK_FIELDS * 8 * grid.num_points
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(
+            f"grid n={grid.n} N={grid.N} needs about {need / 2**30:.3g} GiB to solve, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory"
+        )
 
 
 def _solver_config(cfg: dict) -> SolverConfig:
@@ -125,6 +142,7 @@ def cmd_solve(args) -> int:
         grid = Grid(n=cfg["n"], N=cfg["N"])
     except ValueError as e:
         raise ConfigError(f"bad grid: {e}") from e
+    _check_solve_memory(grid)
     inputs: dict = {}
     g = _background(cfg, grid, inputs)
     F = _scalar_from_spec(cfg.get("F", "0"), grid, "F", inputs)

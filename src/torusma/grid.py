@@ -7,13 +7,19 @@ Holomorphic coordinates are z^j = x^j + i*y^j, so the Wirtinger operators are
     d/dz^j    = (d/dx^j - i d/dy^j) / 2
     d/dzbar^j = (d/dx^j + i d/dy^j) / 2
 
-Differentiation is spectral: transform, multiply by the symbol, transform
-back.  The Nyquist mode is zeroed for first derivatives (odd symbol) and kept
-with symbol -(pi*N)^2 for pure second derivatives, which keeps real fields
-real.  The dtype of a field's samples decides its realness: float64 samples
-make a real field, complex128 samples a complex one.  Real fields are
-transformed by Grid.rfftn/irfftn; complex sample arrays are differentiated
-per axis by Grid.derivative.
+Differentiation is spectral.  The Nyquist mode is zeroed for first
+derivatives (odd symbol) and kept with symbol -(pi*N)^2 for pure second
+derivatives, which keeps real fields real.  The dtype of a field's samples
+decides its realness: float64 samples make a real field, complex128 samples a
+complex one.
+
+Whole real fields are transformed by Grid.rfftn/irfftn and multiplied by
+half-spectrum symbols; every solve path uses this seam.  A derivative along
+one axis (Grid.derivative, second_partial and, through them, partial_x,
+partial_z, partial_zbar and the forms layer) is instead a product with the
+real N x N Fourier differentiation matrix of that axis, the same operator as the symbol
+(Trefethen, Spectral Methods in MATLAB, 2000, ch. 3): O(N) work per point and
+one BLAS matrix product per call, which for N <= 32 beats a 1-D FFT pair.
 """
 
 from __future__ import annotations
@@ -33,8 +39,8 @@ class Grid:
 
     n: int
     N: int
-    # (j, k) -> half-spectrum (A, B), filled by mixed_symbols; not part of the value
-    _symbols: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # symbols and differentiation matrices built on first use; not part of the value
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n not in (1, 2):
@@ -97,16 +103,33 @@ class Grid:
         return float(2.0 * np.vdot(U, V).real - edges.real) / self.num_points ** 2
 
     def derivative(self, values: np.ndarray, axis: int) -> np.ndarray:
-        """Spectral first derivative of a sample array along real axis ``axis``."""
+        """Spectral first derivative of a sample array along real axis ``axis``.
+
+        A product with the differentiation matrix (Nyquist mode zeroed), O(N)
+        work per point; the result keeps the real or complex dtype, and a line
+        constant along the axis gives exact zeros.  No solve path calls it.
+        """
         self.check_axis(axis)
-        return _apply_axis_symbol(values, axis, first_symbol(self, axis))
+        return _apply_axis_matrix(self, values, axis, order=1)
 
     def mixed_symbols(self, j: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Real half-spectrum symbols (A, B) of d_j dbar_k = A + iB, built once per grid."""
-        if (j, k) not in self._symbols:
+        if (j, k) not in self._cache:
             s = self.half(mixed_hessian_symbol(self, j, k))
-            self._symbols[j, k] = (np.ascontiguousarray(s.real), np.ascontiguousarray(s.imag))
-        return self._symbols[j, k]
+            self._cache[j, k] = (np.ascontiguousarray(s.real), np.ascontiguousarray(s.imag))
+        return self._cache[j, k]
+
+    def inverse_flat(self) -> np.ndarray:
+        """Half-spectrum inverse of the flat operator -(1/4) Laplacian, built once per grid."""
+        if "inverse_flat" not in self._cache:
+            self._cache["inverse_flat"] = inverse_flat_symbol(self)
+        return self._cache["inverse_flat"]
+
+    def axis_matrix(self, order: int) -> np.ndarray:
+        """The order-1 or order-2 differentiation matrix, built once per grid."""
+        if ("axis", order) not in self._cache:
+            self._cache["axis", order] = differentiation_matrix(self, order)
+        return self._cache["axis", order]
 
 
 @dataclass(frozen=True)
@@ -201,10 +224,60 @@ def second_symbol(grid: Grid, axis_a: int, axis_b: int) -> np.ndarray:
     return first_symbol(grid, axis_a) * first_symbol(grid, axis_b)
 
 
-def _apply_axis_symbol(values: np.ndarray, axis: int, symbol: np.ndarray) -> np.ndarray:
-    spec = np.fft.fft(values, axis=axis)
-    spec *= symbol
-    return np.fft.ifft(spec, axis=axis, out=spec)
+def differentiation_matrix(grid: Grid, order: int) -> np.ndarray:
+    """Real N x N matrix of d/dx (order 1) or d^2/dx^2 (order 2) on the unit period.
+
+    The closed forms of Trefethen (2000), ch. 3, scaled from period 2 pi to 1:
+    entry (i, j) depends on m = i - j mod N, with
+      order 1: pi (-1)^m cot(pi m / N), 0 for m = 0 (antisymmetric; the
+               Nyquist mode is annihilated, as by first_symbol);
+      order 2: -2 pi^2 (-1)^m / sin^2(pi m / N), -pi^2 (N^2 + 2) / 3 for m = 0
+               (symmetric; the Nyquist mode keeps -(pi N)^2, as by the pure
+               second symbol).
+    Only m < N/2 is evaluated; m > N/2 mirrors it, so the symmetry is exact.
+    """
+    N, h = grid.N, grid.N // 2
+    m = np.arange(1, h)
+    sign = (-1.0) ** m
+    col = np.zeros(N)
+    if order == 1:
+        col[1:h] = np.pi * sign / np.tan(np.pi * m / N)
+        col[h + 1:] = -col[h - 1:0:-1]
+    else:
+        col[0] = -np.pi ** 2 * (N ** 2 + 2) / 3
+        col[1:h] = -2 * np.pi ** 2 * sign / np.sin(np.pi * m / N) ** 2
+        col[h] = -2 * np.pi ** 2 * (-1.0) ** h
+        col[h + 1:] = col[h - 1:0:-1]
+    i = np.arange(N)
+    return col[(i[:, None] - i[None, :]) % N]
+
+
+def _apply_axis_matrix(grid: Grid, values: np.ndarray, axis: int, order: int) -> np.ndarray:
+    """The order-1 or order-2 differentiation matrix applied along ``axis``.
+
+    Complex samples go through their float64 view, so every product is a real
+    matrix product.  Each line's first sample is subtracted first: M 1 = 0, so
+    this changes nothing exactly, but a line constant along the axis then gives
+    exact zeros, which the product alone misses by rounding.
+    """
+    M = grid.axis_matrix(order)
+    first = values[(slice(None),) * axis + (slice(0, 1),)]
+    lines = np.subtract(values, first, order="C",
+                        dtype=complex if np.iscomplexobj(values) else float)
+    x = lines.view(np.float64)
+    if axis < grid.num_axes - 1:
+        out = np.matmul(M, x.reshape(grid.N ** axis, grid.N, -1))
+    else:
+        # on the last axis the parts of a complex sample interleave
+        parts = lines.itemsize // 8
+        out = x.reshape(-1, parts * grid.N) @ np.kron(M.T, np.eye(parts))
+    return out.reshape(x.shape).view(lines.dtype)
+
+
+def inverse_flat_symbol(grid: Grid) -> np.ndarray:
+    """Half-spectrum symbol of the inverse of -(1/4) Laplacian = -sum_j A_jj, zero on constants."""
+    flat = -sum(grid.mixed_symbols(j, j)[0] for j in range(grid.n))
+    return np.divide(1.0, flat, out=np.zeros(flat.shape), where=flat > 0)
 
 
 def partial_x(f: PeriodicScalarField, axis: int) -> PeriodicScalarField:
@@ -218,7 +291,7 @@ def second_partial(f: PeriodicScalarField, axis_a: int, axis_b: int) -> Periodic
     if axis_a != axis_b:
         return make_field(grid, grid.derivative(grid.derivative(f.values, axis_a), axis_b))
     grid.check_axis(axis_a)
-    return make_field(grid, _apply_axis_symbol(f.values, axis_a, _pure_second_symbol(grid, axis_a)))
+    return make_field(grid, _apply_axis_matrix(grid, f.values, axis_a, order=2))
 
 
 def partial_z(f: PeriodicScalarField, j: int) -> PeriodicScalarField:

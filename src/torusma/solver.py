@@ -220,9 +220,6 @@ class _LinearizedOperator:
                 (A, 2.0 * c01.real),
                 (B, -2.0 * c01.imag),
             ]
-        # inverse of the flat operator's symbol -(1/4)Delta >= 0, zero on constants
-        flat = -sum(grid.mixed_symbols(j, j)[0] for j in range(grid.n))
-        self.inv_flat = np.divide(1.0, flat, out=np.zeros(flat.shape), where=flat > 0)
 
     def apply_B(self, spec: np.ndarray) -> np.ndarray:
         """Physical samples of B[u] from the half spectrum of u: n^2 irfftn."""
@@ -236,7 +233,7 @@ class _LinearizedOperator:
 
     def precondition(self, spec: np.ndarray) -> np.ndarray:
         """Half spectrum of the flat operator -(1/4)Delta's inverse applied to spec."""
-        return spec * self.inv_flat
+        return spec * self.grid.inverse_flat()
 
 
 def solve_linearized(

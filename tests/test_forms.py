@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import torusma as tm
-from conftest import axis_derivative
 from torusma.forms import increasing_indices, merge_sign
 
 
@@ -130,7 +129,12 @@ class TestUniquenessFunctional:
 
 
 def _reference_del(alpha, anti):
-    """del (anti=False) or delbar (anti=True), each taking both partials of every component."""
+    """del (anti=False) or delbar (anti=True), each taking both partials of every component.
+
+    The partials come from grid.derivative, so the pins below compare the
+    kernel's signs, factors and accumulation order bit for bit; the partials
+    themselves are checked against the transform formula in test_grid.py.
+    """
     grid, n = alpha.grid, alpha.grid.n
     out = tm.zero_form(grid, *((alpha.p, alpha.q + 1) if anti else (alpha.p + 1, alpha.q)))
     front = (-1) ** alpha.p if anti else 1
@@ -138,8 +142,8 @@ def _reference_del(alpha, anti):
         for j in range(n):
             if j in (K if anti else J):
                 continue
-            fx = axis_derivative(arr, 2 * j, grid.N)
-            fy = axis_derivative(arr, 2 * j + 1, grid.N)
+            fx = grid.derivative(arr, 2 * j)
+            fy = grid.derivative(arr, 2 * j + 1)
             if anti:
                 merged, sign = merge_sign((j,), K)
                 key = (J, merged)

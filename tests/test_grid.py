@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import torusma as tm
+from conftest import axis_derivative
 
 
 class TestGridValidation:
@@ -78,6 +79,87 @@ class TestDerivatives:
         d2 = tm.second_partial(f, 0, 0)
         expected = -((np.pi * g.N) ** 2) * vals
         assert np.max(np.abs(d2.values - expected)) < 1e-9
+
+
+def _axis_second_derivative(u, axis, N):
+    """Pure second derivative along one axis by a complex 1-D transform, Nyquist mode kept."""
+    k = np.fft.fftfreq(N, d=1.0 / N)
+    shape = [1] * u.ndim
+    shape[axis] = N
+    sym = -((2 * np.pi * k) ** 2)
+    return np.fft.ifft(np.fft.fft(u, axis=axis) * sym.reshape(shape), axis=axis)
+
+
+def _white_noise(grid, rng, real):
+    """Samples with content on every mode, the Nyquist planes included."""
+    u = rng.standard_normal(grid.shape)
+    return u if real else u + 1j * rng.standard_normal(grid.shape)
+
+
+class TestDifferentiationMatrices:
+    """The per-axis kernel: a product with the Fourier differentiation matrix."""
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_first_derivative_matches_transform(self, grid, rng, real):
+        u = _white_noise(grid, rng, real)
+        for axis in range(grid.num_axes):
+            got = grid.derivative(u, axis)
+            ref = axis_derivative(u, axis, grid.N)
+            assert got.dtype == u.dtype
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), axis
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_pure_second_derivative_matches_transform(self, grid, rng, real):
+        u = _white_noise(grid, rng, real)
+        for axis in range(grid.num_axes):
+            got = tm.second_partial(tm.make_field(grid, u), axis, axis).values
+            ref = _axis_second_derivative(u, axis, grid.N)
+            assert got.dtype == u.dtype
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), axis
+
+    def test_symmetry(self, grid):
+        D = grid.axis_matrix(1)
+        D2 = grid.axis_matrix(2)
+        assert np.array_equal(D, -D.T)
+        assert np.array_equal(D2, D2.T)
+
+    def test_nyquist_policy(self, grid):
+        N = grid.N
+        nyquist = (-1.0) ** np.arange(N)  # cos(pi N x) on the grid
+        D = grid.axis_matrix(1)
+        D2 = grid.axis_matrix(2)
+        assert np.max(np.abs(D @ nyquist)) <= 1e-14 * np.pi * N
+        scale = (np.pi * N) ** 2
+        assert np.max(np.abs(D2 @ nyquist + scale * nyquist)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_constant_along_axis_gives_exact_zeros(self, grid, rng, real):
+        for axis in range(grid.num_axes):
+            plane = np.take(_white_noise(grid, rng, real), [0], axis=axis)
+            u = np.broadcast_to(plane, grid.shape)
+            assert not np.any(grid.derivative(u, axis)), axis
+            assert not np.any(tm.second_partial(tm.make_field(grid, u), axis, axis).values), axis
+
+    def test_one_build_per_grid_and_order(self, monkeypatch, rng):
+        builds = []
+        original = tm.grid.differentiation_matrix
+
+        def counting(grid, order):
+            builds.append((grid, order))
+            return original(grid, order)
+
+        monkeypatch.setattr(tm.grid, "differentiation_matrix", counting)
+        grids = [tm.Grid(n=2, N=16), tm.Grid(n=2, N=16)]
+        for grid in grids:
+            for real in (True, False):
+                f = tm.make_field(grid, _white_noise(grid, rng, real))
+                for axis in range(grid.num_axes):
+                    tm.partial_x(f, axis)
+                    tm.second_partial(f, axis, axis)
+                tm.partial_z(f, 1)
+        assert len(builds) == 4
+        for grid in grids:
+            assert sorted(order for g, order in builds if g is grid) == [1, 2]
 
 
 class TestIntegration:

@@ -131,13 +131,20 @@ def test_precondition_inverts_flat_operator(grid, random_real_field):
 @pytest.mark.parametrize("n,N", [(1, 32), (2, 8)], ids=["n1", "n2"])
 def test_symbols_built_once_per_grid(n, N, monkeypatch):
     builds = []
+    inverse_builds = []
     original = tm.grid.mixed_hessian_symbol
+    original_inverse = tm.grid.inverse_flat_symbol
 
     def counting_symbol(grid, j, k):
         builds.append(grid)
         return original(grid, j, k)
 
+    def counting_inverse(grid):
+        inverse_builds.append(grid)
+        return original_inverse(grid)
+
     monkeypatch.setattr(tm.grid, "mixed_hessian_symbol", counting_symbol)
+    monkeypatch.setattr(tm.grid, "inverse_flat_symbol", counting_inverse)
     grid = tm.Grid(n=n, N=N)
     x1, y1 = grid.coordinate(0), grid.coordinate(1)
     F = tm.make_field(grid, 0.2 * np.sin(2 * np.pi * x1) * np.cos(2 * np.pi * y1))
@@ -146,6 +153,8 @@ def test_symbols_built_once_per_grid(n, N, monkeypatch):
     assert sum(s.newton_iters for s in result.trace.steps) > 0
     assert 0 < len(builds) <= n * n
     assert all(b is grid for b in builds)
+    # the preconditioner's inverse flat symbol: one build for every operator of the solve
+    assert len(inverse_builds) == 1 and inverse_builds[0] is grid
 
 
 class TestBandLimitWarning:
