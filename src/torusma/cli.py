@@ -46,6 +46,11 @@ class ConfigError(ValueError):
     pass
 
 
+# a config sets the grid, the problem and any SolverConfig setting, nothing else
+_SETTING_KEYS = tuple(f.name for f in dataclasses.fields(SolverConfig) if f.name not in ("n", "N"))
+_CONFIG_KEYS = ("n", "N", "F", "background") + _SETTING_KEYS
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -56,17 +61,15 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config file is not valid JSON: {e}") from e
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
+    unknown = sorted(set(cfg) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown config keys {', '.join(map(repr, unknown))}; "
+                          f"accepted: {', '.join(_CONFIG_KEYS)}")
     for key in ("n", "N"):
         value = cfg.get(key)
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"config requires an integer {key!r}")
     return cfg
-
-
-_TOLERANCE_KEYS = (
-    "newton_tol", "newton_max_iter", "t_step_initial", "t_step_min",
-    "damping_eig_floor", "krylov_tol", "krylov_max_iter",
-)
 
 
 # traced peak of `torusma solve` on the manufactured n=2 N=16 problem, in
@@ -86,10 +89,10 @@ def _check_solve_memory(grid: Grid) -> None:
 
 
 def _solver_config(cfg: dict) -> SolverConfig:
-    overrides = {k: cfg[k] for k in _TOLERANCE_KEYS if k in cfg}
+    settings = {k: cfg[k] for k in _SETTING_KEYS if k in cfg}
     try:
-        return SolverConfig(n=cfg["n"], N=cfg["N"], **overrides)
-    except (ValueError, TypeError) as e:
+        return SolverConfig(n=cfg["n"], N=cfg["N"], **settings)
+    except ValueError as e:
         raise ConfigError(f"bad solver settings: {e}") from e
 
 
@@ -142,11 +145,11 @@ def cmd_solve(args) -> int:
         grid = Grid(n=cfg["n"], N=cfg["N"])
     except ValueError as e:
         raise ConfigError(f"bad grid: {e}") from e
+    solver_cfg = _solver_config(cfg)
     _check_solve_memory(grid)
     inputs: dict = {}
     g = _background(cfg, grid, inputs)
     F = _scalar_from_spec(cfg.get("F", "0"), grid, "F", inputs)
-    solver_cfg = _solver_config(cfg)
 
     start = time.perf_counter()
     try:

@@ -19,7 +19,7 @@ Krylov target is eta_0 = 0.1, then
 
     eta_k = min(0.1, 0.9 (|r_k| / |r_{k-1}|)^2),
 
-floored at krylov_tol and at 0.1 newton_tol / |r_k| so the last step can still
+floored at KRYLOV_TOL and at 0.1 newton_tol / |r_k| so the last step can still
 reach newton_tol (sup norms throughout).  After a step that needed more than
 one Newton iteration, the next t-step starts from the secant predictor
 phi_t + s (phi_t - phi_prev), s = (t_next - t) / (t - t_prev), unless its
@@ -33,6 +33,7 @@ per solve.  Every field here is real (float64).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, asdict
 
@@ -46,6 +47,7 @@ from .geometry import (
     positivity_check,
 )
 from .grid import (
+    Grid,
     GridMismatchError,
     PeriodicScalarField,
     first_symbol,
@@ -69,31 +71,38 @@ class KrylovConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
+NEWTON_MAX_ITER = 50  # Newton iterations at one t before the t-step is rejected
+T_STEP_MIN = 1e-4  # the solve ends as an underflow once a halved t-step falls below it
+KRYLOV_TOL = 1e-12  # solve_linearized's default tol and the forcing terms' floor
+
+
 @dataclass(frozen=True)
 class SolverConfig:
+    """The continuity method's three settings, for the grid (n, N), checked here."""
+
     n: int = 1
     N: int = 64
     newton_tol: float = 1e-11
-    newton_max_iter: int = 50
     t_step_initial: float = 0.1
-    t_step_min: float = 1e-4
     damping_eig_floor: float = 1e-8
-    krylov_tol: float = 1e-12
-    krylov_max_iter: int | None = None  # defaults to 10 * N^n
 
     def __post_init__(self) -> None:
-        for name in ("newton_tol", "t_step_initial", "t_step_min",
-                     "damping_eig_floor", "krylov_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not self.t_step_min <= self.t_step_initial <= 1.0:
-            raise ValueError("need t_step_min <= t_step_initial <= 1")
+        for name in ("newton_tol", "t_step_initial", "damping_eig_floor"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not 0.0 < value < math.inf):
+                raise ValueError(f"{name} must be a finite positive number, not {value!r}")
+        if not T_STEP_MIN <= self.t_step_initial <= 1.0:
+            raise ValueError(f"need {T_STEP_MIN} <= t_step_initial <= 1")
 
     @property
     def krylov_iter_cap(self) -> int:
-        if self.krylov_max_iter is not None:
-            return self.krylov_max_iter
         return 10 * self.N ** self.n
+
+
+def _check_config_grid(cfg: SolverConfig, grid: Grid) -> None:
+    if (cfg.n, cfg.N) != (grid.n, grid.N):
+        raise GridMismatchError(f"config is for n={cfg.n} N={cfg.N}, grid n={grid.n} N={grid.N}")
 
 
 @dataclass(frozen=True)
@@ -245,17 +254,13 @@ def solve_linearized(
     """Mean-zero psi with ||L[psi] - rhs||_sup <= tol * ||rhs||_sup.
 
     rhs is first projected against constants in dV_g, the part L can reach;
-    tol defaults to cfg.krylov_tol.
+    tol defaults to KRYLOV_TOL.  cfg must be for the iterate's grid.
     """
+    _check_config_grid(cfg, it.g.grid)
     _require_positive(it)
     op = _LinearizedOperator(it)
-    target = cfg.krylov_tol if tol is None else tol
+    target = KRYLOV_TOL if tol is None else tol
     return make_field(it.g.grid, _pcg(op, rhs.values, target, cfg.krylov_iter_cap))
-
-
-def _project_compatible(rhs: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """Project rhs against constants in the weighted inner product."""
-    return rhs - np.mean(rhs * weight) / np.mean(weight)
 
 
 def _pcg(op: _LinearizedOperator, rhs: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
@@ -264,7 +269,7 @@ def _pcg(op: _LinearizedOperator, rhs: np.ndarray, tol: float, max_iter: int) ->
     x, p, z and r are half spectra (Parseval inner product); r is also kept
     physical for the stopping test.  An iteration takes n^2 irfftn and one rfftn.
     """
-    rhs = _project_compatible(rhs, op.det_g)
+    rhs = rhs - np.mean(rhs * op.det_g) / np.mean(op.det_g)  # against constants in dV_g
     rhs_sup = float(np.max(np.abs(rhs)))
     if rhs_sup == 0.0:
         return np.zeros_like(rhs)
@@ -386,7 +391,7 @@ def _damped_update(
 def _forcing_term(res_sup: float, prev_sup: float | None, cfg: SolverConfig) -> float:
     """Eisenstat-Walker choice 2 relative Krylov target for the next correction."""
     eta = 0.1 if prev_sup is None else min(0.1, 0.9 * (res_sup / prev_sup) ** 2)
-    return max(eta, cfg.krylov_tol, 0.1 * cfg.newton_tol / res_sup)
+    return max(eta, KRYLOV_TOL, 0.1 * cfg.newton_tol / res_sup)
 
 
 def _secant_start(it, phi_prev, s, floor):
@@ -402,12 +407,12 @@ def _newton_at_t(it, F, t, cfg, secant=None):
     if secant is not None:  # (phi_prev, s); no local name outlives the start's replacement
         it = _secant_start(it, *secant, cfg.damping_eig_floor)
     prev_sup = None
-    for k in range(cfg.newton_max_iter + 1):
+    for k in range(NEWTON_MAX_ITER + 1):
         r = ma_residual(it, F, t)
         res_sup = r.sup_norm()
         if res_sup <= cfg.newton_tol:
             return it, k, res_sup
-        if k == cfg.newton_max_iter:
+        if k == NEWTON_MAX_ITER:
             return None
         eta = _forcing_term(res_sup, prev_sup, cfg)
         prev_sup = res_sup
@@ -435,6 +440,7 @@ def continuity_solve(
         raise ValueError("F has non-finite (inf or NaN) values")
     if F.grid != g.grid:
         raise GridMismatchError("F and g must share a grid")
+    _check_config_grid(cfg, g.grid)
     # at phi = 0 the iterate's metric is g itself
     it = metric_iterate(g, make_field(g.grid, np.zeros(g.grid.shape)))
     if not it.min_eig > 0.0:
@@ -467,8 +473,8 @@ def continuity_solve(
                 fast_successes = 0
         else:
             dt *= 0.5
-            if dt < cfg.t_step_min:
-                message = f"continuity step underflow below {cfg.t_step_min} at t={t}"
+            if dt < T_STEP_MIN:
+                message = f"continuity step underflow below {T_STEP_MIN} at t={t}"
                 break
     return SolveResult(phi=it.phi, metric=it.gt, trace=ContinuityTrace(steps),
                        converged=not message, t_reached=t, message=message)

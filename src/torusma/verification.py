@@ -192,18 +192,18 @@ def manufactured_forcing(
     return make_field(g.grid, vals)
 
 
-def poisson_forcing_n1(grid: Grid, amplitude: float = 0.3) -> PeriodicScalarField:
+def poisson_forcing_n1(grid: Grid) -> PeriodicScalarField:
     x = grid.coordinate(0)
     y = grid.coordinate(1)
-    return make_field(grid, amplitude * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y))
+    return make_field(grid, 0.3 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y))
 
 
-def ricci_flat_background_n2(grid: Grid, amplitude: float = 0.03):
+def ricci_flat_background_n2(grid: Grid):
     """Non-flat background g = flat + ddbar psi and the forcing that flattens it."""
     x1 = grid.coordinate(0)
     x2 = grid.coordinate(2)
     psi = mean_zero_project(
-        make_field(grid, amplitude * np.cos(2 * np.pi * x1) * np.cos(2 * np.pi * x2))
+        make_field(grid, 0.03 * np.cos(2 * np.pi * x1) * np.cos(2 * np.pi * x2))
     )
     g = metric_from_potential(flat_metric(grid), psi)
     F = make_field(grid, -log_det_field(g).values)

@@ -295,10 +295,19 @@ class TestCliSolve:
         lambda tmp: {"F": _complex_snapshot(tmp)},
         lambda tmp: {"background": {"potential": _complex_snapshot(tmp)}},
         {"n": 2, "N": 1024},
+        {"newtn_tol": 1e-3},
+        {"newton_max_iter": 50},
+        {"newton_tol": True},
+        {"newton_tol": float("nan")},
+        {"damping_eig_floor": float("inf")},
+        {"damping_eig_floor": True},
+        {"t_step_initial": "0.5"},
     ], ids=["not-json", "n3", "N7", "n-bool", "non-positive-background", "F-1e400",
             "F-exp-overflow", "F-snapshot-nan", "F-snapshot-inf",
             "background-snapshot-nan", "background-snapshot-inf",
-            "F-snapshot-complex", "background-snapshot-complex", "n2-N1024-over-memory"])
+            "F-snapshot-complex", "background-snapshot-complex", "n2-N1024-over-memory",
+            "unknown-key", "removed-key", "newton-tol-bool", "newton-tol-nan",
+            "damping-floor-inf", "damping-floor-bool", "t-step-string"])
     def test_malformed_config_exits_64(self, tmp_path, capsys, overrides):
         if overrides is None:
             path = tmp_path / "bad.json"
@@ -310,6 +319,25 @@ class TestCliSolve:
         assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 64
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_settings_reach_the_solver(self, tmp_path):
+        cfg = _write_config(tmp_path, t_step_initial=0.5, newton_tol=1e-9)
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        records = json.loads((out / "trace.json").read_text())
+        assert records[0]["t"] == 0.5
+        assert all(rec["residual_sup"] <= 1e-9 for rec in records)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["t_step_initial"] == 0.5
+        assert manifest["config"]["newton_tol"] == 1e-9
+
+    def test_unknown_key_error_names_the_accepted_keys(self, tmp_path, capsys):
+        path = _write_config(tmp_path, newtn_tol=1e-3)
+        assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 64
+        err = capsys.readouterr().err
+        assert "'newtn_tol'" in err
+        assert err.endswith(
+            "accepted: n, N, F, background, newton_tol, t_step_initial, damping_eig_floor\n")
 
     def test_rejected_config_leaves_no_output_directory(self, tmp_path):
         path = _write_config(tmp_path, background={"potential": "0.2*cos(2*pi*x1)"})

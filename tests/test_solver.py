@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -62,7 +64,36 @@ class TestConfig:
 
     def test_rejects_inverted_step_bounds(self):
         with pytest.raises(ValueError):
-            tm.SolverConfig(t_step_initial=1e-5, t_step_min=1e-4)
+            tm.SolverConfig(t_step_initial=1e-5)
+
+    def test_only_the_varied_settings_are_fields(self):
+        names = [f.name for f in dataclasses.fields(tm.SolverConfig)]
+        assert names == ["n", "N", "newton_tol", "t_step_initial", "damping_eig_floor"]
+
+    @pytest.mark.parametrize("name", ["newton_tol", "t_step_initial", "damping_eig_floor"])
+    @pytest.mark.parametrize("value", [True, False, "1e-3", None, float("nan"),
+                                       float("inf"), 0, -1e-3])
+    def test_rejects_bad_setting(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            tm.SolverConfig(**{name: value})
+
+    @pytest.mark.parametrize("name,value", [("newton_tol", 1), ("t_step_initial", 1),
+                                            ("damping_eig_floor", np.float64(1e-6))])
+    def test_accepts_any_finite_positive_number(self, name, value):
+        assert getattr(tm.SolverConfig(**{name: value}), name) == value
+
+    def test_solvers_reject_a_config_for_another_grid(self, rng):
+        # an n=1 N=8 config used to solve this n=2 N=16 problem with a Krylov
+        # cap of 80 instead of 2560
+        grid = tm.Grid(n=2, N=16)
+        g = tm.flat_metric(grid)
+        F = tm.random_band_limited(grid, rng, kmax=2, real=True, amplitude=0.1)
+        cfg = tm.SolverConfig(n=1, N=8)
+        with pytest.raises(tm.GridMismatchError):
+            tm.continuity_solve(F, g, cfg)
+        it = tm.metric_iterate(g, tm.zero_field(grid))
+        with pytest.raises(tm.GridMismatchError):
+            tm.solve_linearized(tm.mean_zero_project(F), it, cfg)
 
 
 class TestCompatibilityConstant:
@@ -247,7 +278,7 @@ class TestLinearSolve:
     @pytest.mark.parametrize("tol", [None, 1e-1, 1e-3, 1e-6])
     def test_tolerance_met_after_projection(self, grid, small_potential, rng, tol):
         # sup|L[psi] - rhs| <= tol * sup|rhs| for the compatible projection of
-        # rhs; tol=None means cfg.krylov_tol
+        # rhs; tol=None means KRYLOV_TOL
         g = tm.flat_metric(grid)
         it = tm.metric_iterate(g, small_potential)
         rhs = tm.mean_zero_project(tm.random_band_limited(grid, rng, kmax=2, real=True))
@@ -256,7 +287,7 @@ class TestLinearSolve:
         det_g = tm.det_field(g).values.real
         target = rhs.values.real - np.mean(rhs.values.real * det_g) / np.mean(det_g)
         achieved = np.max(np.abs(tm.linearized_apply(psi, it).values.real - target))
-        eta = cfg.krylov_tol if tol is None else tol
+        eta = solver.KRYLOV_TOL if tol is None else tol
         assert achieved <= eta * np.max(np.abs(target))
 
     def test_looser_tolerance_takes_fewer_iterations(self, rng, monkeypatch):
@@ -338,7 +369,7 @@ class TestContinuitySolve:
     @pytest.mark.filterwarnings("ignore:F carries significant spectral content")
     def test_forcing_terms_cut_krylov_work(self, monkeypatch):
         # each correction is solved only as accurately as its Newton step
-        # needs; solving every one to krylov_tol took 310 apply_B calls
+        # needs; solving every one to KRYLOV_TOL took 310 apply_B calls
         grid = tm.Grid(n=2, N=16)
         g = tm.flat_metric(grid)
         F = tm.manufactured_forcing(g, tm.manufactured_potential_n2(grid))
