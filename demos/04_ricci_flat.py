@@ -13,11 +13,11 @@ import torusma as tm
 grid = tm.Grid(n=2, N=16)
 psi, g, F = tm.ricci_flat_background_n2(grid)
 
-print("background min eigenvalue:", tm.positivity_check(g).min_eig)
+print("background min eigenvalue:", tm.positivity_check(g))
 print("background Ricci sup-norm:", np.max(np.abs(tm.ricci_form(g).mats)))
 
 result = tm.continuity_solve(F, g, tm.SolverConfig(n=2, N=16))
-gt = tm.metric_from_potential(g, result.phi)
+gt = result.metric  # g~ = g + ddbar phi of the final iterate
 
 print("converged:", result.converged)
 print("sup |g~ - flat| =", np.max(np.abs(gt.mats - tm.flat_metric(grid).mats)))

@@ -154,7 +154,7 @@ def cmd_solve(args) -> int:
     start = time.perf_counter()
     try:
         result = continuity_solve(F, g, solver_cfg)
-    except NonPositiveMetricError as e:
+    except NonPositiveMetricError as e:  # a non-positive background or an unreachable floor
         raise ConfigError(str(e)) from e
     elapsed = time.perf_counter() - start
 

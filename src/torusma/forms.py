@@ -292,20 +292,6 @@ def kahler_form(g: HermitianMetricField) -> PqForm:
     return PqForm(g.grid, 1, 1, comps)
 
 
-def real_11_deviation(alpha: PqForm) -> float:
-    """Deviation from the real (1,1) convention alpha = i h with h Hermitian."""
-    if (alpha.p, alpha.q) != (1, 1):
-        raise ValueError("real (1,1) check needs a (1,1)-form")
-    n = alpha.grid.n
-    dev = 0.0
-    for j in range(n):
-        for k in range(n):
-            h_jk = alpha.component((j,), (k,)) / 1j
-            h_kj = alpha.component((k,), (j,)) / 1j
-            dev = max(dev, float(np.max(np.abs(h_jk - np.conj(h_kj)))))
-    return dev
-
-
 def uniqueness_functional(
     phi1: PeriodicScalarField,
     phi2: PeriodicScalarField,
@@ -320,9 +306,9 @@ def uniqueness_functional(
     g1 = metric_from_potential(g, phi1)
     g2 = metric_from_potential(g, phi2)
     for name, gi in (("phi1", g1), ("phi2", g2)):
-        rep = positivity_check(gi)
-        if not rep.is_positive:
-            raise ValueError(f"potential {name} is inadmissible (min eig {rep.min_eig:.3e})")
+        min_eig = positivity_check(gi)
+        if not min_eig > 0.0:
+            raise ValueError(f"potential {name} is inadmissible (min eig {min_eig:.3e})")
     u = make_field(g.grid, phi1.values - phi2.values)
     du = exterior_d(scalar_form(u))
     dcu = d_c(u)

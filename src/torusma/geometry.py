@@ -98,13 +98,6 @@ class ChristoffelField:
     gamma: np.ndarray  # shape grid.shape + (n, n, n), indices [j, k, l]
 
 
-@dataclass(frozen=True)
-class PositivityReport:
-    is_positive: bool
-    min_eig: float
-    argmin_point: tuple[int, ...]
-
-
 def flat_metric(grid: Grid) -> HermitianMetricField:
     off = np.zeros(grid.shape, dtype=complex) if grid.n == 2 else None
     return HermitianMetricField(grid, np.ones((grid.n,) + grid.shape), off)
@@ -127,13 +120,13 @@ def hermitian_hessian(phi: PeriodicScalarField) -> HermitianMetricField:
     return HermitianMetricField(grid, diag, off)
 
 
-def metric_from_potential(g0: HermitianMetricField, phi: PeriodicScalarField) -> HermitianMetricField:
-    """g~ = g0 + d dbar phi, Hermitian by construction."""
-    if phi.grid != g0.grid:
+def metric_from_potential(g: HermitianMetricField, phi: PeriodicScalarField) -> HermitianMetricField:
+    """g~ = g + d dbar phi, Hermitian by construction; the one place g~ is formed."""
+    if phi.grid != g.grid:
         raise GridMismatchError("potential and metric live on different grids")
     if not phi.is_real:
         raise ValueError("potential must be real")
-    return g0 + hermitian_hessian(phi)
+    return g + hermitian_hessian(phi)
 
 
 def det_field(g: HermitianMetricField) -> PeriodicScalarField:
@@ -150,12 +143,9 @@ def eigenvalue_fields(g: HermitianMetricField) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (tr - disc), 0.5 * (tr + disc)
 
 
-def positivity_check(g: HermitianMetricField) -> PositivityReport:
-    """Smallest pointwise eigenvalue over the grid."""
-    lo, _ = eigenvalue_fields(g)
-    idx = np.unravel_index(int(np.argmin(lo)), lo.shape)
-    min_eig = float(lo[idx])
-    return PositivityReport(min_eig > 0.0, min_eig, idx)
+def positivity_check(g: HermitianMetricField) -> float:
+    """Smallest pointwise eigenvalue over the grid; g is positive where it is > 0."""
+    return float(np.min(eigenvalue_fields(g)[0]))
 
 
 def inverse_field(g: HermitianMetricField) -> HermitianMetricField:

@@ -325,21 +325,8 @@ def mixed_hessian_symbol(grid: Grid, j: int, k: int) -> np.ndarray:
     return 0.25 * s
 
 
-def partial_z_zbar(f: PeriodicScalarField, j: int, k: int) -> PeriodicScalarField:
-    """Mixed second derivative d/dz^j d/dzbar^k, spectral."""
-    spec = np.fft.fftn(f.values)
-    out = np.fft.ifftn(spec * mixed_hessian_symbol(f.grid, j, k))
-    return make_field(f.grid, out)
-
-
 # ---------------------------------------------------------------------------
-# quadrature and gauge
-
-def integrate(f: PeriodicScalarField) -> float | complex:
-    """Trapezoidal rule = mean of samples (unit torus volume)."""
-    val = np.mean(f.values)
-    return float(val) if f.is_real else complex(val)
-
+# gauge
 
 def mean_zero_project(f: PeriodicScalarField) -> PeriodicScalarField:
     """Remove the mean; the discrete gauge condition integral(phi) = 0."""

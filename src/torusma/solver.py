@@ -41,9 +41,8 @@ import numpy as np
 
 from .geometry import (
     HermitianMetricField,
-    det_field,
     eigenvalue_fields,
-    hermitian_hessian,
+    metric_from_potential,
     positivity_check,
 )
 from .grid import (
@@ -57,7 +56,7 @@ from .grid import (
 
 
 class NonPositiveMetricError(ValueError):
-    """The potential left the positive cone; the caller must damp."""
+    """A metric is not positive, or no g + ddbar phi can clear the damping floor."""
 
 
 class KrylovConvergenceError(RuntimeError):
@@ -150,10 +149,8 @@ class MetricIterate:
 
 def metric_iterate(g: HermitianMetricField, phi: PeriodicScalarField) -> MetricIterate:
     """Form g~ = g + ddbar phi and its smallest eigenvalue, once per iterate."""
-    if phi.grid != g.grid:
-        raise GridMismatchError("phi and g must share a grid")
-    gt = g + hermitian_hessian(phi)
-    return MetricIterate(g, phi, gt, positivity_check(gt).min_eig)
+    gt = metric_from_potential(g, phi)
+    return MetricIterate(g, phi, gt, positivity_check(gt))
 
 
 def _require_positive(it: MetricIterate) -> None:
@@ -165,16 +162,6 @@ def _require_positive(it: MetricIterate) -> None:
 
 # ---------------------------------------------------------------------------
 # residual and linearization
-
-def compatibility_constant(F: PeriodicScalarField, g: HermitianMetricField) -> float:
-    """C with C * integral(e^F dV_g) = Vol_g(M)."""
-    if not F.is_real:
-        raise ValueError("F must be real")
-    w = det_field(g).values
-    vol = float(np.mean(w))
-    den = float(np.mean(np.exp(F.values) * w))
-    return vol / den
-
 
 def ma_residual(
     it: MetricIterate,
@@ -445,6 +432,14 @@ def continuity_solve(
     it = metric_iterate(g, make_field(g.grid, np.zeros(g.grid.shape)))
     if not it.min_eig > 0.0:
         raise NonPositiveMetricError("background metric is not positive")
+    # tr(ddbar phi) has zero mean, so min_x eig_min(g + ddbar phi) <= mean(tr g)/n
+    eig_bound = float(np.mean(g.diag))
+    if cfg.damping_eig_floor > eig_bound:
+        raise NonPositiveMetricError(
+            f"damping_eig_floor {cfg.damping_eig_floor:.6g} is above {eig_bound:.6g}, the "
+            f"mean trace of g over n, which no g + ddbar phi can exceed in its smallest "
+            f"eigenvalue (the background's smallest eigenvalue is {it.min_eig:.6g})"
+        )
     _band_limit_warning(F)
 
     steps: list[ContinuityStep] = []

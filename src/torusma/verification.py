@@ -21,6 +21,7 @@ from .geometry import (
     flat_metric,
     log_det_field,
     metric_from_potential,
+    positivity_check,
     ricci_form,
     christoffel,
     christoffel_trace,
@@ -243,12 +244,10 @@ def _admissible_potential(
 ) -> PeriodicScalarField:
     """Random band-limited potential scaled so the eigenvalues of
     flat + ddbar phi stay within `perturbation` of 1."""
-    from .geometry import positivity_check
-
     rng = np.random.default_rng(seed)
     f = mean_zero_project(random_band_limited(grid, rng, kmax=2, real=True, amplitude=0.02))
     gt = metric_from_potential(flat_metric(grid), f)
-    min_eig = positivity_check(gt).min_eig
+    min_eig = positivity_check(gt)
     if min_eig < 1.0 - perturbation:
         # eigenvalues of I + Hess scale affinely with the potential amplitude
         f = (perturbation / (1.0 - min_eig)) * f

@@ -84,5 +84,5 @@ def small_potential(grid, rng):
     f = tm.random_band_limited(grid, rng, kmax=2, real=True, amplitude=1.0)
     f = tm.mean_zero_project(f)
     gt = tm.metric_from_potential(tm.flat_metric(grid), f)
-    lo = tm.positivity_check(gt).min_eig
+    lo = tm.positivity_check(gt)
     return (0.3 / (1.0 - lo)) * f if lo < 0.7 else f

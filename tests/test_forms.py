@@ -110,8 +110,12 @@ class TestIntegration:
         assert val == pytest.approx(expected, abs=1e-12)
 
     def test_kahler_form_is_real_11(self, grid, small_potential):
+        # omega = i h with h Hermitian: h_jk = conj(h_kj) for every pair
         g = tm.metric_from_potential(tm.flat_metric(grid), small_potential)
-        assert tm.real_11_deviation(tm.kahler_form(g)) <= 1e-13
+        omega = tm.kahler_form(g)
+        h = np.array([[omega.component((j,), (k,)) / 1j for k in range(grid.n)]
+                      for j in range(grid.n)])
+        assert np.max(np.abs(h - np.conj(np.swapaxes(h, 0, 1)))) <= 1e-13
 
 
 class TestUniquenessFunctional:

@@ -345,6 +345,17 @@ class TestCliSolve:
         assert cli.main(["solve", "--config", str(path), "--out", str(out)]) == 64
         assert not out.exists()
 
+    def test_unreachable_damping_floor_exits_64(self, tmp_path, capsys):
+        # no g + ddbar phi over the flat background has a smallest eigenvalue
+        # above 1; such a floor used to halve t to underflow and exit 2
+        path = _write_config(tmp_path, N=16, F="0.1*sin(2*pi*x1)", damping_eig_floor=2)
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(path), "--out", str(out)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "damping_eig_floor 2 is above 1," in err and "smallest eigenvalue is 1)" in err, err
+        assert not out.exists()
+
     def test_over_memory_grid_leaves_no_output_directory(self, tmp_path):
         path = _write_config(tmp_path, n=2, N=1024)
         out = tmp_path / "out"

@@ -96,25 +96,12 @@ class TestConfig:
             tm.solve_linearized(tm.mean_zero_project(F), it, cfg)
 
 
-class TestCompatibilityConstant:
-    def test_zero_forcing(self, grid):
-        g = tm.flat_metric(grid)
-        assert tm.compatibility_constant(tm.zero_field(grid), g) == pytest.approx(1.0)
-
-    def test_integral_identity(self, grid, random_real_field):
-        # C * integral(e^F dV_g) = Vol_g by construction
-        g = tm.flat_metric(grid)
-        C = tm.compatibility_constant(random_real_field, g)
-        lhs = C * float(np.mean(np.exp(random_real_field.values.real)))
-        assert lhs == pytest.approx(tm.volume(g), abs=1e-13)
-
-
 class TestMetricIterate:
     def test_metric_matches_metric_from_potential(self, grid, small_potential):
         g = tm.flat_metric(grid)
         it = tm.metric_iterate(g, small_potential)
         assert np.array_equal(it.gt.mats, tm.metric_from_potential(g, small_potential).mats)
-        assert it.min_eig == tm.positivity_check(it.gt).min_eig
+        assert it.min_eig == tm.positivity_check(it.gt)
 
     def test_consumers_never_rebuild_the_metric(self, grid, small_potential, rng,
                                                 monkeypatch):
@@ -124,7 +111,8 @@ class TestMetricIterate:
             calls.append(phi)
             return tm.hermitian_hessian(phi)
 
-        monkeypatch.setattr(tm.solver, "hermitian_hessian", counting_hessian)
+        # metric_iterate reaches the Hessian through geometry.metric_from_potential
+        monkeypatch.setattr(tm.geometry, "hermitian_hessian", counting_hessian)
         g = tm.flat_metric(grid)
         it = tm.metric_iterate(g, small_potential)
         assert len(calls) == 1
@@ -221,6 +209,22 @@ class TestLinearization:
         out = tm.linearized_apply(random_real_field, tm.metric_iterate(g, small_potential))
         weighted = float(np.mean(out.values.real * tm.det_field(g).values.real))
         assert abs(weighted) <= 1e-12
+
+    @pytest.mark.parametrize("n,N", [(1, 32), (2, 16)], ids=["n1", "n2"])
+    def test_matches_laplace_beltrami_oracle(self, n, N):
+        # L[psi] = (det g~/det g) lap_{g~} psi on a curved iterate over a
+        # non-flat background; lap_{g~} goes through the pointwise inverse,
+        # the operator through the closed-form adjugate
+        grid = tm.Grid(n=n, N=N)
+        g = tm.metric_from_potential(
+            tm.flat_metric(grid), tm.verification._admissible_potential(grid, seed=41))
+        assert np.max(np.abs(g.det - 1.0)) > 0.1
+        phi = tm.verification._admissible_potential(grid, seed=42, perturbation=0.2)
+        psi = tm.random_band_limited(grid, np.random.default_rng(43), kmax=3)
+        it = tm.metric_iterate(g, phi)
+        oracle = it.gt.det / g.det * tm.laplace_beltrami(it.gt, psi).values
+        lin = tm.linearized_apply(psi, it).values
+        assert np.max(np.abs(lin - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
     @staticmethod
     def _linearization_case():
@@ -320,7 +324,7 @@ class TestLinearSolve:
         rhs = tm.mean_zero_project(tm.random_band_limited(grid, rng, kmax=2, real=True))
         cfg = tm.SolverConfig(n=grid.n, N=grid.N)
         psi = tm.solve_linearized(rhs, tm.metric_iterate(g, small_potential), cfg)
-        assert abs(tm.integrate(psi)) < 1e-12
+        assert abs(np.mean(psi.values)) < 1e-12
 
 
 class TestContinuitySolve:
@@ -347,7 +351,7 @@ class TestContinuitySolve:
         g = tm.flat_metric(grid)
         F = tm.poisson_forcing_n1(grid)
         result = tm.continuity_solve(F, g, tm.SolverConfig(n=1, N=64))
-        assert abs(tm.integrate(result.phi)) < 1e-12
+        assert abs(np.mean(result.phi.values)) < 1e-12
 
     # the manufactured forcing log det(g~) is not band-limited
     @pytest.mark.filterwarnings("ignore:F carries significant spectral content")
@@ -423,6 +427,37 @@ class TestContinuitySolve:
         with pytest.raises(ValueError, match="non-finite"):
             tm.continuity_solve(F, tm.flat_metric(grid), tm.SolverConfig(n=1, N=16))
 
+    def test_rejects_unreachable_damping_floor(self, monkeypatch):
+        # on the flat background no g + ddbar phi has a smallest eigenvalue
+        # above 1; the floor is checked before any Newton work
+        grid = tm.Grid(n=1, N=16)
+        F = tm.make_field(grid, 0.1 * np.sin(2 * np.pi * grid.coordinate(0)))
+        cfg = tm.SolverConfig(n=1, N=16, damping_eig_floor=2.0)
+        calls = _count_apply_B(monkeypatch)
+        with pytest.raises(tm.NonPositiveMetricError,
+                           match=r"damping_eig_floor 2 is above 1, .* smallest eigenvalue is 1\)"):
+            tm.continuity_solve(F, tm.flat_metric(grid), cfg)
+        assert calls == []
+
+    # F = -log det g is not band-limited
+    @pytest.mark.filterwarnings("ignore:F carries significant spectral content")
+    def test_floor_above_background_min_eig_is_reachable(self):
+        # n = 1, F = -log g: the path metric is C_t g^(1-t), whose smallest
+        # eigenvalue rises from min(g) to mean(g) = mean(tr g)/n at t = 1, so a
+        # floor between the two is met by one full step and one above is not
+        grid = tm.Grid(n=1, N=32)
+        g = tm.metric_from_potential(
+            tm.flat_metric(grid), tm.make_field(grid, 0.02 * np.cos(2 * np.pi * grid.coordinate(0))))
+        F = tm.make_field(grid, -np.log(g.diag[0]))
+        lo, bound = tm.positivity_check(g), float(np.mean(g.diag))
+        assert bound - lo > 0.1
+        floor = 0.5 * (lo + bound)
+        cfg = tm.SolverConfig(n=1, N=32, t_step_initial=1.0, damping_eig_floor=floor)
+        result = tm.continuity_solve(F, g, cfg)
+        assert result.converged and tm.positivity_check(result.metric) >= floor
+        with pytest.raises(tm.NonPositiveMetricError, match="damping_eig_floor"):
+            tm.continuity_solve(F, g, dataclasses.replace(cfg, damping_eig_floor=bound + 1e-6))
+
     def test_rejects_non_positive_background(self):
         grid = tm.Grid(n=1, N=32)
         phi = tm.make_field(grid, 0.2 * np.cos(2 * np.pi * grid.coordinate(0)))
@@ -488,13 +523,13 @@ class TestSecantPredictor:
         F = tm.poisson_forcing_n1(grid)
         cfg = tm.SolverConfig(n=1, N=64)
         hessians = []
-        hermitian_hessian = solver.hermitian_hessian
+        hermitian_hessian = tm.geometry.hermitian_hessian
 
         def counting(phi):
             hessians.append(1)
             return hermitian_hessian(phi)
 
-        monkeypatch.setattr(solver, "hermitian_hessian", counting)
+        monkeypatch.setattr(tm.geometry, "hermitian_hessian", counting)
         tm.continuity_solve(F, tm.flat_metric(grid), cfg)
         with_predictor = len(hessians)
         hessians.clear()

@@ -85,7 +85,7 @@ class TestManufacturedBuilders:
         phi_star = (tm.manufactured_potential_n1(grid) if n == 1
                     else tm.manufactured_potential_n2(grid))
         gt = tm.metric_from_potential(tm.flat_metric(grid), phi_star)
-        min_eig = tm.positivity_check(gt).min_eig
+        min_eig = tm.positivity_check(gt)
         assert min_eig > 0.4, (
             f"default manufactured n={n} potential leaves the target metric "
             f"min eigenvalue {min_eig:.4f}, below the 0.4 margin"
