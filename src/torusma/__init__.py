@@ -7,23 +7,18 @@ from .grid import (
     Grid,
     GridMismatchError,
     PeriodicScalarField,
-    constant_field,
     make_field,
     mean_zero_project,
-    partial_x,
     partial_z,
     partial_zbar,
     random_band_limited,
     second_partial,
-    zero_field,
 )
 from .geometry import (
-    ChristoffelField,
     HermitianMetricField,
     SingularMetricError,
     christoffel,
     christoffel_trace,
-    det_field,
     eigenvalue_fields,
     first_chern_integral,
     flat_metric,

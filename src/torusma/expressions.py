@@ -4,7 +4,7 @@ Grammar (recursive descent):
 
     expr   := term (('+' | '-') term)*
     term   := unary ('*' unary)*
-    unary  := '-' unary | atom
+    unary  := '-'* atom
     atom   := NUMBER | '(' expr ')' | 'exp' '(' expr ')' | trig
     trig   := ('sin' | 'cos') '(' 2 '*' pi ['*' INT] '*' coord ')'
     coord  := x1 | y1 | x2 | y2
@@ -12,6 +12,11 @@ Grammar (recursive descent):
 Every trig factor is an exact grid harmonic, so parsed data is smooth,
 periodic and exactly representable; the largest integer harmonic is tracked
 for the N/4 band-limit check.
+
+A sum or a product is one node, folded left to right in a loop, and a chain
+of unary minus signs is parsed in a loop, so neither the parser nor the
+evaluator recurses on their length.  Parentheses and exp(...) do recurse; they
+may nest at most MAX_NESTING levels deep.
 """
 
 from __future__ import annotations
@@ -26,6 +31,9 @@ from .grid import Grid, PeriodicScalarField, make_field
 
 class ExpressionError(ValueError):
     """Syntax or semantic error in a field expression."""
+
+
+MAX_NESTING = 50  # levels of parentheses and exp(...) an expression may nest
 
 
 _TOKEN_RE = re.compile(
@@ -72,6 +80,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.max_harmonic = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -92,25 +101,38 @@ class _Parser:
         return node
 
     def expr(self):
-        node = self.term()
+        first = self.term()
+        rest = []  # (sign, term) pairs after the first term
         while self.peek() in (("op", "+"), ("op", "-")):
-            op = self.take()[1]
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
+            sign = self.take()[1]
+            rest.append((sign, self.term()))
+        return ("sum", first, tuple(rest)) if rest else first
 
     def term(self):
-        node = self.unary()
+        factors = [self.unary()]
         while self.peek() == ("op", "*"):
             self.take()
-            node = ("mul", node, self.unary())
-        return node
+            factors.append(self.unary())
+        return ("prod", tuple(factors)) if len(factors) > 1 else factors[0]
 
     def unary(self):
-        if self.peek() == ("op", "-"):
+        negate = False
+        while self.peek() == ("op", "-"):
             self.take()
-            return ("neg", self.unary())
-        return self.atom()
+            negate = not negate  # negation twice is exact: -(-x) == x bitwise
+        node = self.atom()
+        return ("neg", node) if negate else node
+
+    def nested(self):
+        """The expr after an opening parenthesis, with its closing one."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExpressionError(
+                f"parentheses and exp(...) nest deeper than {MAX_NESTING} levels")
+        node = self.expr()
+        self.take("op", ")")
+        self.depth -= 1
+        return node
 
     def atom(self):
         kind, value = self.peek()
@@ -119,18 +141,14 @@ class _Parser:
             return ("const", float(value))
         if kind == "op" and value == "(":
             self.take()
-            node = self.expr()
-            self.take("op", ")")
-            return node
+            return self.nested()
         if kind == "name":
             if value in ("sin", "cos"):
                 return self.trig()
             if value == "exp":
                 self.take()
                 self.take("op", "(")
-                node = self.expr()
-                self.take("op", ")")
-                return ("exp", node)
+                return ("exp", self.nested())
             raise ExpressionError(f"unknown name {value!r} in {self.text!r}")
         raise ExpressionError(f"unexpected token {value!r} in {self.text!r}")
 
@@ -174,12 +192,17 @@ def _eval_node(node: tuple, grid: Grid) -> np.ndarray:
         return np.full(grid.shape, node[1])
     if op == "neg":
         return -_eval_node(node[1], grid)
-    if op == "add":
-        return _eval_node(node[1], grid) + _eval_node(node[2], grid)
-    if op == "sub":
-        return _eval_node(node[1], grid) - _eval_node(node[2], grid)
-    if op == "mul":
-        return _eval_node(node[1], grid) * _eval_node(node[2], grid)
+    if op == "sum":
+        acc = _eval_node(node[1], grid)
+        for sign, term in node[2]:
+            value = _eval_node(term, grid)
+            acc = acc + value if sign == "+" else acc - value
+        return acc
+    if op == "prod":
+        acc = _eval_node(node[1][0], grid)
+        for factor in node[1][1:]:
+            acc = acc * _eval_node(factor, grid)
+        return acc
     if op == "exp":
         return np.exp(_eval_node(node[1], grid))
     if op == "trig":

@@ -87,17 +87,6 @@ class HermitianMetricField:
         return HermitianMetricField(self.grid, -self.diag, None if self.off is None else -self.off)
 
 
-@dataclass(frozen=True)
-class ChristoffelField:
-    """Holomorphic Christoffel components Gamma_{jk}^l, symmetric in j,k.
-
-    The antiholomorphic block is the complex conjugate and is not stored.
-    """
-
-    grid: Grid
-    gamma: np.ndarray  # shape grid.shape + (n, n, n), indices [j, k, l]
-
-
 def flat_metric(grid: Grid) -> HermitianMetricField:
     off = np.zeros(grid.shape, dtype=complex) if grid.n == 2 else None
     return HermitianMetricField(grid, np.ones((grid.n,) + grid.shape), off)
@@ -129,11 +118,6 @@ def metric_from_potential(g: HermitianMetricField, phi: PeriodicScalarField) -> 
     return g + hermitian_hessian(phi)
 
 
-def det_field(g: HermitianMetricField) -> PeriodicScalarField:
-    """Pointwise determinant, a real field."""
-    return make_field(g.grid, g.det)
-
-
 def eigenvalue_fields(g: HermitianMetricField) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise (min, max) eigenvalues via closed forms (n <= 2)."""
     if g.grid.n == 1:
@@ -150,7 +134,7 @@ def positivity_check(g: HermitianMetricField) -> float:
 
 def inverse_field(g: HermitianMetricField) -> HermitianMetricField:
     """Pointwise matrix inverse; raises on singular points."""
-    det = det_field(g).values
+    det = g.det
     min_abs = float(np.min(np.abs(det)))
     if min_abs < 1e-14:
         idx = np.unravel_index(int(np.argmin(np.abs(det))), det.shape)
@@ -161,17 +145,19 @@ def inverse_field(g: HermitianMetricField) -> HermitianMetricField:
 
 
 def log_det_field(g: HermitianMetricField) -> PeriodicScalarField:
-    det = det_field(g).values
+    det = g.det
     if np.min(det) <= 0.0:
         idx = np.unravel_index(int(np.argmin(det)), det.shape)
         raise SingularMetricError(f"non-positive determinant at grid point {idx}", idx)
     return make_field(g.grid, np.log(det))
 
 
-def christoffel(g: HermitianMetricField) -> ChristoffelField:
+def christoffel(g: HermitianMetricField) -> np.ndarray:
     """Gamma_{jk}^l = (d_j g_{k mbar}) g^{mbar l}, computed spectrally.
 
-    Assumes a Kahler metric field, so the result is symmetric in j,k.
+    Shape grid.shape + (n, n, n), indices [j, k, l].  Assumes a Kahler metric
+    field, so the result is symmetric in j,k; the antiholomorphic block is the
+    complex conjugate and is not returned.
     """
     grid = g.grid
     n = grid.n
@@ -183,13 +169,12 @@ def christoffel(g: HermitianMetricField) -> ChristoffelField:
             comp = make_field(grid, mats[..., k, m])
             for j in range(n):
                 dg[..., j, k, m] = partial_z(comp, j).values
-    gamma = np.einsum("...jkm,...ml->...jkl", dg, ginv)
-    return ChristoffelField(grid, gamma)
+    return np.einsum("...jkm,...ml->...jkl", dg, ginv)
 
 
-def christoffel_trace(gamma: ChristoffelField) -> np.ndarray:
-    """Contraction Gamma_{jk}^k, indexed by j; shape grid.shape + (n,)."""
-    return np.einsum("...jkk->...j", gamma.gamma)
+def christoffel_trace(gamma: np.ndarray) -> np.ndarray:
+    """Contraction Gamma_{jk}^k of christoffel's array, indexed by j; shape grid.shape + (n,)."""
+    return np.einsum("...jkk->...j", gamma)
 
 
 def log_volume_gradient(g: HermitianMetricField) -> np.ndarray:
@@ -225,7 +210,7 @@ def first_chern_integral(g: HermitianMetricField) -> float:
 
 def volume(g: HermitianMetricField) -> float:
     """Integral of det(g) over the torus in the real coordinate measure."""
-    return float(np.mean(det_field(g).values))
+    return float(np.mean(g.det))
 
 
 def laplace_beltrami(g: HermitianMetricField, u: PeriodicScalarField) -> PeriodicScalarField:

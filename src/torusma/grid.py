@@ -15,8 +15,8 @@ complex one.
 
 Whole real fields are transformed by Grid.rfftn/irfftn and multiplied by
 half-spectrum symbols; every solve path uses this seam.  A derivative along
-one axis (Grid.derivative, second_partial and, through them, partial_x,
-partial_z, partial_zbar and the forms layer) is instead a product with the
+one axis (Grid.derivative, second_partial and, through them, partial_z,
+partial_zbar and the forms layer) is instead a product with the
 real N x N Fourier differentiation matrix of that axis, the same operator as the symbol
 (Trefethen, Spectral Methods in MATLAB, 2000, ch. 3): O(N) work per point and
 one BLAS matrix product per call, which for N <= 32 beats a 1-D FFT pair.
@@ -194,14 +194,6 @@ def make_field(grid: Grid, values: np.ndarray) -> PeriodicScalarField:
     )
 
 
-def constant_field(grid: Grid, value: float | complex) -> PeriodicScalarField:
-    return make_field(grid, np.full(grid.shape, value))
-
-
-def zero_field(grid: Grid) -> PeriodicScalarField:
-    return constant_field(grid, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # spectral differentiation
 
@@ -278,11 +270,6 @@ def inverse_flat_symbol(grid: Grid) -> np.ndarray:
     """Half-spectrum symbol of the inverse of -(1/4) Laplacian = -sum_j A_jj, zero on constants."""
     flat = -sum(grid.mixed_symbols(j, j)[0] for j in range(grid.n))
     return np.divide(1.0, flat, out=np.zeros(flat.shape), where=flat > 0)
-
-
-def partial_x(f: PeriodicScalarField, axis: int) -> PeriodicScalarField:
-    """Spectral derivative along a real coordinate axis."""
-    return make_field(f.grid, f.grid.derivative(f.values, axis))
 
 
 def second_partial(f: PeriodicScalarField, axis_a: int, axis_b: int) -> PeriodicScalarField:

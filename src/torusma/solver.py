@@ -46,7 +46,6 @@ from .geometry import (
     positivity_check,
 )
 from .grid import (
-    Grid,
     GridMismatchError,
     PeriodicScalarField,
     first_symbol,
@@ -93,15 +92,6 @@ class SolverConfig:
                 raise ValueError(f"{name} must be a finite positive number, not {value!r}")
         if not T_STEP_MIN <= self.t_step_initial <= 1.0:
             raise ValueError(f"need {T_STEP_MIN} <= t_step_initial <= 1")
-
-    @property
-    def krylov_iter_cap(self) -> int:
-        return 10 * self.N ** self.n
-
-
-def _check_config_grid(cfg: SolverConfig, grid: Grid) -> None:
-    if (cfg.n, cfg.N) != (grid.n, grid.N):
-        raise GridMismatchError(f"config is for n={cfg.n} N={cfg.N}, grid n={grid.n} N={grid.N}")
 
 
 @dataclass(frozen=True)
@@ -235,19 +225,18 @@ class _LinearizedOperator:
 def solve_linearized(
     rhs: PeriodicScalarField,
     it: MetricIterate,
-    cfg: SolverConfig,
     tol: float | None = None,
 ) -> PeriodicScalarField:
     """Mean-zero psi with ||L[psi] - rhs||_sup <= tol * ||rhs||_sup.
 
     rhs is first projected against constants in dV_g, the part L can reach;
-    tol defaults to KRYLOV_TOL.  cfg must be for the iterate's grid.
+    tol defaults to KRYLOV_TOL.  Raises KrylovConvergenceError after 10 N^n PCG iterations.
     """
-    _check_config_grid(cfg, it.g.grid)
     _require_positive(it)
     op = _LinearizedOperator(it)
     target = KRYLOV_TOL if tol is None else tol
-    return make_field(it.g.grid, _pcg(op, rhs.values, target, cfg.krylov_iter_cap))
+    grid = it.g.grid
+    return make_field(grid, _pcg(op, rhs.values, target, 10 * grid.N ** grid.n))
 
 
 def _pcg(op: _LinearizedOperator, rhs: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
@@ -406,7 +395,7 @@ def _newton_at_t(it, F, t, cfg, secant=None):
         rhs = make_field(F.grid, -r.values)
         try:
             # the operator lives inside solve_linearized and is freed before damping
-            psi = solve_linearized(rhs, it, cfg, tol=eta)
+            psi = solve_linearized(rhs, it, tol=eta)
         except KrylovConvergenceError:
             return None
         it = _damped_update(it, psi, cfg.damping_eig_floor)
@@ -427,7 +416,9 @@ def continuity_solve(
         raise ValueError("F has non-finite (inf or NaN) values")
     if F.grid != g.grid:
         raise GridMismatchError("F and g must share a grid")
-    _check_config_grid(cfg, g.grid)
+    if (cfg.n, cfg.N) != (g.grid.n, g.grid.N):
+        raise GridMismatchError(
+            f"config is for n={cfg.n} N={cfg.N}, grid n={g.grid.n} N={g.grid.N}")
     # at phi = 0 the iterate's metric is g itself
     it = metric_iterate(g, make_field(g.grid, np.zeros(g.grid.shape)))
     if not it.min_eig > 0.0:
@@ -470,6 +461,11 @@ def continuity_solve(
             dt *= 0.5
             if dt < T_STEP_MIN:
                 message = f"continuity step underflow below {T_STEP_MIN} at t={t}"
+                if it.min_eig < cfg.damping_eig_floor:
+                    # a shorter step keeps g~ nearer this iterate's metric
+                    message += (f": the last accepted metric's smallest eigenvalue "
+                                f"{it.min_eig:.6g} is below damping_eig_floor "
+                                f"{cfg.damping_eig_floor:.6g}, which shorter t-steps cannot clear")
                 break
     return SolveResult(phi=it.phi, metric=it.gt, trace=ContinuityTrace(steps),
                        converged=not message, t_reached=t, message=message)

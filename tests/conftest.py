@@ -1,9 +1,12 @@
+import time
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import torusma as tm
+from torusma.solver import _LinearizedOperator
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -51,16 +54,73 @@ def suite_report():
     return get
 
 
+def count_apply_B(monkeypatch):
+    """Count _LinearizedOperator.apply_B calls from here on; returns the list of calls."""
+    calls = []
+    apply_B = _LinearizedOperator.apply_B
+
+    def counting(self, spec):
+        calls.append(1)
+        return apply_B(self, spec)
+
+    monkeypatch.setattr(_LinearizedOperator, "apply_B", counting)
+    return calls
+
+
+def solve_quietly(F, g, cfg):
+    # a forcing such as the manufactured log det(g~) is not band-limited, so the
+    # solver warns about it; every other warning still fails the test
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="F carries significant spectral content",
+                                category=RuntimeWarning)
+        return tm.continuity_solve(F, g, cfg)
+
+
+@pytest.fixture(scope="session")
+def manufactured_solve():
+    """The manufactured solve on Grid(n, N), run once per session for each (n, N).
+
+    get(n, N) returns g, F, the result, its sup error against the manufactured
+    potential, the elapsed seconds and the number of apply_B calls.
+    """
+    cases: dict = {}
+
+    def get(n: int, N: int) -> SimpleNamespace:
+        if (n, N) not in cases:
+            grid = tm.Grid(n=n, N=N)
+            g = tm.flat_metric(grid)
+            phi_star = (tm.manufactured_potential_n1(grid) if n == 1
+                        else tm.manufactured_potential_n2(grid))
+            F = tm.manufactured_forcing(g, phi_star)
+            with pytest.MonkeyPatch.context() as mp:
+                calls = count_apply_B(mp)
+                start = time.perf_counter()
+                result = solve_quietly(F, g, tm.SolverConfig(n=n, N=N))
+                elapsed = time.perf_counter() - start
+            cases[n, N] = SimpleNamespace(
+                g=g, F=F, result=result,
+                error=float(np.max(np.abs(result.phi.values - phi_star.values))),
+                elapsed_s=elapsed, apply_B_calls=len(calls))
+        return cases[n, N]
+
+    return get
+
+
+@pytest.fixture(scope="session")
+def poisson_solve():
+    """(g, F, result) of the default Poisson n=1 N=64 solve, run once per session."""
+    grid = tm.Grid(n=1, N=64)
+    g = tm.flat_metric(grid)
+    F = tm.poisson_forcing_n1(grid)
+    return g, F, tm.continuity_solve(F, g, tm.SolverConfig(n=1, N=64))
+
+
 @pytest.fixture(scope="session")
 def ricci_flat_solve():
     """(g, result) of the Ricci-flat n=2 N=16 solve, run once per session."""
     grid = tm.Grid(n=2, N=16)
     _, g, F = tm.ricci_flat_background_n2(grid)
-    # F = -log det(g) is not band-limited, so the solver warns about it
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="F carries significant spectral content",
-                                category=RuntimeWarning)
-        return g, tm.continuity_solve(F, g, tm.SolverConfig(n=2, N=16))
+    return g, solve_quietly(F, g, tm.SolverConfig(n=2, N=16))
 
 
 @pytest.fixture

@@ -3,23 +3,12 @@ pass/fail line in the terminal summary.
 """
 
 import math
-import time
-import warnings
 
 import numpy as np
 import pytest
 
 import torusma as tm
-from conftest import record_acceptance
-
-
-def _solve(F, g, cfg):
-    # the manufactured forcing log det(g~) is not band-limited, so the solver
-    # warns about it; every other warning still fails the test
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="F carries significant spectral content",
-                                category=RuntimeWarning)
-        return tm.continuity_solve(F, g, cfg)
+from conftest import record_acceptance, solve_quietly
 
 
 def test_criterion_1_identity_suite(suite_report):
@@ -44,34 +33,9 @@ def test_criterion_2_geometry_suite(suite_report):
     assert elapsed < 30.0
 
 
-def _manufactured_case(n, N):
-    grid = tm.Grid(n=n, N=N)
-    g = tm.flat_metric(grid)
-    phi_star = (tm.manufactured_potential_n1(grid) if n == 1
-                else tm.manufactured_potential_n2(grid))
-    F = tm.manufactured_forcing(g, phi_star)
-    start = time.perf_counter()
-    result = _solve(F, g, tm.SolverConfig(n=n, N=N))
-    elapsed = time.perf_counter() - start
-    err = float(np.max(np.abs(result.phi.values.real - phi_star.values.real)))
-    return result, err, elapsed
-
-
-@pytest.fixture(scope="module")
-def manufactured_solve():
-    """_manufactured_case(n, N), solved once per module for criteria 3, 4 and 7."""
-    cases = {}
-
-    def get(n, N):
-        if (n, N) not in cases:
-            cases[(n, N)] = _manufactured_case(n, N)
-        return cases[(n, N)]
-
-    return get
-
-
 def test_criterion_3_manufactured_n1(manufactured_solve):
-    result, err, elapsed = manufactured_solve(1, 64)
+    case = manufactured_solve(1, 64)
+    result, err, elapsed = case.result, case.error, case.elapsed_s
     eig_min_path = min(s.eig_min for s in result.trace.steps)
     ok = (err <= 1e-8 and result.t_reached == 1.0
           and eig_min_path > 0.4 and elapsed < 60.0)
@@ -89,7 +53,8 @@ def test_criterion_3_manufactured_n1(manufactured_solve):
 
 
 def test_criterion_4_manufactured_n2(manufactured_solve):
-    result, err, elapsed = manufactured_solve(2, 16)
+    case = manufactured_solve(2, 16)
+    result, err, elapsed = case.result, case.error, case.elapsed_s
     eig_min_path = min(s.eig_min for s in result.trace.steps)
     ok = (err <= 1e-6 and result.t_reached == 1.0
           and eig_min_path > 0.4 and elapsed < 600.0)
@@ -101,15 +66,6 @@ def test_criterion_4_manufactured_n2(manufactured_solve):
     assert result.t_reached == 1.0
     assert eig_min_path > 0.4
     assert elapsed < 600.0
-
-
-@pytest.fixture(scope="module")
-def poisson_solve():
-    """(g, F, result) of the default Poisson n=1 N=64 solve, shared by criteria 5, 6, 7, 11."""
-    grid = tm.Grid(n=1, N=64)
-    g = tm.flat_metric(grid)
-    F = tm.poisson_forcing_n1(grid)
-    return g, F, _solve(F, g, tm.SolverConfig(n=1, N=64))
 
 
 def test_criterion_5_poisson_oracle_match(poisson_solve):
@@ -124,8 +80,8 @@ def test_criterion_5_poisson_oracle_match(poisson_solve):
 def test_criterion_6_uniqueness(poisson_solve):
     # res_a is the default policy: t_step_initial=0.1, damping_eig_floor=1e-8
     g, F, res_a = poisson_solve
-    res_b = _solve(F, g, tm.SolverConfig(n=1, N=64, t_step_initial=0.05,
-                                         damping_eig_floor=1e-6))
+    res_b = solve_quietly(F, g, tm.SolverConfig(n=1, N=64, t_step_initial=0.05,
+                                                damping_eig_floor=1e-6))
     sup = float(np.max(np.abs(res_a.phi.values.real - res_b.phi.values.real)))
     functional = abs(tm.uniqueness_functional(res_a.phi, res_b.phi, g))
     ok = sup <= 1e-8 and functional <= 1e-9
@@ -141,17 +97,12 @@ def test_criterion_6_uniqueness(poisson_solve):
     ("manufactured", 2, 16, 1e-6),
 ], ids=["poisson-n1", "manufactured-n1", "manufactured-n2"])
 def test_criterion_7_ricci_prescription(case, n, N, tol, manufactured_solve, poisson_solve):
-    grid = tm.Grid(n=n, N=N)
-    g = tm.flat_metric(grid)
     if case == "poisson":
         g, F, result = poisson_solve
     else:
-        phi_star = (tm.manufactured_potential_n1(grid) if n == 1
-                    else tm.manufactured_potential_n2(grid))
-        F = tm.manufactured_forcing(g, phi_star)
-        result, _, _ = manufactured_solve(n, N)
-    gt = tm.metric_from_potential(g, result.phi)
-    resid = tm.ricci_form(gt).mats - tm.ricci_form(g).mats + tm.hermitian_hessian(F).mats
+        solved = manufactured_solve(n, N)
+        g, F, result = solved.g, solved.F, solved.result
+    resid = tm.ricci_form(result.metric).mats - tm.ricci_form(g).mats + tm.hermitian_hessian(F).mats
     sup = float(np.max(np.abs(resid)))
     ok = sup <= tol
     record_acceptance(7, f"Ricci prescription {case} n={n} <= {tol:.0e}",
@@ -161,8 +112,7 @@ def test_criterion_7_ricci_prescription(case, n, N, tol, manufactured_solve, poi
 
 def test_criterion_8_ricci_flat_recovery(ricci_flat_solve):
     g, result = ricci_flat_solve
-    gt = tm.metric_from_potential(g, result.phi)
-    dev = float(np.max(np.abs(gt.mats - tm.flat_metric(g.grid).mats)))
+    dev = float(np.max(np.abs(result.metric.mats - tm.flat_metric(g.grid).mats)))
     ok = dev <= 1e-7
     record_acceptance(8, "Ricci-flat recovery n=2 N=16 <= 1e-7", ok, f"sup {dev:.2e}")
     assert ok
@@ -173,7 +123,7 @@ def _taylor_remainder(h):
     g = tm.flat_metric(grid)
     phi = tm.verification._admissible_potential(grid, seed=31, perturbation=0.3)
     psi = tm.verification._admissible_potential(grid, seed=32, perturbation=0.3)
-    F = tm.zero_field(grid)
+    F = tm.make_field(grid, np.zeros(grid.shape))
     lin = tm.linearized_apply(psi, tm.metric_iterate(g, phi))
     rem = (tm.ma_residual(tm.metric_iterate(g, phi + h * psi), F, 1.0)
            - tm.ma_residual(tm.metric_iterate(g, phi), F, 1.0) - h * lin)
@@ -204,7 +154,7 @@ def _analytic_manufactured_error(N):
     phi_star = tm.mean_zero_project(tm.make_field(grid, a * np.exp(s)))
     det_target = 1.0 + a * np.pi ** 2 * (c ** 2 - s) * np.exp(s)
     F = tm.make_field(grid, np.log(det_target))
-    result = _solve(F, tm.flat_metric(grid), tm.SolverConfig(n=1, N=N))
+    result = solve_quietly(F, tm.flat_metric(grid), tm.SolverConfig(n=1, N=N))
     return float(np.max(np.abs(result.phi.values.real - phi_star.values.real)))
 
 
@@ -220,13 +170,12 @@ def test_criterion_10_spectral_convergence():
 
 def test_criterion_11_io_round_trip(tmp_path, poisson_solve):
     g, F, result = poisson_solve
-    gt = tm.metric_from_potential(g, result.phi)
     artifacts_ok = True
     for name, obj, write, read, values in [
         ("phi", result.phi, tm.write_field, tm.read_field,
          lambda o: o.values),
         ("F", F, tm.write_field, tm.read_field, lambda o: o.values),
-        ("metric", gt, tm.write_metric, tm.read_metric, lambda o: o.mats),
+        ("metric", result.metric, tm.write_metric, tm.read_metric, lambda o: o.mats),
     ]:
         path = tmp_path / name
         write(path, obj)

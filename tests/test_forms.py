@@ -54,7 +54,7 @@ class TestDifferentials:
 
 class TestDc:
     def test_constant_maps_to_zero(self, grid):
-        out = tm.d_c(tm.constant_field(grid, 1.5))
+        out = tm.d_c(tm.make_field(grid, np.full(grid.shape, 1.5)))
         assert out.sup_norm() == 0.0
 
     def test_rejects_complex_input(self, grid):

@@ -25,7 +25,7 @@ class TestFieldRoundTrip:
 
     def test_bad_magic_rejected(self, tmp_path, grid):
         path = tmp_path / "f.cmaf"
-        tm.write_field(path, tm.zero_field(grid))
+        tm.write_field(path, tm.make_field(grid, np.zeros(grid.shape)))
         raw = bytearray(path.read_bytes())
         raw[:4] = b"XXXX"
         path.write_bytes(bytes(raw))
@@ -34,7 +34,7 @@ class TestFieldRoundTrip:
 
     def test_truncated_payload_rejected(self, tmp_path, grid):
         path = tmp_path / "f.cmaf"
-        tm.write_field(path, tm.zero_field(grid))
+        tm.write_field(path, tm.make_field(grid, np.zeros(grid.shape)))
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
         with pytest.raises(tm.SnapshotFormatError):
@@ -107,7 +107,7 @@ class TestBadGridHeader:
     # is a SnapshotFormatError (exit 74), not a bare ValueError
     def test_field(self, tmp_path):
         path = tmp_path / "f.cmaf"
-        tm.write_field(path, tm.zero_field(tm.Grid(n=1, N=16)))
+        tm.write_field(path, tm.make_field(tm.Grid(n=1, N=16), np.zeros((16, 16))))
         _bad_grid_header(path)
         with pytest.raises(tm.SnapshotFormatError, match="bad grid"):
             tm.read_field(path)
@@ -121,7 +121,7 @@ class TestBadGridHeader:
 
     def test_cli_solve_exits_74(self, tmp_path, capsys):
         fpath = tmp_path / "F.cmaf"
-        tm.write_field(fpath, tm.zero_field(tm.Grid(n=1, N=16)))
+        tm.write_field(fpath, tm.make_field(tm.Grid(n=1, N=16), np.zeros((16, 16))))
         _bad_grid_header(fpath)
         cfg = _write_config(tmp_path, N=16, F={"path": str(fpath)})
         out = tmp_path / "out"
@@ -206,6 +206,27 @@ class TestExpressions:
         expr = parse_expression("sin(2*pi*x2)")
         with pytest.raises(ExpressionError):
             expr.evaluate(grid)
+
+    def test_long_sum_folds_left_to_right(self):
+        # 3000 terms used to exceed the recursion limit; the sum is one node
+        # folded in a loop, in the order of the old left-nested tree
+        f = parse_expression("+".join(["0.001"] * 3000)).evaluate(tm.Grid(n=1, N=16))
+        expected = 0.001
+        for _ in range(2999):
+            expected = expected + 0.001
+        assert np.all(f.values == expected)
+
+    @pytest.mark.parametrize("count,sign", [(3000, 1.0), (3001, -1.0)])
+    def test_long_unary_minus_chain(self, count, sign):
+        f = parse_expression("-" * count + "0.5").evaluate(tm.Grid(n=1, N=16))
+        assert np.all(f.values == sign * 0.5)
+
+    @pytest.mark.parametrize("opening", ["(", "exp("])
+    def test_nesting_depth_is_bounded(self, opening):
+        limit = tm.expressions.MAX_NESTING
+        assert parse_expression(opening * limit + "0" + ")" * limit)
+        with pytest.raises(ExpressionError, match=f"deeper than {limit} levels"):
+            parse_expression(opening * 3000 + "0" + ")" * 3000)
 
     def test_band_limit_check(self):
         grid = tm.Grid(n=1, N=16)
@@ -302,12 +323,15 @@ class TestCliSolve:
         {"damping_eig_floor": float("inf")},
         {"damping_eig_floor": True},
         {"t_step_initial": "0.5"},
+        {"F": "(" * 3000 + "0" + ")" * 3000},
+        {"F": "exp(" * 3000 + "0" + ")" * 3000},
     ], ids=["not-json", "n3", "N7", "n-bool", "non-positive-background", "F-1e400",
             "F-exp-overflow", "F-snapshot-nan", "F-snapshot-inf",
             "background-snapshot-nan", "background-snapshot-inf",
             "F-snapshot-complex", "background-snapshot-complex", "n2-N1024-over-memory",
             "unknown-key", "removed-key", "newton-tol-bool", "newton-tol-nan",
-            "damping-floor-inf", "damping-floor-bool", "t-step-string"])
+            "damping-floor-inf", "damping-floor-bool", "t-step-string",
+            "F-3000-nested-parentheses", "F-3000-nested-exp"])
     def test_malformed_config_exits_64(self, tmp_path, capsys, overrides):
         if overrides is None:
             path = tmp_path / "bad.json"
@@ -355,6 +379,35 @@ class TestCliSolve:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "damping_eig_floor 2 is above 1," in err and "smallest eigenvalue is 1)" in err, err
         assert not out.exists()
+
+    def test_unclearable_damping_floor_exits_2(self, tmp_path, capsys):
+        # a floor between the background's smallest eigenvalue 0.8026 and the
+        # bound 1 passes the up-front check, but no short t-step clears it
+        path = _write_config(tmp_path, background={"potential": "0.02*cos(2*pi*x1)"},
+                             F="0.1*sin(2*pi*x1)", damping_eig_floor=0.9)
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("solve failed: continuity step underflow below 0.0001 at t=0.0: ")
+        assert err.count("\n") == 1, err
+        assert "smallest eigenvalue 0.802608 is below damping_eig_floor 0.9," in err, err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["converged"] is False and manifest["t_reached"] == 0.0
+
+    def test_3000_term_sum_solves(self, tmp_path):
+        # a constant F: the solution is phi = 0
+        cfg = _write_config(tmp_path, N=16, F="+".join(["0.001"] * 3000))
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        assert tm.read_field(out / "phi.cmaf").sup_norm() <= 1e-10
+
+    def test_3000_minus_chain_solves_as_its_plain_expression(self, tmp_path):
+        outs = []
+        for F in ("-" * 3000 + "0.1*sin(2*pi*x1)", "0.1*sin(2*pi*x1)"):
+            outs.append(tmp_path / f"out{len(outs)}")
+            cfg = _write_config(tmp_path, N=16, F=F)
+            assert cli.main(["solve", "--config", str(cfg), "--out", str(outs[-1])]) == 0
+        assert (outs[0] / "phi.cmaf").read_bytes() == (outs[1] / "phi.cmaf").read_bytes()
 
     def test_over_memory_grid_leaves_no_output_directory(self, tmp_path):
         path = _write_config(tmp_path, n=2, N=1024)

@@ -7,19 +7,7 @@ import torusma as tm
 from torusma import solver
 from torusma.solver import _LinearizedOperator, _pcg
 from torusma.verification import THRESHOLDS
-
-
-def _count_apply_B(monkeypatch):
-    """Count _LinearizedOperator.apply_B calls from here on; returns the list of calls."""
-    calls = []
-    apply_B = _LinearizedOperator.apply_B
-
-    def counting(self, u):
-        calls.append(1)
-        return apply_B(self, u)
-
-    monkeypatch.setattr(_LinearizedOperator, "apply_B", counting)
-    return calls
+from conftest import count_apply_B
 
 
 class TestDtypes:
@@ -27,7 +15,7 @@ class TestDtypes:
 
     def test_det_field(self, grid, small_potential):
         gt = tm.metric_from_potential(tm.flat_metric(grid), small_potential)
-        assert tm.det_field(gt).values.dtype == np.float64
+        assert gt.det.dtype == np.float64
         assert tm.log_det_field(gt).values.dtype == np.float64
 
     def test_residual_and_linear_solve(self, grid, small_potential, rng):
@@ -35,8 +23,7 @@ class TestDtypes:
         F = tm.random_band_limited(grid, rng, kmax=2, real=True, amplitude=0.1)
         r = tm.ma_residual(it, F, 1.0)
         assert r.values.dtype == np.float64
-        cfg = tm.SolverConfig(n=grid.n, N=grid.N)
-        assert tm.solve_linearized(r, it, cfg).values.dtype == np.float64
+        assert tm.solve_linearized(r, it).values.dtype == np.float64
 
     def test_continuity_solve(self, grid, rng):
         F = tm.random_band_limited(grid, rng, kmax=2, real=True, amplitude=0.1)
@@ -48,15 +35,16 @@ class TestDtypes:
         g = tm.metric_from_potential(tm.flat_metric(grid), 0.5 * small_potential)
         it = tm.metric_iterate(g, small_potential)
         assert it.gt.det.dtype == np.float64
-        # det_field, the residual and the operator read the array the metric keeps
-        assert tm.det_field(it.gt).values is it.gt.det
+        # the metric keeps its determinant, and the operator reads the kept array
+        assert it.gt.det is it.gt.det
         assert _LinearizedOperator(it).det_g is g.det
 
 
 class TestConfig:
     def test_defaults_valid(self):
         cfg = tm.SolverConfig()
-        assert cfg.krylov_iter_cap == 10 * 64
+        assert (cfg.n, cfg.N) == (1, 64)
+        assert (cfg.newton_tol, cfg.t_step_initial, cfg.damping_eig_floor) == (1e-11, 0.1, 1e-8)
 
     def test_rejects_nonpositive_tolerances(self):
         with pytest.raises(ValueError):
@@ -83,17 +71,11 @@ class TestConfig:
         assert getattr(tm.SolverConfig(**{name: value}), name) == value
 
     def test_solvers_reject_a_config_for_another_grid(self, rng):
-        # an n=1 N=8 config used to solve this n=2 N=16 problem with a Krylov
-        # cap of 80 instead of 2560
         grid = tm.Grid(n=2, N=16)
         g = tm.flat_metric(grid)
         F = tm.random_band_limited(grid, rng, kmax=2, real=True, amplitude=0.1)
-        cfg = tm.SolverConfig(n=1, N=8)
         with pytest.raises(tm.GridMismatchError):
-            tm.continuity_solve(F, g, cfg)
-        it = tm.metric_iterate(g, tm.zero_field(grid))
-        with pytest.raises(tm.GridMismatchError):
-            tm.solve_linearized(tm.mean_zero_project(F), it, cfg)
+            tm.continuity_solve(F, g, tm.SolverConfig(n=1, N=8))
 
 
 class TestMetricIterate:
@@ -117,9 +99,9 @@ class TestMetricIterate:
         it = tm.metric_iterate(g, small_potential)
         assert len(calls) == 1
         rhs = tm.mean_zero_project(tm.random_band_limited(grid, rng, kmax=2, real=True))
-        r = tm.ma_residual(it, tm.zero_field(grid), 1.0)
+        r = tm.ma_residual(it, tm.make_field(grid, np.zeros(grid.shape)), 1.0)
         tm.linearized_apply(r, it)
-        tm.solve_linearized(rhs, it, tm.SolverConfig(n=grid.n, N=grid.N))
+        tm.solve_linearized(rhs, it)
         assert len(calls) == 1
 
     # ma_residual's rejection is covered by TestResidual
@@ -129,11 +111,10 @@ class TestMetricIterate:
         phi = tm.make_field(grid, 0.2 * np.cos(2 * np.pi * grid.coordinate(0)))
         it = tm.metric_iterate(tm.flat_metric(grid), phi)
         assert it.min_eig < 0
-        zero = tm.zero_field(grid)
+        zero = tm.make_field(grid, np.zeros(grid.shape))
         call = {
             "linearized_apply": lambda: tm.linearized_apply(zero, it),
-            "solve_linearized": lambda: tm.solve_linearized(
-                zero, it, tm.SolverConfig(n=1, N=32)),
+            "solve_linearized": lambda: tm.solve_linearized(zero, it),
         }[consumer]
         with pytest.raises(tm.NonPositiveMetricError):
             call()
@@ -142,7 +123,8 @@ class TestMetricIterate:
 class TestResidual:
     def test_zero_at_trivial_data(self, grid):
         g = tm.flat_metric(grid)
-        r = tm.ma_residual(tm.metric_iterate(g, tm.zero_field(grid)), tm.zero_field(grid), 1.0)
+        zero = tm.make_field(grid, np.zeros(grid.shape))
+        r = tm.ma_residual(tm.metric_iterate(g, zero), zero, 1.0)
         assert r.sup_norm() < 1e-14
 
     def test_zero_at_manufactured_solution(self):
@@ -158,12 +140,12 @@ class TestResidual:
         g = tm.flat_metric(grid)
         phi = tm.make_field(grid, 0.2 * np.cos(2 * np.pi * grid.coordinate(0)))
         with pytest.raises(tm.NonPositiveMetricError):
-            tm.ma_residual(tm.metric_iterate(g, phi), tm.zero_field(grid), 1.0)
+            tm.ma_residual(tm.metric_iterate(g, phi), tm.make_field(grid, np.zeros((32, 32))), 1.0)
 
     def test_discrete_volume_exact_without_nyquist_content(self, grid, small_potential):
         # integral(det g~) = Vol_g holds to rounding when phi has no Nyquist content
         g = tm.flat_metric(grid)
-        det_gt = tm.det_field(tm.metric_iterate(g, small_potential).gt).values.real
+        det_gt = tm.metric_iterate(g, small_potential).gt.det
         assert abs(float(np.mean(det_gt)) - 1.0) <= 1e-14
 
     def test_residual_compatible_despite_nyquist_content(self):
@@ -174,8 +156,8 @@ class TestResidual:
         phi = tm.mean_zero_project(tm.make_field(
             grid, 1e-3 * np.random.default_rng(5).standard_normal(grid.shape)))
         it = tm.metric_iterate(g, phi)
-        assert abs(float(np.mean(tm.det_field(it.gt).values.real)) - 1.0) > 1e-6
-        r = tm.ma_residual(it, tm.zero_field(grid), 1.0)
+        assert abs(float(np.mean(it.gt.det)) - 1.0) > 1e-6
+        r = tm.ma_residual(it, tm.make_field(grid, np.zeros(grid.shape)), 1.0)
         assert abs(float(np.mean(r.values.real))) <= 1e-15
 
     def test_residual_integral_vanishes(self, grid, small_potential, random_real_field):
@@ -184,7 +166,7 @@ class TestResidual:
         g = tm.flat_metric(grid)
         F = tm.mean_zero_project(random_real_field)
         r = tm.ma_residual(tm.metric_iterate(g, small_potential), F, 0.7)
-        weighted = float(np.mean(r.values.real * tm.det_field(g).values.real))
+        weighted = float(np.mean(r.values.real * g.det))
         assert abs(weighted) <= 1e-12
 
 
@@ -192,7 +174,8 @@ class TestLinearization:
     def test_flat_zero_potential_is_quarter_laplacian(self, grid, random_real_field):
         g = tm.flat_metric(grid)
         psi = random_real_field
-        out = tm.linearized_apply(psi, tm.metric_iterate(g, tm.zero_field(grid)))
+        zero = tm.make_field(grid, np.zeros(grid.shape))
+        out = tm.linearized_apply(psi, tm.metric_iterate(g, zero))
         quarter = 0.25 * sum(
             tm.second_partial(psi, a, a) for a in range(grid.num_axes)
         )
@@ -201,13 +184,13 @@ class TestLinearization:
     def test_annihilates_constants(self, grid, small_potential):
         g = tm.flat_metric(grid)
         it = tm.metric_iterate(g, small_potential)
-        out = tm.linearized_apply(tm.constant_field(grid, 2.0), it)
+        out = tm.linearized_apply(tm.make_field(grid, np.full(grid.shape, 2.0)), it)
         assert out.sup_norm() < 1e-11
 
     def test_image_has_zero_weighted_mean(self, grid, small_potential, random_real_field):
         g = tm.flat_metric(grid)
         out = tm.linearized_apply(random_real_field, tm.metric_iterate(g, small_potential))
-        weighted = float(np.mean(out.values.real * tm.det_field(g).values.real))
+        weighted = float(np.mean(out.values.real * g.det))
         assert abs(weighted) <= 1e-12
 
     @pytest.mark.parametrize("n,N", [(1, 32), (2, 16)], ids=["n1", "n2"])
@@ -239,7 +222,7 @@ class TestLinearization:
         # complex dimension 2, so the central difference has no truncation
         # term at all and matches the linearization at roundoff level
         grid, g, phi, psi = self._linearization_case()
-        F = tm.zero_field(grid)
+        F = tm.make_field(grid, np.zeros(grid.shape))
         h = 1e-3
         plus = tm.ma_residual(tm.metric_iterate(g, phi + h * psi), F, 1.0)
         minus = tm.ma_residual(tm.metric_iterate(g, phi - h * psi), F, 1.0)
@@ -250,7 +233,7 @@ class TestLinearization:
     @classmethod
     def _taylor_remainder(cls, h: float) -> float:
         grid, g, phi, psi = cls._linearization_case()
-        F = tm.zero_field(grid)
+        F = tm.make_field(grid, np.zeros(grid.shape))
         lin = tm.linearized_apply(psi, tm.metric_iterate(g, phi))
         rem = (
             tm.ma_residual(tm.metric_iterate(g, phi + h * psi), F, 1.0)
@@ -272,10 +255,9 @@ class TestLinearSolve:
         g = tm.flat_metric(grid)
         rhs = tm.mean_zero_project(tm.random_band_limited(grid, rng, kmax=2, real=True))
         # project rhs onto the compatible subspace for this operator
-        cfg = tm.SolverConfig(n=grid.n, N=grid.N)
-        psi = tm.solve_linearized(rhs, tm.metric_iterate(g, small_potential), cfg)
+        psi = tm.solve_linearized(rhs, tm.metric_iterate(g, small_potential))
         back = tm.linearized_apply(psi, tm.metric_iterate(g, small_potential))
-        det_g = tm.det_field(g).values.real
+        det_g = g.det
         target = rhs.values.real - np.mean(rhs.values.real * det_g) / np.mean(det_g)
         assert np.max(np.abs(back.values.real - target)) <= 1e-9
 
@@ -286,9 +268,8 @@ class TestLinearSolve:
         g = tm.flat_metric(grid)
         it = tm.metric_iterate(g, small_potential)
         rhs = tm.mean_zero_project(tm.random_band_limited(grid, rng, kmax=2, real=True))
-        cfg = tm.SolverConfig(n=grid.n, N=grid.N)
-        psi = tm.solve_linearized(rhs, it, cfg, tol=tol)
-        det_g = tm.det_field(g).values.real
+        psi = tm.solve_linearized(rhs, it, tol=tol)
+        det_g = g.det
         target = rhs.values.real - np.mean(rhs.values.real * det_g) / np.mean(det_g)
         achieved = np.max(np.abs(tm.linearized_apply(psi, it).values.real - target))
         eta = solver.KRYLOV_TOL if tol is None else tol
@@ -298,14 +279,26 @@ class TestLinearSolve:
         grid = tm.Grid(n=2, N=16)
         it = tm.metric_iterate(tm.flat_metric(grid), tm.manufactured_potential_n2(grid))
         rhs = tm.mean_zero_project(tm.random_band_limited(grid, rng, kmax=2, real=True))
-        cfg = tm.SolverConfig(n=2, N=16)
-        calls = _count_apply_B(monkeypatch)
+        calls = count_apply_B(monkeypatch)
         counts = []
         for tol in (None, 1e-6, 1e-3, 1e-1):
             calls.clear()
-            tm.solve_linearized(rhs, it, cfg, tol=tol)
+            tm.solve_linearized(rhs, it, tol=tol)
             counts.append(len(calls))
         assert counts == sorted(counts, reverse=True) and counts[-1] < counts[0]
+
+    def test_krylov_cap_is_read_from_the_grid(self, grid, small_potential, rng, monkeypatch):
+        caps = []
+        pcg = solver._pcg
+
+        def spy(op, rhs, tol, max_iter):
+            caps.append(max_iter)
+            return pcg(op, rhs, tol, max_iter)
+
+        monkeypatch.setattr(solver, "_pcg", spy)
+        rhs = tm.mean_zero_project(tm.random_band_limited(grid, rng, kmax=2, real=True))
+        tm.solve_linearized(rhs, tm.metric_iterate(tm.flat_metric(grid), small_potential))
+        assert caps == [10 * grid.N ** grid.n]
 
     @pytest.mark.parametrize("fault", ["zero-preconditioner", "indefinite-operator"])
     def test_breakdown_raises_krylov_error(self, grid, small_potential, rng, fault):
@@ -322,8 +315,7 @@ class TestLinearSolve:
     def test_solution_is_mean_zero(self, grid, small_potential, rng):
         g = tm.flat_metric(grid)
         rhs = tm.mean_zero_project(tm.random_band_limited(grid, rng, kmax=2, real=True))
-        cfg = tm.SolverConfig(n=grid.n, N=grid.N)
-        psi = tm.solve_linearized(rhs, tm.metric_iterate(g, small_potential), cfg)
+        psi = tm.solve_linearized(rhs, tm.metric_iterate(g, small_potential))
         assert abs(np.mean(psi.values)) < 1e-12
 
 
@@ -331,26 +323,20 @@ class TestContinuitySolve:
     def test_trivial_forcing_gives_zero(self, grid):
         g = tm.flat_metric(grid)
         cfg = tm.SolverConfig(n=grid.n, N=grid.N)
-        result = tm.continuity_solve(tm.zero_field(grid), g, cfg)
+        result = tm.continuity_solve(tm.make_field(grid, np.zeros(grid.shape)), g, cfg)
         assert result.converged
         assert result.t_reached == 1.0
         assert result.phi.sup_norm() < 1e-12
 
-    def test_trace_is_monotone_and_reaches_one(self):
-        grid = tm.Grid(n=1, N=64)
-        g = tm.flat_metric(grid)
-        F = tm.poisson_forcing_n1(grid)
-        result = tm.continuity_solve(F, g, tm.SolverConfig(n=1, N=64))
+    def test_trace_is_monotone_and_reaches_one(self, poisson_solve):
+        _, _, result = poisson_solve
         ts = [s.t for s in result.trace.steps]
         assert ts == sorted(ts)
         assert ts[-1] == 1.0
         assert all(s.residual_sup <= 1e-11 for s in result.trace.steps)
 
-    def test_solution_mean_zero(self):
-        grid = tm.Grid(n=1, N=64)
-        g = tm.flat_metric(grid)
-        F = tm.poisson_forcing_n1(grid)
-        result = tm.continuity_solve(F, g, tm.SolverConfig(n=1, N=64))
+    def test_solution_mean_zero(self, poisson_solve):
+        _, _, result = poisson_solve
         assert abs(np.mean(result.phi.values)) < 1e-12
 
     # the manufactured forcing log det(g~) is not band-limited
@@ -369,33 +355,32 @@ class TestContinuitySolve:
         eig_min_path = min(s.eig_min for s in result.trace.steps)
         assert eig_min_path == pytest.approx(1 - 0.1 * np.pi ** 2, abs=1e-3)
 
-    # the manufactured forcing log det(g~) is not band-limited
-    @pytest.mark.filterwarnings("ignore:F carries significant spectral content")
-    def test_forcing_terms_cut_krylov_work(self, monkeypatch):
+    def test_forcing_terms_cut_krylov_work(self, manufactured_solve):
         # each correction is solved only as accurately as its Newton step
         # needs; solving every one to KRYLOV_TOL took 310 apply_B calls
-        grid = tm.Grid(n=2, N=16)
-        g = tm.flat_metric(grid)
-        F = tm.manufactured_forcing(g, tm.manufactured_potential_n2(grid))
-        cfg = tm.SolverConfig(n=2, N=16)
-        calls = _count_apply_B(monkeypatch)
-        result = tm.continuity_solve(F, g, cfg)
-        assert result.converged
-        assert len(calls) <= 120
-        assert all(s.residual_sup <= cfg.newton_tol for s in result.trace.steps)
+        solved = manufactured_solve(2, 16)
+        assert solved.result.converged
+        assert solved.apply_B_calls <= 120
+        newton_tol = tm.SolverConfig(n=2, N=16).newton_tol
+        assert all(s.residual_sup <= newton_tol for s in solved.result.trace.steps)
 
-    @pytest.mark.filterwarnings("ignore:F carries significant spectral content")
-    def test_secant_predictor_cuts_newton_work(self, monkeypatch):
+    def test_secant_predictor_cuts_newton_work(self, manufactured_solve):
         # each t-step starts from the secant through the last two accepted
         # potentials; cold restarts took 23 Newton iterations and 96 apply_B calls
-        grid = tm.Grid(n=2, N=16)
-        g = tm.flat_metric(grid)
-        F = tm.manufactured_forcing(g, tm.manufactured_potential_n2(grid))
-        calls = _count_apply_B(monkeypatch)
-        result = tm.continuity_solve(F, g, tm.SolverConfig(n=2, N=16))
-        assert result.converged
-        assert len(calls) <= 85
-        assert sum(s.newton_iters for s in result.trace.steps) <= 18
+        solved = manufactured_solve(2, 16)
+        assert solved.result.converged
+        assert solved.apply_B_calls <= 85
+        assert sum(s.newton_iters for s in solved.result.trace.steps) <= 18
+
+    @pytest.mark.parametrize("solve", ["poisson_solve", "ricci_flat_solve"],
+                             ids=["poisson-n1", "ricci-flat-n2"])
+    def test_result_metric_is_that_of_the_result_potential(self, solve, request):
+        # callers read result.metric instead of forming g + ddbar phi again
+        g, *_, result = request.getfixturevalue(solve)
+        again = tm.metric_from_potential(g, result.phi)
+        assert result.metric.diag.tobytes() == again.diag.tobytes()
+        if g.grid.n == 2:
+            assert result.metric.off.tobytes() == again.off.tobytes()
 
     @pytest.mark.filterwarnings("ignore:F carries significant spectral content")
     def test_near_degenerate_manufactured_n2(self):
@@ -433,11 +418,19 @@ class TestContinuitySolve:
         grid = tm.Grid(n=1, N=16)
         F = tm.make_field(grid, 0.1 * np.sin(2 * np.pi * grid.coordinate(0)))
         cfg = tm.SolverConfig(n=1, N=16, damping_eig_floor=2.0)
-        calls = _count_apply_B(monkeypatch)
+        calls = count_apply_B(monkeypatch)
         with pytest.raises(tm.NonPositiveMetricError,
                            match=r"damping_eig_floor 2 is above 1, .* smallest eigenvalue is 1\)"):
             tm.continuity_solve(F, tm.flat_metric(grid), cfg)
         assert calls == []
+
+    @staticmethod
+    def _floor_case():
+        """(g, F) at n=1 N=32: g = flat + ddbar(0.02 cos(2 pi x1)), F = -log det g."""
+        grid = tm.Grid(n=1, N=32)
+        g = tm.metric_from_potential(
+            tm.flat_metric(grid), tm.make_field(grid, 0.02 * np.cos(2 * np.pi * grid.coordinate(0))))
+        return g, tm.make_field(grid, -np.log(g.diag[0]))
 
     # F = -log det g is not band-limited
     @pytest.mark.filterwarnings("ignore:F carries significant spectral content")
@@ -445,10 +438,7 @@ class TestContinuitySolve:
         # n = 1, F = -log g: the path metric is C_t g^(1-t), whose smallest
         # eigenvalue rises from min(g) to mean(g) = mean(tr g)/n at t = 1, so a
         # floor between the two is met by one full step and one above is not
-        grid = tm.Grid(n=1, N=32)
-        g = tm.metric_from_potential(
-            tm.flat_metric(grid), tm.make_field(grid, 0.02 * np.cos(2 * np.pi * grid.coordinate(0))))
-        F = tm.make_field(grid, -np.log(g.diag[0]))
+        g, F = self._floor_case()
         lo, bound = tm.positivity_check(g), float(np.mean(g.diag))
         assert bound - lo > 0.1
         floor = 0.5 * (lo + bound)
@@ -458,12 +448,25 @@ class TestContinuitySolve:
         with pytest.raises(tm.NonPositiveMetricError, match="damping_eig_floor"):
             tm.continuity_solve(F, g, dataclasses.replace(cfg, damping_eig_floor=bound + 1e-6))
 
+    @pytest.mark.filterwarnings("ignore:F carries significant spectral content")
+    def test_underflow_names_the_damping_floor(self):
+        # the same problem with floor 0.9, between the background's smallest
+        # eigenvalue 0.8026 and the bound 1: from the default t_step_initial every
+        # shorter step keeps g~ near g, so each is rejected until the step underflows
+        g, F = self._floor_case()
+        result = tm.continuity_solve(F, g, tm.SolverConfig(n=1, N=32, damping_eig_floor=0.9))
+        assert not result.converged and result.t_reached == 0.0
+        assert result.message.startswith("continuity step underflow below 0.0001 at t=0.0: ")
+        lo = tm.positivity_check(g)
+        assert f"smallest eigenvalue {lo:.6g} is below damping_eig_floor 0.9," in result.message
+
     def test_rejects_non_positive_background(self):
         grid = tm.Grid(n=1, N=32)
         phi = tm.make_field(grid, 0.2 * np.cos(2 * np.pi * grid.coordinate(0)))
         bad = tm.flat_metric(grid) + tm.hermitian_hessian(phi)
         with pytest.raises(tm.NonPositiveMetricError):
-            tm.continuity_solve(tm.zero_field(grid), bad, tm.SolverConfig(n=1, N=32))
+            tm.continuity_solve(tm.make_field(grid, np.zeros(grid.shape)), bad,
+                                tm.SolverConfig(n=1, N=32))
 
     def test_under_resolved_forcing_warns(self):
         grid = tm.Grid(n=1, N=16)
@@ -495,7 +498,7 @@ class TestSecantPredictor:
         x1, y2 = grid.coordinate(0), grid.coordinate(3)
         F = tm.make_field(grid, 0.5 * np.sin(2 * np.pi * x1) * np.cos(2 * np.pi * y2))
         cfg = tm.SolverConfig(n=2, N=8)
-        it = tm.metric_iterate(tm.flat_metric(grid), tm.zero_field(grid))
+        it = tm.metric_iterate(tm.flat_metric(grid), tm.make_field(grid, np.zeros(grid.shape)))
         it, _, _ = solver._newton_at_t(it, F, 0.2, cfg)
         return F, cfg, it
 
@@ -542,7 +545,8 @@ class TestSecantPredictor:
 
 class TestYauReport:
     def test_zero_potential(self, grid):
-        rep = tm.yau_estimate_report(tm.metric_iterate(tm.flat_metric(grid), tm.zero_field(grid)))
+        zero = tm.make_field(grid, np.zeros(grid.shape))
+        rep = tm.yau_estimate_report(tm.metric_iterate(tm.flat_metric(grid), zero))
         assert rep["sup_phi"] == 0.0
         assert rep["eig_min"] == pytest.approx(1.0)
         assert rep["eig_max"] == pytest.approx(1.0)
