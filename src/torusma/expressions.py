@@ -34,6 +34,7 @@ class ExpressionError(ValueError):
 
 
 MAX_NESTING = 50  # levels of parentheses and exp(...) an expression may nest
+EXCERPT_CHARS = 80  # an error quotes at most this much of the text
 
 
 _TOKEN_RE = re.compile(
@@ -43,20 +44,36 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
+def _where(text: str, pos: int) -> str:
+    """pos, and the quoted text around it: at most EXCERPT_CHARS characters, so
+    that an error in a long expression stays one short line."""
+    start = max(0, min(pos - EXCERPT_CHARS // 2, len(text) - EXCERPT_CHARS))
+    stop = start + EXCERPT_CHARS
+    excerpt = repr(text[start:stop])
+    if start > 0:
+        excerpt = "..." + excerpt
+    if stop < len(text):
+        excerpt += "..."
+    return f"at position {pos} in {excerpt}"
+
+
+def _tokenize(text: str) -> tuple[list[tuple[str, str]], list[int]]:
+    """The (kind, value) tokens of text, ending in ("end", ""), and where each starts."""
+    tokens, starts = [], []
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None or m.end() == pos:
-            raise ExpressionError(f"unexpected character at position {pos}: {text[pos:]!r}")
+            raise ExpressionError(f"unexpected character {_where(text, pos)}")
         pos = m.end()
         for kind in ("num", "name", "op"):
             if m.group(kind) is not None:
                 tokens.append((kind, m.group(kind)))
+                starts.append(m.start(kind))
                 break
     tokens.append(("end", ""))
-    return tokens
+    starts.append(len(text))
+    return tokens, starts
 
 
 @dataclass
@@ -77,7 +94,7 @@ class Expression:
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens, self.starts = _tokenize(text)
         self.pos = 0
         self.max_harmonic = 0
         self.depth = 0
@@ -85,19 +102,23 @@ class _Parser:
     def peek(self):
         return self.tokens[self.pos]
 
+    def error(self, message: str) -> ExpressionError:
+        """message, placed at the current token."""
+        return ExpressionError(f"{message} {_where(self.text, self.starts[self.pos])}")
+
     def take(self, kind=None, value=None):
         tok = self.tokens[self.pos]
         if kind is not None and tok[0] != kind:
-            raise ExpressionError(f"expected {kind}, got {tok[1]!r} in {self.text!r}")
+            raise self.error(f"expected {kind}, got {tok[1]!r}")
         if value is not None and tok[1] != value:
-            raise ExpressionError(f"expected {value!r}, got {tok[1]!r} in {self.text!r}")
+            raise self.error(f"expected {value!r}, got {tok[1]!r}")
         self.pos += 1
         return tok
 
     def parse(self):
         node = self.expr()
         if self.peek()[0] != "end":
-            raise ExpressionError(f"trailing input {self.peek()[1]!r} in {self.text!r}")
+            raise self.error(f"trailing input {self.peek()[1]!r}")
         return node
 
     def expr(self):
@@ -149,8 +170,8 @@ class _Parser:
                 self.take()
                 self.take("op", "(")
                 return ("exp", self.nested())
-            raise ExpressionError(f"unknown name {value!r} in {self.text!r}")
-        raise ExpressionError(f"unexpected token {value!r} in {self.text!r}")
+            raise self.error(f"unknown name {value!r}")
+        raise self.error(f"unexpected token {value!r}")
 
     def trig(self):
         func = self.take("name")[1]

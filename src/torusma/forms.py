@@ -123,7 +123,9 @@ class FormSum:
     parts: dict[tuple[int, int], PqForm]
 
     def part(self, p: int, q: int) -> PqForm:
-        return self.parts.get((p, q), zero_form(self.grid, p, q))
+        if (p, q) in self.parts:
+            return self.parts[p, q]
+        return zero_form(self.grid, p, q)
 
     def sup_norm(self) -> float:
         return max((f.sup_norm() for f in self.parts.values()), default=0.0)
@@ -157,8 +159,11 @@ def _dolbeault(alpha: PqForm) -> tuple[PqForm, PqForm]:
         for j in range(grid.n):
             if j in J and j in K:
                 continue
+            # the halves of d/dz^j = (d_x - i d_y) / 2, scaled exactly by a power of two
             fx = grid.derivative(arr, 2 * j)
-            ify = np.multiply(1j, grid.derivative(arr, 2 * j + 1))
+            fx *= 0.5
+            ify = grid.derivative(arr, 2 * j + 1)
+            ify *= 0.5j
             if j not in J:
                 merged, sign = merge_sign((j,), J)
                 # fx is still needed below when j is not in K
@@ -173,16 +178,19 @@ def _dolbeault(alpha: PqForm) -> tuple[PqForm, PqForm]:
 
 
 def _accumulate(comps: dict, key: tuple[Index, Index], value: np.ndarray, sign: int) -> None:
-    """comps[key] += sign * (0.5 * value), rounded as written; value is overwritten.
+    """comps[key] += sign * value, with the sign applied exactly; value is overwritten.
 
-    A component's first term becomes its array; adding 0.0 rounds it as a zero array would.
+    A component's first term becomes its array; 0.0 + value rounds it as a zero array would.
     """
-    np.multiply(0.5, value, out=value)
-    np.multiply(sign, value, out=value)
     if key in comps:
-        comps[key] += value
-    else:
+        if sign > 0:
+            comps[key] += value
+        else:
+            comps[key] -= value
+    elif sign > 0:
         comps[key] = np.add(value, 0.0, out=value)
+    else:
+        comps[key] = np.subtract(0.0, value, out=value)
 
 
 def del_(alpha: PqForm) -> PqForm:

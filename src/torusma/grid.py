@@ -332,20 +332,36 @@ def random_band_limited(
     real: bool = True,
     amplitude: float = 1.0,
 ) -> PeriodicScalarField:
-    """Random smooth field with spectral support |k_a| <= kmax on every axis."""
+    """Random smooth field with spectral support |k_a| <= kmax on every axis.
+
+    The (2 kmax + 1)^(2n) block of complex normal coefficients is summed
+    against exp(2 pi i k x) one axis at a time, one matrix product per axis,
+    so no N^(2n) spectrum is padded or transformed.  A real field is the real
+    part of that sum, taken in the last axis's product.  The result is scaled
+    to sup |f| = amplitude.
+    """
     if kmax >= grid.N // 2:
         raise ValueError("kmax must stay below the Nyquist mode")
-    spec = np.zeros(grid.shape, dtype=complex)
-    modes = np.r_[0 : kmax + 1, -kmax:0]
-    mesh = np.ix_(*([modes] * grid.num_axes))
-    block = rng.standard_normal([2 * kmax + 1] * grid.num_axes) + 1j * rng.standard_normal(
-        [2 * kmax + 1] * grid.num_axes
+    K, N = 2 * kmax + 1, grid.N
+    vals = rng.standard_normal([K] * grid.num_axes) + 1j * rng.standard_normal(
+        [K] * grid.num_axes
     )
-    spec[mesh] = block
-    vals = np.fft.ifftn(spec) * grid.num_points
+    modes = np.r_[0 : kmax + 1, -kmax:0]
+    # waves[k, j] = exp(2 pi i modes[k] j / N), the phase reduced mod N in integers
+    waves = np.exp(2j * np.pi * (np.outer(modes, np.arange(N)) % N) / N)
+    for axis in range(grid.num_axes - 1):
+        # axes before ``axis`` are summed already; each product writes a C-order array
+        vals = np.matmul(waves.T, vals.reshape(N ** axis, K, -1))
+    vals = vals.reshape(-1, K)
     if real:
-        vals = vals.real
-    sup = np.max(np.abs(vals))
+        # Re sum_k c_k e^(ikx) = sum_k (Re c_k cos kx - Im c_k sin kx); the float
+        # view interleaves Re c_k and Im c_k, so the rows interleave cos and -sin
+        rows = np.stack([waves.real, -waves.imag], axis=1).reshape(2 * K, N)
+        vals = vals.view(np.float64) @ rows
+        sup = max(vals.max(), -vals.min())
+    else:
+        vals = vals @ waves
+        sup = np.max(np.abs(vals))
     if sup > 0:
-        vals = vals * (amplitude / sup)
-    return make_field(grid, vals)
+        vals *= amplitude / sup
+    return make_field(grid, vals.reshape(grid.shape))

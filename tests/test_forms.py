@@ -47,6 +47,11 @@ class TestDifferentials:
         assert d.part(1, 1).sup_norm() == tm.del_(alpha).sup_norm()
         assert d.part(0, 2).sup_norm() == tm.delbar(alpha).sup_norm()
 
+    def test_part_returns_the_stored_form(self, grid, rng):
+        d = tm.exterior_d(_random_form(grid, 0, 0, rng))
+        assert d.part(1, 0) is d.parts[1, 0]
+        assert d.part(1, 1).sup_norm() == 0.0  # an absent bidegree reads as zero
+
     def test_d_of_flat_kahler_form_vanishes(self, grid):
         omega = tm.kahler_form(tm.flat_metric(grid))
         assert tm.d_sum(tm.form_sum([omega])).sup_norm() == 0.0

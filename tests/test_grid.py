@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,71 @@ class TestFieldConstruction:
         a = tm.random_band_limited(grid, np.random.default_rng(7), kmax=2, real=True)
         b = tm.random_band_limited(grid, np.random.default_rng(7), kmax=2, real=True)
         assert np.array_equal(a.values, b.values)
+
+
+def _draw_block(grid, rng, kmax):
+    shape = [2 * kmax + 1] * grid.num_axes
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _zero_padded_reference(grid, rng, kmax, real):
+    """The band-limited field as the inverse transform of its zero-padded spectrum."""
+    modes = np.r_[0 : kmax + 1, -kmax:0]
+    spec = np.zeros(grid.shape, dtype=complex)
+    spec[np.ix_(*([modes] * grid.num_axes))] = _draw_block(grid, rng, kmax)
+    vals = np.fft.ifftn(spec) * grid.num_points
+    if real:
+        vals = vals.real
+    return vals / np.max(np.abs(vals))
+
+
+_GENERATOR_CASES = [(n, N, real, kmax) for n, N in ((1, 32), (2, 16), (2, 32))
+                    for real in (True, False) for kmax in (2, 3)]
+
+
+class TestRandomBandLimited:
+    """random_band_limited sums its coefficient block axis by axis."""
+
+    @pytest.mark.parametrize("n,N,real,kmax", _GENERATOR_CASES, ids=[
+        f"n{n}-N{N}-{'real' if real else 'complex'}-k{kmax}"
+        for n, N, real, kmax in _GENERATOR_CASES])
+    def test_matches_zero_padded_transform(self, n, N, real, kmax):
+        grid = tm.Grid(n=n, N=N)
+        f = tm.random_band_limited(grid, np.random.default_rng(5), kmax=kmax, real=real)
+        ref = _zero_padded_reference(grid, np.random.default_rng(5), kmax, real)
+        assert f.values.dtype == (np.float64 if real else np.complex128)
+        assert f.values.flags.c_contiguous
+        assert np.max(np.abs(f.values - ref)) <= 1e-14
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_consumes_the_same_draws(self, grid, real):
+        rng = np.random.default_rng(9)
+        tm.random_band_limited(grid, rng, kmax=3, real=real)
+        ref = np.random.default_rng(9)
+        _draw_block(grid, ref, 3)
+        assert rng.standard_normal() == ref.standard_normal()
+
+    def test_makes_no_transform(self, grid, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.fft called")
+
+        for name in ("fft", "ifft", "fftn", "ifftn", "rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, refuse)
+        for real in (True, False):
+            tm.random_band_limited(grid, np.random.default_rng(1), kmax=3, real=real)
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_peak_memory(self, real):
+        # the zero-padded spectrum and its ifftn peaked at 6.0x (real) and 3.0x (complex)
+        grid = tm.Grid(n=2, N=32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            f = tm.random_band_limited(grid, np.random.default_rng(1), kmax=3, real=real)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * f.values.nbytes, peak / f.values.nbytes
 
 
 class TestFiniteDifferenceCrossCheck:

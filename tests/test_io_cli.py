@@ -228,6 +228,14 @@ class TestExpressions:
         with pytest.raises(ExpressionError, match=f"deeper than {limit} levels"):
             parse_expression(opening * 3000 + "0" + ")" * 3000)
 
+    def test_error_quotes_an_excerpt_and_the_position(self):
+        text = "+".join(["0.001"] * 3000) + ")"
+        with pytest.raises(ExpressionError) as info:
+            parse_expression(text)
+        message = str(info.value)
+        assert f"at position {len(text) - 1}" in message
+        assert "0.001)" in message and len(message) < 200, message
+
     def test_band_limit_check(self):
         grid = tm.Grid(n=1, N=16)
         assert parse_expression("sin(2*pi*4*x1)").band_limited(grid)
@@ -393,6 +401,13 @@ class TestCliSolve:
         assert "smallest eigenvalue 0.802608 is below damping_eig_floor 0.9," in err, err
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["converged"] is False and manifest["t_reached"] == 0.0
+
+    def test_long_expression_error_is_one_short_line(self, tmp_path, capsys):
+        # the message used to quote the whole 18 KB expression
+        cfg = _write_config(tmp_path, F="+".join(["0.001"] * 3000) + ")")
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 300, err
 
     def test_3000_term_sum_solves(self, tmp_path):
         # a constant F: the solution is phi = 0

@@ -36,6 +36,12 @@ class TestRunSuite:
         report = suite_report("geometry")
         assert report.passed == all(c.passed for c in report.checks)
 
+    def test_d_squared_is_the_max_of_its_parts(self, suite_report):
+        # d^2 of a (p,q)-form has only the del^2, delbar^2 and anticommutator parts
+        values = {c.name: c.value for c in suite_report("identities").checks}
+        assert values["identities.d_squared"] == max(
+            values[f"identities.{k}"] for k in ("del_squared", "delbar_squared", "anticommutator"))
+
     @pytest.mark.parametrize("name", ["geometry", "uniqueness", "poisson_n1"])
     def test_cheap_suites_pass(self, name, suite_report):
         assert suite_report(name).passed
