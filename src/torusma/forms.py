@@ -70,6 +70,8 @@ class PqForm:
         for arr in self.components.values():
             if arr.shape != self.grid.shape:
                 raise ValueError("component array shape does not match the grid")
+            if arr.dtype != np.complex128:
+                raise ValueError(f"component arrays must be complex128, got {arr.dtype}")
 
     def component(self, J: Index, K: Index) -> np.ndarray:
         return self.components[(tuple(J), tuple(K))]

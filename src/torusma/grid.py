@@ -14,12 +14,19 @@ decides its realness: float64 samples make a real field, complex128 samples a
 complex one.
 
 Whole real fields are transformed by Grid.rfftn/irfftn and multiplied by
-half-spectrum symbols; every solve path uses this seam.  A derivative along
-one axis (Grid.derivative, second_partial and, through them, partial_z,
-partial_zbar and the forms layer) is instead a product with the
-real N x N Fourier differentiation matrix of that axis, the same operator as the symbol
-(Trefethen, Spectral Methods in MATLAB, 2000, ch. 3): O(N) work per point and
-one BLAS matrix product per call, which for N <= 32 beats a 1-D FFT pair.
+half-spectrum symbols; every solve path uses this seam.  The seam has two
+algorithms, chosen by N.  For N <= MATRIX_DFT_MAX_N (32) a transform is one
+BLAS product per axis with a cached DFT matrix (dft_matrices): at such sizes
+a line holds too few points for an FFT's per-line overhead to pay off.  Larger
+grids go to numpy.fft (pocketfft).  Both give the same half spectrum to
+rounding.
+
+A derivative along one axis (Grid.derivative, second_partial and, through
+them, partial_z, partial_zbar and the forms layer) is instead a product with
+the real N x N Fourier differentiation matrix of that axis, the same operator
+as the symbol (Trefethen, Spectral Methods in MATLAB, 2000, ch. 3): O(N) work
+per point and one BLAS matrix product per call, which for N <= 32 beats a 1-D
+FFT pair.
 """
 
 from __future__ import annotations
@@ -27,6 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+# Grids with at most this many points per axis transform by DFT matrix products.
+MATRIX_DFT_MAX_N = 32
 
 
 class GridMismatchError(ValueError):
@@ -89,12 +100,37 @@ class Grid:
         return full[..., : self.N // 2 + 1]
 
     def rfftn(self, u: np.ndarray) -> np.ndarray:
-        """Half spectrum of a real field's samples."""
-        return np.fft.rfftn(u, axes=tuple(range(self.num_axes)))
+        """Half spectrum of a real field's samples.
+
+        For N <= MATRIX_DFT_MAX_N, the real last-axis product comes first and
+        the complex DFTs of the other axes follow (_dft_leading_axes).  The
+        products see the samples less their first sample and then less their
+        mean, and the mean mode is set to the samples' sum: a constant field
+        gives exact zeros off the mean mode, and no large mean adds rounding
+        to the other modes.
+        """
+        if self.N > MATRIX_DFT_MAX_N:
+            return np.fft.rfftn(u, axes=tuple(range(self.num_axes)))
+        R, W, _, _ = self.dft_matrices()
+        v = np.subtract(u, u.flat[0], dtype=float)
+        v -= v.mean()
+        # the float64 product viewed as complex is the half spectrum of every line
+        spec = _dft_leading_axes((v.reshape(-1, self.N) @ R).view(complex), W, self)
+        spec = spec.reshape(self.shape[:-1] + (-1,))
+        spec[(0,) * self.num_axes] = u.sum()
+        return spec
 
     def irfftn(self, spec: np.ndarray) -> np.ndarray:
-        """Real samples of a half spectrum (the inverse of rfftn)."""
-        return np.fft.irfftn(spec, s=self.shape, axes=tuple(range(self.num_axes)))
+        """Real samples of a half spectrum (the inverse of rfftn).
+
+        As in numpy's c2r step, once the other axes are transformed back the
+        imaginary parts of the last axis's wavenumbers 0 and N/2 are ignored.
+        """
+        if self.N > MATRIX_DFT_MAX_N:
+            return np.fft.irfftn(spec, s=self.shape, axes=tuple(range(self.num_axes)))
+        _, _, V, Q = self.dft_matrices()
+        lines = _dft_leading_axes(spec, V, self)
+        return (lines.view(np.float64) @ Q).reshape(self.shape)
 
     def inner(self, U: np.ndarray, V: np.ndarray) -> float:
         """mean(u * v) of two real fields from their half spectra U, V (Parseval)."""
@@ -130,6 +166,12 @@ class Grid:
         if ("axis", order) not in self._cache:
             self._cache["axis", order] = differentiation_matrix(self, order)
         return self._cache["axis", order]
+
+    def dft_matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """rfftn/irfftn's product matrices (R, W, V, Q), built once per grid."""
+        if "dft" not in self._cache:
+            self._cache["dft"] = dft_matrices(self)
+        return self._cache["dft"]
 
 
 @dataclass(frozen=True)
@@ -244,6 +286,62 @@ def differentiation_matrix(grid: Grid, order: int) -> np.ndarray:
     return col[(i[:, None] - i[None, :]) % N]
 
 
+def dft_matrices(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The matrices of Grid.rfftn/irfftn for N <= MATRIX_DFT_MAX_N.
+
+    With c_m = cos(2 pi m / N) and s_m = sin(2 pi m / N), m = jk mod N:
+      R  real N x 2(N/2+1), columns interleaving c and -s: a real line times R,
+         viewed as complex, is its half spectrum;
+      W  complex N x N, W[k, j] = exp(-2 pi i jk / N); V = conj(W) / N inverts it;
+      Q  real 2(N/2+1) x N, rows interleaving w_k c and -w_k s with w_k = 2/N,
+         or 1/N for k = 0 and N/2, whose s rows are zero: the half spectrum's
+         real samples, ignoring the imaginary parts that numpy's c2r ignores.
+    c and s are exact at multiples of N/4 and mirror exactly about N/2.
+    """
+    N, h = grid.N, grid.N // 2
+    t = 2 * np.pi * np.arange(h + 1) / N
+    c, s = np.cos(t), np.sin(t)
+    c[h], s[h] = -1.0, 0.0
+    if N % 4 == 0:
+        c[h // 2], s[h // 2] = 0.0, 1.0
+    c = np.r_[c, c[h - 1:0:-1]]
+    s = np.r_[s, -s[h - 1:0:-1]]
+    m = np.arange(N)
+    phase = np.outer(m, m) % N
+    W = c[phase] - 1j * s[phase]
+    half = phase[: h + 1]
+    R = np.stack([c[half.T], -s[half.T]], axis=-1).reshape(N, 2 * (h + 1))
+    w = np.full((h + 1, 1), 2.0 / N)
+    w[[0, h]] = 1.0 / N
+    Q = np.stack([w * c[half], -w * s[half]], axis=1).reshape(2 * (h + 1), N)
+    return R, W, np.conj(W) / N, Q
+
+
+def _dft_leading_axes(x: np.ndarray, M: np.ndarray, grid: Grid) -> np.ndarray:
+    """The symmetric N x N matrix M applied along every axis of x but the last.
+
+    x has the half-spectrum shape.  Each pass is one BLAS product with a
+    transposed view, which transforms the first axis and moves it last; a
+    product along a middle axis would instead be one small product per line.
+    After the passes the last axis leads, and one transposing copy puts it
+    back.  Returns the C-ordered (N^(2n-1), N/2+1) array of last-axis lines.
+    """
+    N = grid.N
+    for _ in range(grid.num_axes - 1):
+        x = x.reshape(N, -1).T @ M
+    return np.ascontiguousarray(x.reshape(N // 2 + 1, -1).T)
+
+
+def _product_along_axis(M: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
+    """M applied to every line of x along ``axis`` (not the last): one batched BLAS product.
+
+    The result is C-ordered and has M.shape[0] points along ``axis``.
+    """
+    lead = x.shape[:axis]
+    out = np.matmul(M, x.reshape(int(np.prod(lead)), x.shape[axis], -1))
+    return out.reshape(lead + (M.shape[0],) + x.shape[axis + 1:])
+
+
 def _apply_axis_matrix(grid: Grid, values: np.ndarray, axis: int, order: int) -> np.ndarray:
     """The order-1 or order-2 differentiation matrix applied along ``axis``.
 
@@ -258,7 +356,7 @@ def _apply_axis_matrix(grid: Grid, values: np.ndarray, axis: int, order: int) ->
                         dtype=complex if np.iscomplexobj(values) else float)
     x = lines.view(np.float64)
     if axis < grid.num_axes - 1:
-        out = np.matmul(M, x.reshape(grid.N ** axis, grid.N, -1))
+        out = _product_along_axis(M, x, axis)
     else:
         # on the last axis the parts of a complex sample interleave
         parts = lines.itemsize // 8
@@ -350,8 +448,8 @@ def random_band_limited(
     # waves[k, j] = exp(2 pi i modes[k] j / N), the phase reduced mod N in integers
     waves = np.exp(2j * np.pi * (np.outer(modes, np.arange(N)) % N) / N)
     for axis in range(grid.num_axes - 1):
-        # axes before ``axis`` are summed already; each product writes a C-order array
-        vals = np.matmul(waves.T, vals.reshape(N ** axis, K, -1))
+        # axes before ``axis`` are summed already
+        vals = _product_along_axis(waves.T, vals, axis)
     vals = vals.reshape(-1, K)
     if real:
         # Re sum_k c_k e^(ikx) = sum_k (Re c_k cos kx - Im c_k sin kx); the float

@@ -52,6 +52,12 @@ class TestDifferentials:
         assert d.part(1, 0) is d.parts[1, 0]
         assert d.part(1, 1).sup_norm() == 0.0  # an absent bidegree reads as zero
 
+    def test_rejects_real_components(self):
+        # a float64 component used to fail inside the kernel with numpy's UFuncTypeError
+        grid = tm.Grid(n=1, N=8)
+        with pytest.raises(ValueError, match="float64"):
+            tm.del_(tm.PqForm(grid, 0, 0, {((), ()): np.ones((8, 8))}))
+
     def test_d_of_flat_kahler_form_vanishes(self, grid):
         omega = tm.kahler_form(tm.flat_metric(grid))
         assert tm.d_sum(tm.form_sum([omega])).sup_norm() == 0.0

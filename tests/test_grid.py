@@ -167,6 +167,116 @@ class TestDifferentiationMatrices:
             assert sorted(order for g, order in builds if g is grid) == [1, 2]
 
 
+_MATRIX_CASES = [(n, N) for n in (1, 2) for N in (8, 16, 32)]
+_MATRIX_IDS = [f"n{n}-N{N}" for n, N in _MATRIX_CASES]
+
+
+class TestMatrixTransforms:
+    """Grid.rfftn/irfftn for N <= MATRIX_DFT_MAX_N: one BLAS product per axis."""
+
+    @pytest.mark.parametrize("n,N", _MATRIX_CASES, ids=_MATRIX_IDS)
+    def test_matches_numpy(self, n, N, rng):
+        grid = tm.Grid(n=n, N=N)
+        u = _white_noise(grid, rng, real=True)
+        # a first sample far from the mean: taking it out alone would leave a
+        # large mean in the products, whose rounding spreads to other modes
+        u.flat[0] = 4.0
+        axes = tuple(range(grid.num_axes))
+        ref = np.fft.rfftn(u, axes=axes)
+        assert np.max(np.abs(grid.rfftn(u) - ref)) <= 1e-14 * np.max(np.abs(ref))
+        # complex data of the half-spectrum shape, not the transform of a real field
+        shape = ref.shape
+        spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ref = np.fft.irfftn(spec, s=grid.shape, axes=axes)
+        got = grid.irfftn(spec)
+        assert got.dtype == np.float64 and got.shape == grid.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n,N", _MATRIX_CASES, ids=_MATRIX_IDS)
+    def test_constant_gives_exact_zeros_off_the_mean_mode(self, n, N):
+        grid = tm.Grid(n=n, N=N)
+        spec = grid.rfftn(np.full(grid.shape, 3.7))
+        mean = spec[(0,) * grid.num_axes]
+        assert mean == pytest.approx(3.7 * grid.num_points, rel=1e-15)
+        spec[(0,) * grid.num_axes] = 0.0
+        assert not np.any(spec)
+
+    @pytest.mark.parametrize("n,N", _MATRIX_CASES, ids=_MATRIX_IDS)
+    def test_ignores_imaginary_parts_of_wavenumbers_zero_and_nyquist(self, n, N, rng):
+        # numpy's c2r step drops the imaginary parts of the last axis's columns
+        # k = 0 and N/2 once the other axes are transformed back; i times the
+        # transform of a real array over those axes is such an imaginary part
+        grid = tm.Grid(n=n, N=N)
+        spec = grid.rfftn(_white_noise(grid, rng, real=True))
+        base = grid.irfftn(spec)
+        # on the modes (0, ..., 0, k) they stay imaginary and are dropped exactly
+        shifted = spec.copy()
+        for k in (0, -1):
+            shifted[(0,) * (grid.num_axes - 1) + (k,)] += 2.5j
+        assert np.array_equal(grid.irfftn(shifted), base)
+        shifted = spec.copy()
+        for k in (0, -1):
+            shifted[..., k] += 1j * np.fft.fftn(rng.standard_normal(grid.shape[:-1]))
+        assert np.max(np.abs(grid.irfftn(shifted) - base)) <= 1e-14 * np.max(np.abs(base))
+        ref = np.fft.irfftn(shifted, s=grid.shape, axes=tuple(range(grid.num_axes)))
+        assert np.max(np.abs(ref - base)) <= 1e-14 * np.max(np.abs(base))
+
+    def test_one_build_per_grid(self, monkeypatch, rng):
+        builds = []
+        original = tm.grid.dft_matrices
+
+        def counting(grid):
+            builds.append(grid)
+            return original(grid)
+
+        monkeypatch.setattr(tm.grid, "dft_matrices", counting)
+        grids = [tm.Grid(n=2, N=16), tm.Grid(n=2, N=16), tm.Grid(n=1, N=64)]
+        for grid in grids:
+            for _ in range(2):
+                grid.irfftn(grid.rfftn(_white_noise(grid, rng, real=True)))
+        # the N = 64 grid takes numpy.fft and builds none
+        assert len(builds) == 2
+        assert builds[0] is grids[0] and builds[1] is grids[1]
+
+
+def _one_step_solve(n, N, rng):
+    """A small random forcing solved in one t-step: the cheapest solve that runs every phase."""
+    grid = tm.Grid(n=n, N=N)
+    F = tm.random_band_limited(grid, rng, kmax=2, real=True, amplitude=0.1)
+    return tm.continuity_solve(F, tm.flat_metric(grid),
+                               tm.SolverConfig(n=n, N=N, t_step_initial=1.0))
+
+
+class TestTransformPath:
+    """Which algorithm a solve's transforms take, on either side of the threshold."""
+
+    def test_small_grid_solve_makes_no_numpy_transform(self, monkeypatch, rng):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.fft called")
+
+        for name in ("rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, refuse)
+        result = _one_step_solve(2, 16, rng)
+        assert result.converged, result.message
+
+    def test_large_grid_solve_uses_numpy_transforms(self, monkeypatch, rng):
+        calls = {"rfftn": 0, "irfftn": 0}
+
+        def counting(name):
+            original = getattr(np.fft, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(np.fft, name, counting(name))
+        result = _one_step_solve(1, 64, rng)
+        assert result.converged, result.message
+        assert calls["rfftn"] > 0 and calls["irfftn"] > 0
+
+
 class TestIntegration:
     def test_integrate_pure_harmonic_vanishes(self):
         g = tm.Grid(n=1, N=32)
