@@ -10,9 +10,7 @@ from .grid import (
     make_field,
     mean_zero_project,
     partial_z,
-    partial_zbar,
     random_band_limited,
-    second_partial,
 )
 from .geometry import (
     HermitianMetricField,

@@ -57,7 +57,7 @@ def _load_config(path: str) -> dict:
             cfg = json.load(fh)
     except FileNotFoundError as e:
         raise ConfigError(f"config file not found: {path}") from e
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ConfigError(f"config file is not valid JSON: {e}") from e
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -225,7 +225,7 @@ def cmd_report(args) -> int:
     except FileNotFoundError:
         print(f"error: trace file not found: {args.trace}", file=sys.stderr)
         return EXIT_NO_TRACE
-    except (SnapshotFormatError, json.JSONDecodeError, ValueError) as e:
+    except (SnapshotFormatError, ValueError) as e:
         print(f"error: corrupt trace file: {e}", file=sys.stderr)
         return EXIT_NO_TRACE
     records = trace.to_json_records()

@@ -113,9 +113,16 @@ def read_trace(path: str | Path) -> ContinuityTrace:
         raise SnapshotFormatError(f"{path}: trace must be a JSON array")
     steps = []
     for rec in records:
+        if not isinstance(rec, dict):
+            raise SnapshotFormatError(f"{path}: trace record {rec!r} is not a JSON object")
         missing = [k for k in TRACE_FIELDS if k not in rec]
         if missing:
             raise SnapshotFormatError(f"{path}: trace record missing {missing}")
+        mistyped = [k for k in TRACE_FIELDS if isinstance(rec[k], bool) or not isinstance(
+            rec[k], int if k == "newton_iters" else (int, float))]
+        if mistyped:
+            raise SnapshotFormatError(f"{path}: trace record fields {mistyped} are not numbers "
+                                      "(newton_iters must be an integer)")
         steps.append(ContinuityStep(**{k: rec[k] for k in TRACE_FIELDS}))
     return ContinuityTrace(steps)
 

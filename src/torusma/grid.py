@@ -7,26 +7,24 @@ Holomorphic coordinates are z^j = x^j + i*y^j, so the Wirtinger operators are
     d/dz^j    = (d/dx^j - i d/dy^j) / 2
     d/dzbar^j = (d/dx^j + i d/dy^j) / 2
 
-Differentiation is spectral.  The Nyquist mode is zeroed for first
-derivatives (odd symbol) and kept with symbol -(pi*N)^2 for pure second
-derivatives, which keeps real fields real.  The dtype of a field's samples
-decides its realness: float64 samples make a real field, complex128 samples a
-complex one.
+Differentiation is spectral, with the Nyquist mode zeroed (odd symbol), which
+keeps real fields real.  The dtype of a field's samples decides its realness:
+float64 samples make a real field, complex128 samples a complex one.
 
 Whole real fields are transformed by Grid.rfftn/irfftn and multiplied by
-half-spectrum symbols; every solve path uses this seam.  The seam has two
+half-spectrum symbols; every solve operator uses this seam.  The seam has two
 algorithms, chosen by N.  For N <= MATRIX_DFT_MAX_N (32) a transform is one
 BLAS product per axis with a cached DFT matrix (dft_matrices): at such sizes
 a line holds too few points for an FFT's per-line overhead to pay off.  Larger
 grids go to numpy.fft (pocketfft).  Both give the same half spectrum to
 rounding.
 
-A derivative along one axis (Grid.derivative, second_partial and, through
-them, partial_z, partial_zbar and the forms layer) is instead a product with
-the real N x N Fourier differentiation matrix of that axis, the same operator
-as the symbol (Trefethen, Spectral Methods in MATLAB, 2000, ch. 3): O(N) work
-per point and one BLAS matrix product per call, which for N <= 32 beats a 1-D
-FFT pair.
+A first derivative along one axis (Grid.derivative and, through it,
+partial_z, the forms layer and the solver's Yau monitor) follows the same
+size rule.  For N <= MATRIX_DFT_MAX_N it is a product with the real N x N
+Fourier differentiation matrix of that axis, the same operator as the symbol
+(Trefethen, Spectral Methods in MATLAB, 2000, ch. 3): one BLAS matrix product
+per call.  Larger grids take a 1-D pocketfft pair along the axis.
 """
 
 from __future__ import annotations
@@ -141,12 +139,25 @@ class Grid:
     def derivative(self, values: np.ndarray, axis: int) -> np.ndarray:
         """Spectral first derivative of a sample array along real axis ``axis``.
 
-        A product with the differentiation matrix (Nyquist mode zeroed), O(N)
-        work per point; the result keeps the real or complex dtype, and a line
-        constant along the axis gives exact zeros.  No solve path calls it.
+        The Nyquist mode is zeroed and the result keeps the real or complex
+        dtype.  Each line's first sample is subtracted first: this changes
+        nothing exactly, but a line constant along the axis then gives exact
+        zeros, which a product or transform of the raw samples misses by
+        rounding.  For N <= MATRIX_DFT_MAX_N the lines are multiplied by the
+        differentiation matrix (_apply_axis_matrix); larger grids take
+        rfft/irfft along the axis for float64 samples, fft/ifft for complex.
         """
         self.check_axis(axis)
-        return _apply_axis_matrix(self, values, axis, order=1)
+        first = values[(slice(None),) * axis + (slice(0, 1),)]
+        lines = np.subtract(values, first, order="C",
+                            dtype=complex if np.iscomplexobj(values) else float)
+        if self.N <= MATRIX_DFT_MAX_N:
+            return _apply_axis_matrix(self, lines, axis)
+        sym = first_symbol(self, axis)
+        if lines.dtype == np.float64:
+            half = sym[(slice(None),) * axis + (slice(0, self.N // 2 + 1),)]
+            return np.fft.irfft(np.fft.rfft(lines, axis=axis) * half, n=self.N, axis=axis)
+        return np.fft.ifft(np.fft.fft(lines, axis=axis) * sym, axis=axis)
 
     def mixed_symbols(self, j: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Real half-spectrum symbols (A, B) of d_j dbar_k = A + iB, built once per grid."""
@@ -161,11 +172,11 @@ class Grid:
             self._cache["inverse_flat"] = inverse_flat_symbol(self)
         return self._cache["inverse_flat"]
 
-    def axis_matrix(self, order: int) -> np.ndarray:
-        """The order-1 or order-2 differentiation matrix, built once per grid."""
-        if ("axis", order) not in self._cache:
-            self._cache["axis", order] = differentiation_matrix(self, order)
-        return self._cache["axis", order]
+    def axis_matrix(self) -> np.ndarray:
+        """The first-derivative matrix of one axis, built once per grid."""
+        if "axis" not in self._cache:
+            self._cache["axis"] = differentiation_matrix(self)
+        return self._cache["axis"]
 
     def dft_matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """rfftn/irfftn's product matrices (R, W, V, Q), built once per grid."""
@@ -258,30 +269,20 @@ def second_symbol(grid: Grid, axis_a: int, axis_b: int) -> np.ndarray:
     return first_symbol(grid, axis_a) * first_symbol(grid, axis_b)
 
 
-def differentiation_matrix(grid: Grid, order: int) -> np.ndarray:
-    """Real N x N matrix of d/dx (order 1) or d^2/dx^2 (order 2) on the unit period.
+def differentiation_matrix(grid: Grid) -> np.ndarray:
+    """Real N x N matrix of d/dx on the unit period.
 
-    The closed forms of Trefethen (2000), ch. 3, scaled from period 2 pi to 1:
-    entry (i, j) depends on m = i - j mod N, with
-      order 1: pi (-1)^m cot(pi m / N), 0 for m = 0 (antisymmetric; the
-               Nyquist mode is annihilated, as by first_symbol);
-      order 2: -2 pi^2 (-1)^m / sin^2(pi m / N), -pi^2 (N^2 + 2) / 3 for m = 0
-               (symmetric; the Nyquist mode keeps -(pi N)^2, as by the pure
-               second symbol).
-    Only m < N/2 is evaluated; m > N/2 mirrors it, so the symmetry is exact.
+    The closed form of Trefethen (2000), ch. 3, scaled from period 2 pi to 1:
+    entry (i, j) depends on m = i - j mod N, and is pi (-1)^m cot(pi m / N),
+    0 for m = 0.  It is antisymmetric, and the Nyquist mode is annihilated, as
+    by first_symbol.  Only m < N/2 is evaluated; m > N/2 mirrors it, so the
+    antisymmetry is exact.
     """
     N, h = grid.N, grid.N // 2
     m = np.arange(1, h)
-    sign = (-1.0) ** m
     col = np.zeros(N)
-    if order == 1:
-        col[1:h] = np.pi * sign / np.tan(np.pi * m / N)
-        col[h + 1:] = -col[h - 1:0:-1]
-    else:
-        col[0] = -np.pi ** 2 * (N ** 2 + 2) / 3
-        col[1:h] = -2 * np.pi ** 2 * sign / np.sin(np.pi * m / N) ** 2
-        col[h] = -2 * np.pi ** 2 * (-1.0) ** h
-        col[h + 1:] = col[h - 1:0:-1]
+    col[1:h] = np.pi * (-1.0) ** m / np.tan(np.pi * m / N)
+    col[h + 1:] = -col[h - 1:0:-1]
     i = np.arange(N)
     return col[(i[:, None] - i[None, :]) % N]
 
@@ -342,18 +343,13 @@ def _product_along_axis(M: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
     return out.reshape(lead + (M.shape[0],) + x.shape[axis + 1:])
 
 
-def _apply_axis_matrix(grid: Grid, values: np.ndarray, axis: int, order: int) -> np.ndarray:
-    """The order-1 or order-2 differentiation matrix applied along ``axis``.
+def _apply_axis_matrix(grid: Grid, lines: np.ndarray, axis: int) -> np.ndarray:
+    """The differentiation matrix applied along ``axis`` of C-ordered samples.
 
     Complex samples go through their float64 view, so every product is a real
-    matrix product.  Each line's first sample is subtracted first: M 1 = 0, so
-    this changes nothing exactly, but a line constant along the axis then gives
-    exact zeros, which the product alone misses by rounding.
+    matrix product.
     """
-    M = grid.axis_matrix(order)
-    first = values[(slice(None),) * axis + (slice(0, 1),)]
-    lines = np.subtract(values, first, order="C",
-                        dtype=complex if np.iscomplexobj(values) else float)
+    M = grid.axis_matrix()
     x = lines.view(np.float64)
     if axis < grid.num_axes - 1:
         out = _product_along_axis(M, x, axis)
@@ -370,29 +366,12 @@ def inverse_flat_symbol(grid: Grid) -> np.ndarray:
     return np.divide(1.0, flat, out=np.zeros(flat.shape), where=flat > 0)
 
 
-def second_partial(f: PeriodicScalarField, axis_a: int, axis_b: int) -> PeriodicScalarField:
-    """Spectral second derivative d/dx_a d/dx_b."""
-    grid = f.grid
-    if axis_a != axis_b:
-        return make_field(grid, grid.derivative(grid.derivative(f.values, axis_a), axis_b))
-    grid.check_axis(axis_a)
-    return make_field(grid, _apply_axis_matrix(grid, f.values, axis_a, order=2))
-
-
 def partial_z(f: PeriodicScalarField, j: int) -> PeriodicScalarField:
     """Holomorphic Wirtinger derivative d/dz^j = (d_x - i d_y)/2."""
     f.grid.check_holo(j)
     fx = f.grid.derivative(f.values, 2 * j)
     fy = f.grid.derivative(f.values, 2 * j + 1)
     return make_field(f.grid, 0.5 * (fx - 1j * fy))
-
-
-def partial_zbar(f: PeriodicScalarField, j: int) -> PeriodicScalarField:
-    """Antiholomorphic Wirtinger derivative d/dzbar^j = (d_x + i d_y)/2."""
-    f.grid.check_holo(j)
-    fx = f.grid.derivative(f.values, 2 * j)
-    fy = f.grid.derivative(f.values, 2 * j + 1)
-    return make_field(f.grid, 0.5 * (fx + 1j * fy))
 
 
 def mixed_hessian_symbol(grid: Grid, j: int, k: int) -> np.ndarray:

@@ -48,7 +48,6 @@ from .geometry import (
 from .grid import (
     GridMismatchError,
     PeriodicScalarField,
-    first_symbol,
     make_field,
     mean_zero_project,
 )
@@ -292,29 +291,29 @@ def _pcg(op: _LinearizedOperator, rhs: np.ndarray, tol: float, max_iter: int) ->
 def yau_estimate_report(it: MetricIterate) -> dict[str, float]:
     """sup|phi|, sup|grad phi|, eigenvalue range of g~ = g + ddbar phi, sup third derivs.
 
-    The keys are the monitored fields of ContinuityStep.  Every derivative
-    comes from one half spectrum of phi; sup_third is the sup of
-    |d_l d_j dbar_k phi| over all l, j, k.
+    The keys are the monitored fields of ContinuityStep.  Every derivative is
+    a Grid.derivative call: grad phi from phi, and sup_third, the sup of
+    |d_l d_j dbar_k phi| over all l, j, k, from the iterate's Hessian
+    h = g~ - g.  A real diagonal entry has |d_l h| = |dbar_l h| =
+    sqrt(h_x^2 + h_y^2) / 2; for n = 2, d_l of the conjugate entry conj(off)
+    is conj(dbar_l off), so |d_l off| and |dbar_l off| cover both.
     """
     grid = it.phi.grid
     phi = it.phi.values
-    spec = grid.rfftn(phi)
-    grad_sq = np.zeros(grid.shape)
-    for a in range(grid.num_axes):
-        grad_sq += grid.irfftn(spec * grid.half(first_symbol(grid, a))) ** 2
+    grad_sq = grid.derivative(phi, 0) ** 2
+    for a in range(1, grid.num_axes):
+        grad_sq += grid.derivative(phi, a) ** 2
     lo, hi = eigenvalue_fields(it.gt)
+    hess = it.gt - it.g
     third_sq = 0.0
     for l in range(grid.n):
-        dl = grid.half(0.5 * (first_symbol(grid, 2 * l) - 1j * first_symbol(grid, 2 * l + 1)))
-        P, Q = dl.real, dl.imag
-        for j in range(l, grid.n):  # d_l d_j dbar_k is symmetric in (l, j)
-            for k in range(grid.n):
-                # d_l d_j dbar_k has symbol (P + iQ)(A + iB), P and Q odd, A and B
-                # even: i(PB + QA) gives the real part, -i(PA - QB) the imaginary part
-                A, B = grid.mixed_symbols(j, k)
-                re = grid.irfftn(spec * (1j * (P * B + Q * A)))
-                im = grid.irfftn(spec * (-1j * (P * A - Q * B)))
-                third_sq = max(third_sq, float(np.max(re ** 2 + im ** 2)))
+        for h in hess.diag:
+            hx, hy = grid.derivative(h, 2 * l), grid.derivative(h, 2 * l + 1)
+            third_sq = max(third_sq, 0.25 * float(np.max(hx ** 2 + hy ** 2)))
+        if hess.off is not None:
+            ox, oy = grid.derivative(hess.off, 2 * l), grid.derivative(hess.off, 2 * l + 1)
+            for d in (ox - 1j * oy, ox + 1j * oy):  # 2 d_l off and 2 dbar_l off
+                third_sq = max(third_sq, 0.25 * float(np.max(d.real ** 2 + d.imag ** 2)))
     return {
         "sup_phi": float(np.max(np.abs(phi))),
         "sup_grad_phi": float(np.sqrt(np.max(grad_sq))),

@@ -37,6 +37,15 @@ def axis_derivative(u, axis, N):
     return np.fft.ifft(np.fft.fft(u, axis=axis) * sym.reshape(shape), axis=axis)
 
 
+def _axis_second_derivative(u, axis, N):
+    """Pure second derivative along one axis by a complex 1-D transform, Nyquist mode kept."""
+    k = np.fft.fftfreq(N, d=1.0 / N)
+    shape = [1] * u.ndim
+    shape[axis] = N
+    sym = -((2 * np.pi * k) ** 2)
+    return np.fft.ifft(np.fft.fft(u, axis=axis) * sym.reshape(shape), axis=axis)
+
+
 @pytest.fixture(scope="session")
 def suite_report():
     """run_suite(name), run once per session and shared by every test that reads it.

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import torusma as tm
+from conftest import _axis_second_derivative
 
 
 class TestFlatMetric:
@@ -166,9 +167,10 @@ class TestLaplaceBeltrami:
         g = tm.flat_metric(grid)
         lhs = tm.laplace_beltrami(g, random_real_field)
         quarter = 0.25 * sum(
-            tm.second_partial(random_real_field, a, a) for a in range(grid.num_axes)
+            _axis_second_derivative(random_real_field.values, a, grid.N)
+            for a in range(grid.num_axes)
         )
-        assert np.max(np.abs(lhs.values - quarter.values)) < 1e-10
+        assert np.max(np.abs(lhs.values - quarter)) < 1e-10
 
     def test_annihilates_constants(self, grid, small_potential):
         g = tm.metric_from_potential(tm.flat_metric(grid), small_potential)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import torusma as tm
-from conftest import axis_derivative
+from conftest import _axis_second_derivative, axis_derivative
 
 
 class TestGridValidation:
@@ -50,10 +50,9 @@ class TestDerivatives:
         g = tm.Grid(n=2, N=16)
         f = tm.random_band_limited(g, rng, kmax=3, real=True)
         lhs = tm.hermitian_hessian(f).diag[j]
-        quarter = 0.25 * (
-            tm.second_partial(f, 2 * j, 2 * j) + tm.second_partial(f, 2 * j + 1, 2 * j + 1)
-        )
-        assert np.max(np.abs(lhs - quarter.values)) < 1e-11
+        quarter = 0.25 * (_axis_second_derivative(f.values, 2 * j, g.N)
+                          + _axis_second_derivative(f.values, 2 * j + 1, g.N))
+        assert np.max(np.abs(lhs - quarter)) < 1e-11
 
     def test_mixed_hessian_matches_composed_first_derivatives(self, grid, rng):
         # d_j dbar_k of f = u + iv is H(u)_jk + i H(v)_jk, H the Hessian of a real field
@@ -62,37 +61,22 @@ class TestDerivatives:
         Hv = tm.hermitian_hessian(tm.make_field(grid, f.values.imag)).mats
         for j in range(grid.n):
             for k in range(grid.n):
-                composed = tm.partial_z(tm.partial_zbar(f, k), j)
+                dzbar = tm.delbar(tm.scalar_form(f)).component((), (k,))
+                composed = tm.partial_z(tm.make_field(grid, dzbar), j)
                 direct = Hu[..., j, k] + 1j * Hv[..., j, k]
                 assert np.max(np.abs(composed.values - direct)) < 1e-11
 
     def test_conjugation_symmetry(self, random_real_field):
         # for real f, conj(d_z f) = d_zbar f
         dz = tm.partial_z(random_real_field, 0)
-        dzb = tm.partial_zbar(random_real_field, 0)
-        assert np.max(np.abs(np.conj(dz.values) - dzb.values)) < 1e-12
+        dzb = tm.delbar(tm.scalar_form(random_real_field)).component((), (0,))
+        assert np.max(np.abs(np.conj(dz.values) - dzb)) < 1e-12
 
     def test_nyquist_mode_first_derivative_vanishes(self):
         g = tm.Grid(n=1, N=16)
         f = tm.make_field(g, np.cos(np.pi * g.N * g.coordinate(0)))
         assert np.max(np.abs(g.derivative(f.values, 0))) < 1e-12
 
-    def test_nyquist_mode_second_derivative_kept(self):
-        g = tm.Grid(n=1, N=16)
-        vals = np.cos(np.pi * g.N * g.coordinate(0))
-        f = tm.make_field(g, vals)
-        d2 = tm.second_partial(f, 0, 0)
-        expected = -((np.pi * g.N) ** 2) * vals
-        assert np.max(np.abs(d2.values - expected)) < 1e-9
-
-
-def _axis_second_derivative(u, axis, N):
-    """Pure second derivative along one axis by a complex 1-D transform, Nyquist mode kept."""
-    k = np.fft.fftfreq(N, d=1.0 / N)
-    shape = [1] * u.ndim
-    shape[axis] = N
-    sym = -((2 * np.pi * k) ** 2)
-    return np.fft.ifft(np.fft.fft(u, axis=axis) * sym.reshape(shape), axis=axis)
 
 
 def _white_noise(grid, rng, real):
@@ -102,7 +86,13 @@ def _white_noise(grid, rng, real):
 
 
 class TestDifferentiationMatrices:
-    """The per-axis kernel: a product with the Fourier differentiation matrix."""
+    """The per-axis kernel: a product with the Fourier differentiation matrix
+    for N <= MATRIX_DFT_MAX_N, a 1-D FFT pair along the axis above it."""
+
+    @pytest.fixture(params=[(1, 32), (2, 16), (1, 64)], ids=["n1", "n2", "n1-N64"])
+    def grid(self, request):
+        n, N = request.param
+        return tm.Grid(n=n, N=N)
 
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
     def test_first_derivative_matches_transform(self, grid, rng, real):
@@ -113,29 +103,17 @@ class TestDifferentiationMatrices:
             assert got.dtype == u.dtype
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), axis
 
-    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
-    def test_pure_second_derivative_matches_transform(self, grid, rng, real):
-        u = _white_noise(grid, rng, real)
-        for axis in range(grid.num_axes):
-            got = tm.second_partial(tm.make_field(grid, u), axis, axis).values
-            ref = _axis_second_derivative(u, axis, grid.N)
-            assert got.dtype == u.dtype
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), axis
-
     def test_symmetry(self, grid):
-        D = grid.axis_matrix(1)
-        D2 = grid.axis_matrix(2)
+        D = grid.axis_matrix()
         assert np.array_equal(D, -D.T)
-        assert np.array_equal(D2, D2.T)
 
     def test_nyquist_policy(self, grid):
         N = grid.N
         nyquist = (-1.0) ** np.arange(N)  # cos(pi N x) on the grid
-        D = grid.axis_matrix(1)
-        D2 = grid.axis_matrix(2)
-        assert np.max(np.abs(D @ nyquist)) <= 1e-14 * np.pi * N
-        scale = (np.pi * N) ** 2
-        assert np.max(np.abs(D2 @ nyquist + scale * nyquist)) <= 1e-14 * scale
+        assert np.max(np.abs(grid.axis_matrix() @ nyquist)) <= 1e-14 * np.pi * N
+        for axis in range(grid.num_axes):
+            u = np.cos(np.pi * N * grid.coordinate(axis))
+            assert np.max(np.abs(grid.derivative(u, axis))) <= 1e-14 * np.pi * N, axis
 
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
     def test_constant_along_axis_gives_exact_zeros(self, grid, rng, real):
@@ -143,28 +121,26 @@ class TestDifferentiationMatrices:
             plane = np.take(_white_noise(grid, rng, real), [0], axis=axis)
             u = np.broadcast_to(plane, grid.shape)
             assert not np.any(grid.derivative(u, axis)), axis
-            assert not np.any(tm.second_partial(tm.make_field(grid, u), axis, axis).values), axis
 
     def test_one_build_per_grid_and_order(self, monkeypatch, rng):
         builds = []
         original = tm.grid.differentiation_matrix
 
-        def counting(grid, order):
-            builds.append((grid, order))
-            return original(grid, order)
+        def counting(grid):
+            builds.append(grid)
+            return original(grid)
 
         monkeypatch.setattr(tm.grid, "differentiation_matrix", counting)
-        grids = [tm.Grid(n=2, N=16), tm.Grid(n=2, N=16)]
+        grids = [tm.Grid(n=2, N=16), tm.Grid(n=2, N=16), tm.Grid(n=1, N=64)]
         for grid in grids:
             for real in (True, False):
                 f = tm.make_field(grid, _white_noise(grid, rng, real))
                 for axis in range(grid.num_axes):
                     grid.derivative(f.values, axis)
-                    tm.second_partial(f, axis, axis)
-                tm.partial_z(f, 1)
-        assert len(builds) == 4
-        for grid in grids:
-            assert sorted(order for g, order in builds if g is grid) == [1, 2]
+                tm.partial_z(f, grid.n - 1)
+        # one build for each N = 16 grid, none above MATRIX_DFT_MAX_N
+        assert len(builds) == 2
+        assert builds[0] is grids[0] and builds[1] is grids[1]
 
 
 _MATRIX_CASES = [(n, N) for n in (1, 2) for N in (8, 16, 32)]

@@ -310,7 +310,8 @@ class TestCliSolve:
         assert np.max(np.abs(phi.values.real - oracle.values.real)) <= 1e-8
 
     @pytest.mark.parametrize("overrides", [
-        None,
+        b"{not json",
+        b'\xff\xfe{"n": 1}',
         {"n": 3},
         {"N": 7},
         {"n": True},
@@ -333,7 +334,7 @@ class TestCliSolve:
         {"t_step_initial": "0.5"},
         {"F": "(" * 3000 + "0" + ")" * 3000},
         {"F": "exp(" * 3000 + "0" + ")" * 3000},
-    ], ids=["not-json", "n3", "N7", "n-bool", "non-positive-background", "F-1e400",
+    ], ids=["not-json", "not-utf8", "n3", "N7", "n-bool", "non-positive-background", "F-1e400",
             "F-exp-overflow", "F-snapshot-nan", "F-snapshot-inf",
             "background-snapshot-nan", "background-snapshot-inf",
             "F-snapshot-complex", "background-snapshot-complex", "n2-N1024-over-memory",
@@ -341,9 +342,9 @@ class TestCliSolve:
             "damping-floor-inf", "damping-floor-bool", "t-step-string",
             "F-3000-nested-parentheses", "F-3000-nested-exp"])
     def test_malformed_config_exits_64(self, tmp_path, capsys, overrides):
-        if overrides is None:
+        if isinstance(overrides, bytes):
             path = tmp_path / "bad.json"
-            path.write_text("{not json")
+            path.write_bytes(overrides)
         else:
             if callable(overrides):
                 overrides = overrides(tmp_path)
@@ -484,6 +485,10 @@ class TestCliVerify:
         assert json.loads(out.read_text())["passed"] is False
 
 
+_TRACE_RECORD = {"t": 1.0, "newton_iters": 3, "residual_sup": 1e-12, "eig_min": 0.9,
+                 "eig_max": 1.1, "sup_phi": 0.01, "sup_grad_phi": 0.06, "sup_third": 2.5}
+
+
 class TestCliReport:
     def _solved_trace(self, tmp_path):
         cfg = _write_config(tmp_path)
@@ -498,6 +503,22 @@ class TestCliReport:
         path = tmp_path / "bad.json"
         path.write_text("[{]")
         assert cli.main(["report", str(path)]) == 66
+
+    @pytest.mark.parametrize("records", [
+        [1],
+        [dict(_TRACE_RECORD, t="x")],
+        [dict(_TRACE_RECORD, t=None)],
+        [dict(_TRACE_RECORD, t=[1])],
+        [dict(_TRACE_RECORD, t=True)],
+        [dict(_TRACE_RECORD, newton_iters=2.0)],
+    ], ids=["not-object", "t-string", "t-null", "t-list", "t-bool", "newton-iters-float"])
+    def test_mistyped_trace_exits_66(self, tmp_path, capsys, records):
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(records))
+        assert cli.main(["report", str(path)]) == 66
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
 
     def test_table_and_csv(self, tmp_path, capsys):
         trace_path = self._solved_trace(tmp_path)

@@ -52,6 +52,16 @@ def _complex_precondition(r, grid):
     return np.fft.ifftn(out).real
 
 
+def _background(grid, flat):
+    """The flat metric, or a non-flat g = flat + ddbar psi."""
+    if flat:
+        return tm.flat_metric(grid)
+    if grid.n == 2:
+        return tm.ricci_flat_background_n2(grid)[1]
+    psi = tm.random_band_limited(grid, np.random.default_rng(7), kmax=2, amplitude=0.01)
+    return tm.metric_from_potential(tm.flat_metric(grid), tm.mean_zero_project(psi))
+
+
 def _per_axis_monitor(phi):
     """(sup |grad phi|, sup |d_l d_j dbar_k phi|) from per-axis derivatives of phi and H."""
     grid = phi.grid
@@ -91,16 +101,33 @@ class TestMatchesComplexTransform:
         assert _rel(z, _complex_precondition(r, grid)) <= 1e-12
 
     # with kmax=1 and this seed the n=2 sup of |d_l d_j dbar_k phi| lies at
-    # j != k, where the imaginary symbol B of d_j dbar_k enters
-    @pytest.mark.parametrize("kmax,seed", [(2, 42), (1, 1)], ids=["kmax2", "kmax1"])
-    def test_yau_monitor(self, grid, kmax, seed):
+    # j != k, where the imaginary symbol B of d_j dbar_k enters; over a
+    # non-flat g the third derivatives are those of g~ - g, not of g~; at
+    # N=64 Grid.derivative takes its FFT branch
+    @pytest.mark.parametrize("n,N,kmax,seed,flat", [
+        (1, 32, 2, 42, True), (1, 32, 1, 1, True), (2, 16, 2, 42, True), (2, 16, 1, 1, True),
+        (1, 32, 2, 42, False), (2, 16, 2, 42, False), (1, 64, 2, 42, True),
+    ], ids=["n1-kmax2", "n1-kmax1", "n2-kmax2", "n2-kmax1", "n1-nonflat", "n2-nonflat",
+            "n1-N64"])
+    def test_yau_monitor(self, n, N, kmax, seed, flat):
+        grid = tm.Grid(n=n, N=N)
         phi = tm.mean_zero_project(tm.random_band_limited(
             grid, np.random.default_rng(seed), kmax=kmax, real=True, amplitude=0.01))
-        report = yau_estimate_report(tm.metric_iterate(tm.flat_metric(grid), phi))
+        report = yau_estimate_report(tm.metric_iterate(_background(grid, flat), phi))
         grad, third = _per_axis_monitor(phi)
         assert abs(report["sup_grad_phi"] - grad) <= 1e-12 * grad
         assert abs(report["sup_third"] - third) <= 1e-12 * third
         assert report["sup_phi"] == float(np.max(np.abs(phi.values.real)))
+
+    def test_yau_monitor_takes_no_full_grid_transform(self, grid, small_potential, monkeypatch):
+        it = tm.metric_iterate(_background(grid, flat=False), small_potential)
+        calls = []
+        for name in ("rfftn", "irfftn"):
+            original = getattr(tm.Grid, name)
+            monkeypatch.setattr(tm.Grid, name,
+                                lambda self, x, _f=original: calls.append(1) or _f(self, x))
+        yau_estimate_report(it)
+        assert calls == []
 
     def test_hessian_rejects_complex_field(self, grid, rng):
         with pytest.raises(ValueError):
