@@ -18,7 +18,7 @@ print(f"converged: {result.converged} at t = {result.t_reached}")
 
 print("\ncontinuation trace:")
 print(f"{'t':>6} {'iters':>6} {'residual':>12} {'eig_min':>9} {'eig_max':>9}")
-for s in result.trace.steps:
+for s in result.trace:
     print(f"{s.t:6.2f} {s.newton_iters:6d} {s.residual_sup:12.3e} "
           f"{s.eig_min:9.4f} {s.eig_max:9.4f}")
 

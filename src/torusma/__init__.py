@@ -45,12 +45,10 @@ from .forms import (
     scalar_form,
     uniqueness_functional,
     wedge,
-    wedge_sum,
     zero_form,
 )
 from .solver import (
     ContinuityStep,
-    ContinuityTrace,
     KrylovConvergenceError,
     MetricIterate,
     NonPositiveMetricError,

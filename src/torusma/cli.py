@@ -185,7 +185,7 @@ def cmd_solve(args) -> int:
     if not result.converged:
         print(f"solve failed: {result.message}", file=sys.stderr)
         return EXIT_UNDERFLOW
-    final = result.trace.steps[-1]
+    final = result.trace[-1]
     print(
         f"solved n={grid.n} N={grid.N} in {elapsed:.2f}s; "
         f"final residual {final.residual_sup:.3e}"
@@ -212,8 +212,8 @@ def cmd_verify(args) -> int:
         print(f"suite {report.suite}: {'pass' if report.passed else 'FAIL'} "
               f"({report.elapsed_s:.2f}s)")
     if args.out:
-        payload = [r.to_json() for r in reports] if args.suite == "all" \
-            else reports[0].to_json()
+        payload = [dataclasses.asdict(r) for r in reports] if args.suite == "all" \
+            else dataclasses.asdict(reports[0])
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
     return EXIT_OK if all(r.passed for r in reports) else 1
@@ -228,7 +228,7 @@ def cmd_report(args) -> int:
     except (SnapshotFormatError, ValueError) as e:
         print(f"error: corrupt trace file: {e}", file=sys.stderr)
         return EXIT_NO_TRACE
-    records = trace.to_json_records()
+    records = [dataclasses.asdict(s) for s in trace]
     widths = {f: max(len(f), 12) for f in TRACE_FIELDS}
     print("  ".join(f"{f:>{widths[f]}}" for f in TRACE_FIELDS))
     for rec in records:

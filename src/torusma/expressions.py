@@ -186,9 +186,9 @@ class _Parser:
         kind, value = self.peek()
         if kind == "num":
             self.take()
-            harmonic = int(float(value))
-            if harmonic != float(value) or harmonic < 1:
+            if not float(value).is_integer() or float(value) < 1:  # inf is not an integer
                 raise ExpressionError(f"harmonic must be a positive integer, got {value}")
+            harmonic = int(float(value))
             self.take("op", "*")
         coord = self.take("name")[1]
         if not re.fullmatch(r"[xy][12]", coord):

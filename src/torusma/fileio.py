@@ -14,8 +14,10 @@ a zero imaginary part.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -23,7 +25,7 @@ import numpy as np
 
 from .geometry import HermitianMetricField
 from .grid import Grid, PeriodicScalarField
-from .solver import ContinuityStep, ContinuityTrace
+from .solver import ContinuityStep
 
 FIELD_MAGIC = b"CMAF"
 METRIC_MAGIC = b"CMMF"
@@ -31,10 +33,7 @@ VERSION = 1
 _FIELD_HEADER = struct.Struct("<4sHHIB")
 _METRIC_HEADER = struct.Struct("<4sHHI")
 
-TRACE_FIELDS = (
-    "t", "newton_iters", "residual_sup", "eig_min", "eig_max",
-    "sup_phi", "sup_grad_phi", "sup_third",
-)
+TRACE_FIELDS = tuple(f.name for f in dataclasses.fields(ContinuityStep))
 
 
 class SnapshotFormatError(ValueError):
@@ -68,7 +67,7 @@ def _read_snapshot(path: str | Path, header: struct.Struct,
 
 
 def _samples(path: str | Path, body: bytes, shape: tuple[int, ...], dtype: str) -> np.ndarray:
-    expected = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    expected = math.prod(shape) * np.dtype(dtype).itemsize  # exact, where np.prod would wrap
     if len(body) != expected:
         raise SnapshotFormatError(f"{path}: payload is {len(body)} bytes, expected {expected}")
     return np.frombuffer(body, dtype=dtype).reshape(shape)
@@ -100,11 +99,11 @@ def read_metric(path: str | Path) -> HermitianMetricField:
     return HermitianMetricField(grid, np.ascontiguousarray(diag.real, dtype=float), off)
 
 
-def write_trace(path: str | Path, trace: ContinuityTrace) -> None:
-    Path(path).write_text(json.dumps(trace.to_json_records(), indent=2))
+def write_trace(path: str | Path, trace: list[ContinuityStep]) -> None:
+    Path(path).write_text(json.dumps([dataclasses.asdict(s) for s in trace], indent=2))
 
 
-def read_trace(path: str | Path) -> ContinuityTrace:
+def read_trace(path: str | Path) -> list[ContinuityStep]:
     try:
         records = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -124,7 +123,7 @@ def read_trace(path: str | Path) -> ContinuityTrace:
             raise SnapshotFormatError(f"{path}: trace record fields {mistyped} are not numbers "
                                       "(newton_iters must be an integer)")
         steps.append(ContinuityStep(**{k: rec[k] for k in TRACE_FIELDS}))
-    return ContinuityTrace(steps)
+    return steps
 
 
 def sha256_file(path: str | Path) -> str:

@@ -257,19 +257,6 @@ def wedge(alpha: PqForm, beta: PqForm) -> PqForm:
     return out
 
 
-def wedge_sum(alpha: FormSum | PqForm, beta: FormSum | PqForm) -> FormSum:
-    aparts = list(alpha.parts.values()) if isinstance(alpha, FormSum) else [alpha]
-    bparts = list(beta.parts.values()) if isinstance(beta, FormSum) else [beta]
-    pieces = []
-    for a in aparts:
-        for b in bparts:
-            if a.p + b.p <= a.grid.n and a.q + b.q <= a.grid.n:
-                pieces.append(wedge(a, b))
-    if not pieces:
-        return FormSum(aparts[0].grid, {})
-    return form_sum(pieces)
-
-
 def form_power(alpha: PqForm, k: int) -> PqForm:
     """alpha^k for a (1,1)-form; k = 0 yields the constant 1 (0,0)-form."""
     grid = alpha.grid
@@ -320,15 +307,15 @@ def uniqueness_functional(
         if not min_eig > 0.0:
             raise ValueError(f"potential {name} is inadmissible (min eig {min_eig:.3e})")
     u = make_field(g.grid, phi1.values - phi2.values)
-    du = exterior_d(scalar_form(u))
-    dcu = d_c(u)
-    energy = wedge_sum(du, dcu)  # the (1,1) part carries the integral
+    # du ^ d^c u with d^c u = i (delbar - del) u; only its (1,1) part reaches the integral
+    holo, anti = _dolbeault(scalar_form(u))
+    energy = wedge(holo, anti * 1j) + wedge(anti, holo * (-1j))
     w1 = kahler_form(g1)
     w2 = kahler_form(g2)
     total = 0.0 + 0.0j
     for k in range(n):
         weight = wedge(form_power(w1, k), form_power(w2, n - 1 - k))
-        total += integrate_top(wedge(energy.part(1, 1), weight))
+        total += integrate_top(wedge(energy, weight))
     if abs(total.imag) > 1e-10 * max(1.0, abs(total.real)):
         raise FloatingPointError(f"uniqueness functional came out non-real: {total}")
     return float(total.real)

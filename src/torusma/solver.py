@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,18 +106,10 @@ class ContinuityStep:
 
 
 @dataclass(frozen=True)
-class ContinuityTrace:
-    steps: list[ContinuityStep] = field(default_factory=list)
-
-    def to_json_records(self) -> list[dict]:
-        return [asdict(s) for s in self.steps]
-
-
-@dataclass(frozen=True)
 class SolveResult:
     phi: PeriodicScalarField
     metric: HermitianMetricField  # g~ = g + ddbar phi of the final iterate
-    trace: ContinuityTrace
+    trace: list[ContinuityStep]  # one step per accepted t
     converged: bool
     t_reached: float
     message: str = ""
@@ -175,8 +167,8 @@ def ma_residual(
 def linearized_apply(psi: PeriodicScalarField, it: MetricIterate) -> PeriodicScalarField:
     """L[psi] = (det g~/det g) * lap_{g~} psi; annihilates constants."""
     _require_positive(it)
-    op = _LinearizedOperator(it)
-    return make_field(it.g.grid, op.apply_L(psi.values))
+    grid = it.g.grid
+    return make_field(grid, -_LinearizedOperator(it).apply_B(grid.rfftn(psi.values)) / it.g.det)
 
 
 class _LinearizedOperator:
@@ -212,9 +204,6 @@ class _LinearizedOperator:
         for sym, c in self.terms:
             acc += c * self.grid.irfftn(spec * sym)
         return -acc
-
-    def apply_L(self, u: np.ndarray) -> np.ndarray:
-        return -self.apply_B(self.grid.rfftn(u)) / self.det_g
 
     def precondition(self, spec: np.ndarray) -> np.ndarray:
         """Half spectrum of the flat operator -(1/4)Delta's inverse applied to spec."""
@@ -400,7 +389,6 @@ def _newton_at_t(it, F, t, cfg, secant=None):
         it = _damped_update(it, psi, cfg.damping_eig_floor)
         if it is None:
             return None
-    return None
 
 
 def continuity_solve(
@@ -466,5 +454,5 @@ def continuity_solve(
                                 f"{it.min_eig:.6g} is below damping_eig_floor "
                                 f"{cfg.damping_eig_floor:.6g}, which shorter t-steps cannot clear")
                 break
-    return SolveResult(phi=it.phi, metric=it.gt, trace=ContinuityTrace(steps),
+    return SolveResult(phi=it.phi, metric=it.gt, trace=steps,
                        converged=not message, t_reached=t, message=message)

@@ -9,7 +9,7 @@ the THRESHOLDS table below.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,9 +36,6 @@ from .grid import (
     random_band_limited,
 )
 from .solver import SolverConfig, continuity_solve
-
-SUITE_NAMES = ("identities", "geometry", "uniqueness", "manufactured",
-               "ricci_flat", "poisson_n1")
 
 THRESHOLDS = {
     "identities.del_squared": 1e-12,
@@ -72,9 +69,6 @@ class SuiteReport:
     checks: list[SuiteCheck]
     passed: bool
     elapsed_s: float
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def _check(name: str, value: float) -> SuiteCheck:
@@ -354,6 +348,7 @@ _SUITES = {
     "ricci_flat": _suite_ricci_flat,
     "poisson_n1": _suite_poisson_n1,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str) -> SuiteReport:

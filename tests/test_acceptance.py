@@ -36,7 +36,7 @@ def test_criterion_2_geometry_suite(suite_report):
 def test_criterion_3_manufactured_n1(manufactured_solve):
     case = manufactured_solve(1, 64)
     result, err, elapsed = case.result, case.error, case.elapsed_s
-    eig_min_path = min(s.eig_min for s in result.trace.steps)
+    eig_min_path = min(s.eig_min for s in result.trace)
     ok = (err <= 1e-8 and result.t_reached == 1.0
           and eig_min_path > 0.4 and elapsed < 60.0)
     amplitude = tm.verification.MANUFACTURED_AMPLITUDE
@@ -55,7 +55,7 @@ def test_criterion_3_manufactured_n1(manufactured_solve):
 def test_criterion_4_manufactured_n2(manufactured_solve):
     case = manufactured_solve(2, 16)
     result, err, elapsed = case.result, case.error, case.elapsed_s
-    eig_min_path = min(s.eig_min for s in result.trace.steps)
+    eig_min_path = min(s.eig_min for s in result.trace)
     ok = (err <= 1e-6 and result.t_reached == 1.0
           and eig_min_path > 0.4 and elapsed < 600.0)
     record_acceptance(
@@ -183,8 +183,7 @@ def test_criterion_11_io_round_trip(tmp_path, poisson_solve):
         artifacts_ok &= bool(np.array_equal(values(back), values(obj)))
     trace_path = tmp_path / "trace.json"
     tm.write_trace(trace_path, result.trace)
-    artifacts_ok &= (tm.read_trace(trace_path).to_json_records()
-                     == result.trace.to_json_records())
+    artifacts_ok &= tm.read_trace(trace_path) == result.trace
     record_acceptance(11, "CMAF/CMMF/trace round-trip bit-exact", artifacts_ok,
                       "all artifacts identical" if artifacts_ok else "mismatch")
     assert artifacts_ok

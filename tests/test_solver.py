@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import torusma as tm
-from torusma import solver
+from torusma import cli, solver
 from torusma.solver import _LinearizedOperator, _pcg
 from torusma.verification import THRESHOLDS
 from conftest import _axis_second_derivative, count_apply_B
@@ -330,10 +330,10 @@ class TestContinuitySolve:
 
     def test_trace_is_monotone_and_reaches_one(self, poisson_solve):
         _, _, result = poisson_solve
-        ts = [s.t for s in result.trace.steps]
+        ts = [s.t for s in result.trace]
         assert ts == sorted(ts)
         assert ts[-1] == 1.0
-        assert all(s.residual_sup <= 1e-11 for s in result.trace.steps)
+        assert all(s.residual_sup <= 1e-11 for s in result.trace)
 
     def test_solution_mean_zero(self, poisson_solve):
         _, _, result = poisson_solve
@@ -352,7 +352,7 @@ class TestContinuitySolve:
         err = np.max(np.abs(result.phi.values.real - phi_star.values.real))
         assert err <= 1e-8
         assert result.t_reached == 1.0
-        eig_min_path = min(s.eig_min for s in result.trace.steps)
+        eig_min_path = min(s.eig_min for s in result.trace)
         assert eig_min_path == pytest.approx(1 - 0.1 * np.pi ** 2, abs=1e-3)
 
     def test_forcing_terms_cut_krylov_work(self, manufactured_solve):
@@ -362,7 +362,7 @@ class TestContinuitySolve:
         assert solved.result.converged
         assert solved.apply_B_calls <= 120
         newton_tol = tm.SolverConfig(n=2, N=16).newton_tol
-        assert all(s.residual_sup <= newton_tol for s in solved.result.trace.steps)
+        assert all(s.residual_sup <= newton_tol for s in solved.result.trace)
 
     def test_secant_predictor_cuts_newton_work(self, manufactured_solve):
         # each t-step starts from the secant through the last two accepted
@@ -370,7 +370,7 @@ class TestContinuitySolve:
         solved = manufactured_solve(2, 16)
         assert solved.result.converged
         assert solved.apply_B_calls <= 85
-        assert sum(s.newton_iters for s in solved.result.trace.steps) <= 18
+        assert sum(s.newton_iters for s in solved.result.trace) <= 18
 
     @pytest.mark.parametrize("solve", ["poisson_solve", "ricci_flat_solve"],
                              ids=["poisson-n1", "ricci-flat-n2"])
@@ -476,6 +476,73 @@ class TestContinuitySolve:
         with pytest.warns(RuntimeWarning):
             tm.continuity_solve(F, g, tm.SolverConfig(n=1, N=16))
 
+    @pytest.mark.filterwarnings("ignore:F carries significant spectral content")
+    def test_damped_correction_converges(self, monkeypatch):
+        # one full t-step at n = 2 whose first Newton corrections leave the
+        # positive cone at lambda = 1: damping accepts lambda = 1/4 and 1/2
+        grid = tm.Grid(n=2, N=8)
+        x1, y1, x2, y2 = (grid.coordinate(a) for a in range(4))
+        F = tm.make_field(grid, 0.3 * np.exp(2.5 * np.cos(2 * np.pi * x1) * np.cos(2 * np.pi * y2))
+                          + 0.3 * np.sin(2 * np.pi * (x2 + y1)))
+        cfg = tm.SolverConfig(n=2, N=8, t_step_initial=1.0)
+        lams = []
+        damped_update = solver._damped_update
+
+        def spy(it, psi, floor):
+            out = damped_update(it, psi, floor)
+            if out is not None:  # the accepted phi + lambda psi; both are mean-zero
+                step = out.phi.values - it.phi.values
+                lams.append(np.max(np.abs(step)) / np.max(np.abs(psi.values)))
+            return out
+
+        monkeypatch.setattr(solver, "_damped_update", spy)
+        result = tm.continuity_solve(F, tm.flat_metric(grid), cfg)
+        assert result.converged, result.message
+        assert all(s.residual_sup <= cfg.newton_tol for s in result.trace)
+        assert min(lams) < 0.9
+
+
+class TestNewtonExits:
+    """Each way _newton_at_t rejects a t-step, forced at every step: the solve
+    halves t from t_step_initial down to an underflow at t = 0."""
+
+    @pytest.fixture(params=["newton_cap", "krylov_stall", "zero_rhs"])
+    def fault(self, request, monkeypatch):
+        if request.param == "newton_cap":
+            monkeypatch.setattr(solver, "NEWTON_MAX_ITER", 0)
+        elif request.param == "krylov_stall":
+            def stalled(rhs, it, tol=None):
+                raise tm.KrylovConvergenceError(1.0, tol, 0)
+
+            monkeypatch.setattr(solver, "solve_linearized", stalled)
+        else:
+            # r = 1/2 everywhere is a constant in dV_g, the part L cannot reach:
+            # _pcg's projected right-hand side is zero, every correction is zero,
+            # and Newton runs to its cap
+            monkeypatch.setattr(solver, "ma_residual",
+                                lambda it, F, t: tm.make_field(F.grid, np.full(F.grid.shape, 0.5)))
+
+    def test_solve_underflows_at_zero(self, fault):
+        grid = tm.Grid(n=1, N=8)
+        F = tm.make_field(grid, 0.1 * np.sin(2 * np.pi * grid.coordinate(0)))
+        result = tm.continuity_solve(F, tm.flat_metric(grid), tm.SolverConfig(n=1, N=8))
+        assert not result.converged and result.t_reached == 0.0 and result.trace == []
+        assert result.message.startswith("continuity step underflow below 0.0001 at t=0.0")
+
+    def test_cli_exits_2(self, fault, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"n": 1, "N": 8, "F": "0.1*sin(2*pi*x1)"}')
+        assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("solve failed: continuity step underflow below 0.0001 at t=0.0")
+
+    def test_zero_projected_rhs_gives_zero_without_applying_the_operator(self, monkeypatch):
+        grid = tm.Grid(n=1, N=8)
+        it = tm.metric_iterate(tm.flat_metric(grid), tm.make_field(grid, np.zeros(grid.shape)))
+        calls = count_apply_B(monkeypatch)
+        psi = tm.solve_linearized(tm.make_field(grid, np.full(grid.shape, 0.5)), it)
+        assert calls == [] and not np.any(psi.values)
+
 
 def _first_residual_iterates(monkeypatch):
     """The iterate of each ma_residual call from here on."""
@@ -565,7 +632,7 @@ class TestYauReport:
         path = tmp_path / "metric.cmmf"
         tm.write_metric(path, tm.metric_from_potential(g, result.phi))
         lo, hi = tm.eigenvalue_fields(tm.read_metric(path))
-        final = result.trace.steps[-1]
+        final = result.trace[-1]
         assert final.eig_min == float(np.min(lo))
         assert final.eig_max == float(np.max(hi))
         assert final.eig_min == pytest.approx(1.0, abs=1e-6)

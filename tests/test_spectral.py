@@ -178,7 +178,7 @@ def test_symbols_built_once_per_grid(n, N, monkeypatch):
     F = tm.make_field(grid, 0.2 * np.sin(2 * np.pi * x1) * np.cos(2 * np.pi * y1))
     result = tm.continuity_solve(F, tm.flat_metric(grid), tm.SolverConfig(n=n, N=N))
     assert result.converged
-    assert sum(s.newton_iters for s in result.trace.steps) > 0
+    assert sum(s.newton_iters for s in result.trace) > 0
     assert 0 < len(builds) <= n * n
     assert all(b is grid for b in builds)
     # the preconditioner's inverse flat symbol: one build for every operator of the solve

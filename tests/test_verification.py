@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,8 +10,7 @@ import torusma as tm
 
 class TestThresholds:
     def test_every_check_name_has_a_threshold(self, suite_report):
-        # cheap suites exercised here; the solver-heavy ones run in the
-        # acceptance tests
+        # the solver suites are checked in TestSolverSuites
         for name in ("identities", "geometry", "poisson_n1", "uniqueness"):
             report = suite_report(name)
             for check in report.checks:
@@ -27,7 +28,7 @@ class TestRunSuite:
 
     def test_report_is_json_serializable(self):
         report = tm.run_suite("poisson_n1")
-        payload = json.dumps(report.to_json())
+        payload = json.dumps(dataclasses.asdict(report))
         back = json.loads(payload)
         assert back["suite"] == "poisson_n1"
         assert back["passed"] is True
@@ -45,6 +46,41 @@ class TestRunSuite:
     @pytest.mark.parametrize("name", ["geometry", "uniqueness", "poisson_n1"])
     def test_cheap_suites_pass(self, name, suite_report):
         assert suite_report(name).passed
+
+
+class TestSolverSuites:
+    """The manufactured and ricci_flat suites on the session's solves (criteria 3, 4, 8)."""
+
+    @pytest.fixture
+    def replayed(self, monkeypatch, manufactured_solve, ricci_flat_solve):
+        # a suite solve whose inputs equal a session solve's, bit for bit, gets
+        # that solve's result instead of running it again
+        g, result = ricci_flat_solve
+        cases = [manufactured_solve(1, 64), manufactured_solve(2, 16),
+                 SimpleNamespace(g=g, F=tm.ricci_flat_background_n2(g.grid)[2], result=result)]
+
+        def replay(F, g, cfg):
+            assert cfg == tm.SolverConfig(n=g.grid.n, N=g.grid.N)
+            for case in cases:
+                if np.array_equal(case.g.mats, g.mats) and np.array_equal(case.F.values, F.values):
+                    return case.result
+            raise AssertionError("the suite solves a problem no session fixture solved")
+
+        monkeypatch.setattr(tm.verification, "continuity_solve", replay)
+
+    def test_manufactured_matches_criteria_3_and_4(self, replayed, manufactured_solve):
+        report = tm.run_suite("manufactured")
+        assert report.passed
+        assert [(c.name, c.value) for c in report.checks] == [
+            ("manufactured.n1_error", manufactured_solve(1, 64).error),
+            ("manufactured.n2_error", manufactured_solve(2, 16).error)]
+
+    def test_ricci_flat_matches_criterion_8(self, replayed, ricci_flat_solve):
+        g, result = ricci_flat_solve
+        dev = float(np.max(np.abs(result.metric.mats - tm.flat_metric(g.grid).mats)))
+        report = tm.run_suite("ricci_flat")
+        assert report.passed
+        assert [(c.name, c.value) for c in report.checks] == [("ricci_flat.metric_deviation", dev)]
 
 
 class TestPoissonOracle:
