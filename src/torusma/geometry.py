@@ -93,19 +93,18 @@ def flat_metric(grid: Grid) -> HermitianMetricField:
 
 
 def hermitian_hessian(phi: PeriodicScalarField) -> HermitianMetricField:
-    """d_j dbar_k phi of a real phi, packed: n diagonal transforms, and for n = 2
-    d_2 dbar_1 phi = conj(d_1 dbar_2 phi) from the symbols of d_1 dbar_2."""
+    """d_j dbar_k phi of a real phi, packed, from the parts of Grid.hessian: the n
+    real diagonals, and for n = 2 d_2 dbar_1 phi = conj(d_1 dbar_2 phi)."""
     if not phi.is_real:
         raise ValueError("the complex Hessian is taken of real fields")
     grid = phi.grid
-    spec = grid.rfftn(phi.values)
-    diag = np.stack([grid.irfftn(spec * grid.mixed_symbols(j, j)[0]) for j in range(grid.n)])
+    parts = grid.hessian(phi.values)
+    diag = np.stack(parts[:grid.n])
     off = None
     if grid.n == 2:
-        A, B = grid.mixed_symbols(0, 1)
         off = np.empty(grid.shape, dtype=complex)
-        off.real = grid.irfftn(spec * A)
-        off.imag = -grid.irfftn(spec * B)
+        off.real = parts[2]
+        off.imag = -parts[3]
     return HermitianMetricField(grid, diag, off)
 
 

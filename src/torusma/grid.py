@@ -7,24 +7,29 @@ Holomorphic coordinates are z^j = x^j + i*y^j, so the Wirtinger operators are
     d/dz^j    = (d/dx^j - i d/dy^j) / 2
     d/dzbar^j = (d/dx^j + i d/dy^j) / 2
 
-Differentiation is spectral, with the Nyquist mode zeroed (odd symbol), which
-keeps real fields real.  The dtype of a field's samples decides its realness:
+Differentiation is spectral.  First derivatives zero the Nyquist mode (odd
+symbol) and pure second derivatives keep it with symbol -(pi N)^2, which keeps
+real fields real.  The dtype of a field's samples decides its realness:
 float64 samples make a real field, complex128 samples a complex one.
 
-Whole real fields are transformed by Grid.rfftn/irfftn and multiplied by
-half-spectrum symbols; every solve operator uses this seam.  The seam has two
-algorithms, chosen by N.  For N <= MATRIX_DFT_MAX_N (32) a transform is one
-BLAS product per axis with a cached DFT matrix (dft_matrices): at such sizes
-a line holds too few points for an FFT's per-line overhead to pay off.  Larger
-grids go to numpy.fft (pocketfft).  Both give the same half spectrum to
-rounding.
+The solver's operators are separable, with symbols even on every axis, so
+each is also a real N x N product along each axis.  Their seams are Grid
+methods that choose between two algorithms by N against MATRIX_DFT_MAX_N (32):
 
-A first derivative along one axis (Grid.derivative and, through it,
-partial_z, the forms layer and the solver's Yau monitor) follows the same
-size rule.  For N <= MATRIX_DFT_MAX_N it is a product with the real N x N
-Fourier differentiation matrix of that axis, the same operator as the symbol
-(Trefethen, Spectral Methods in MATLAB, 2000, ch. 3): one BLAS matrix product
-per call.  Larger grids take a 1-D pocketfft pair along the axis.
+  Grid.derivative   a first derivative along one axis: the Fourier
+                    differentiation matrix D (Trefethen, Spectral Methods in
+                    MATLAB, 2000, ch. 3), or a 1-D pocketfft pair above 32;
+  Grid.hessian      the real parts of d_j dbar_k of real samples: products
+                    with D and the second-derivative matrix D2, or one rfftn
+                    and n^2 irfftn with the half-spectrum symbols above 32;
+  Grid.inverse_flat the inverse of the flat operator -(1/4) Laplacian: the
+                    orthonormal Hartley matrix along every axis on each side
+                    of the symbol (Bracewell, The Hartley Transform, 1986), or
+                    an rfftn/irfftn pair above 32.
+
+At N <= 32 a line holds too few points for an FFT's per-line overhead to pay
+off, and each product is one BLAS call.  Grid.rfftn/irfftn are numpy.fft at
+every N; the solve's band-limit check is their one caller at N <= 32.
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-# Grids with at most this many points per axis transform by DFT matrix products.
+# Grids with at most this many points per axis take the solver's derivatives,
+# Hessians and flat preconditioner as per-axis matrix products.
 MATRIX_DFT_MAX_N = 32
 
 
@@ -98,43 +104,12 @@ class Grid:
         return full[..., : self.N // 2 + 1]
 
     def rfftn(self, u: np.ndarray) -> np.ndarray:
-        """Half spectrum of a real field's samples.
-
-        For N <= MATRIX_DFT_MAX_N, the real last-axis product comes first and
-        the complex DFTs of the other axes follow (_dft_leading_axes).  The
-        products see the samples less their first sample and then less their
-        mean, and the mean mode is set to the samples' sum: a constant field
-        gives exact zeros off the mean mode, and no large mean adds rounding
-        to the other modes.
-        """
-        if self.N > MATRIX_DFT_MAX_N:
-            return np.fft.rfftn(u, axes=tuple(range(self.num_axes)))
-        R, W, _, _ = self.dft_matrices()
-        v = np.subtract(u, u.flat[0], dtype=float)
-        v -= v.mean()
-        # the float64 product viewed as complex is the half spectrum of every line
-        spec = _dft_leading_axes((v.reshape(-1, self.N) @ R).view(complex), W, self)
-        spec = spec.reshape(self.shape[:-1] + (-1,))
-        spec[(0,) * self.num_axes] = u.sum()
-        return spec
+        """Half spectrum of a real field's samples (numpy.fft.rfftn over every axis)."""
+        return np.fft.rfftn(u, axes=tuple(range(self.num_axes)))
 
     def irfftn(self, spec: np.ndarray) -> np.ndarray:
-        """Real samples of a half spectrum (the inverse of rfftn).
-
-        As in numpy's c2r step, once the other axes are transformed back the
-        imaginary parts of the last axis's wavenumbers 0 and N/2 are ignored.
-        """
-        if self.N > MATRIX_DFT_MAX_N:
-            return np.fft.irfftn(spec, s=self.shape, axes=tuple(range(self.num_axes)))
-        _, _, V, Q = self.dft_matrices()
-        lines = _dft_leading_axes(spec, V, self)
-        return (lines.view(np.float64) @ Q).reshape(self.shape)
-
-    def inner(self, U: np.ndarray, V: np.ndarray) -> float:
-        """mean(u * v) of two real fields from their half spectra U, V (Parseval)."""
-        # an interior last-axis wavenumber also stands for its mirror; 0 and N/2 do not
-        edges = np.vdot(U[..., 0], V[..., 0]) + np.vdot(U[..., -1], V[..., -1])
-        return float(2.0 * np.vdot(U, V).real - edges.real) / self.num_points ** 2
+        """Real samples of a half spectrum (the inverse of rfftn)."""
+        return np.fft.irfftn(spec, s=self.shape, axes=tuple(range(self.num_axes)))
 
     def derivative(self, values: np.ndarray, axis: int) -> np.ndarray:
         """Spectral first derivative of a sample array along real axis ``axis``.
@@ -152,37 +127,85 @@ class Grid:
         lines = np.subtract(values, first, order="C",
                             dtype=complex if np.iscomplexobj(values) else float)
         if self.N <= MATRIX_DFT_MAX_N:
-            return _apply_axis_matrix(self, lines, axis)
+            return _apply_axis_matrix(self.axis_matrix(), lines, axis)
         sym = first_symbol(self, axis)
         if lines.dtype == np.float64:
             half = sym[(slice(None),) * axis + (slice(0, self.N // 2 + 1),)]
             return np.fft.irfft(np.fft.rfft(lines, axis=axis) * half, n=self.N, axis=axis)
         return np.fft.ifft(np.fft.fft(lines, axis=axis) * sym, axis=axis)
 
+    def hessian(self, u: np.ndarray) -> list[np.ndarray]:
+        """[A_00 u, .., A_{n-1,n-1} u], and A_01 u, B_01 u for n = 2: d_j dbar_k = A_jk + i B_jk.
+
+        For N <= MATRIX_DFT_MAX_N, A_jj = (1/4)(D2_xj + D2_yj),
+        A_01 = (1/4)(D_x1 D_x2 + D_y1 D_y2) and B_01 = (1/4)(D_x1 D_y2 - D_y1 D_x2),
+        one product per axis and term: D annihilates the Nyquist mode and D2
+        keeps it, the symbols' policy.  The products see u less its first
+        sample, so a constant gives exact zeros.  Larger grids take one rfftn
+        and n^2 irfftn.
+        """
+        if self.N > MATRIX_DFT_MAX_N:
+            spec = self.rfftn(u)
+            syms = [self.mixed_symbols(j, j)[0] for j in range(self.n)]
+            syms += list(self.mixed_symbols(0, 1)) if self.n == 2 else []
+            return [self.irfftn(spec * sym) for sym in syms]
+        v = np.subtract(u, u.flat[0], dtype=float)
+        v *= 0.25  # a power of two: the products round as if scaled after
+        D, D2 = self.axis_matrix(), self._cached("D2", second_derivative_matrix)
+        cross = []
+        if self.n == 2:
+            # first, so that the first partials are freed before the diagonals exist
+            dx1, dy1 = _apply_axis_matrix(D, v, 0), _apply_axis_matrix(D, v, 1)
+            re = _apply_axis_matrix(D, dx1, 2)
+            re += _apply_axis_matrix(D, dy1, 3)
+            im = _apply_axis_matrix(D, dx1, 3)
+            im -= _apply_axis_matrix(D, dy1, 2)
+            cross = [re, im]
+            del dx1, dy1
+        parts = []
+        for j in range(self.n):
+            h = _apply_axis_matrix(D2, v, 2 * j)
+            h += _apply_axis_matrix(D2, v, 2 * j + 1)
+            parts.append(h)
+        return parts + cross
+
+    def inverse_flat(self, r: np.ndarray) -> np.ndarray:
+        """The inverse of the flat operator -(1/4) Laplacian applied to real samples r.
+
+        Constants map to zero.  For N <= MATRIX_DFT_MAX_N the orthonormal
+        Hartley matrix H, its own inverse, diagonalizes the operator axis by
+        axis: the result is H...(symbol * H...r), 2n products each side.
+        Larger grids take an rfftn/irfftn pair.
+        """
+        sym = self._cached("inverse_flat", inverse_flat_symbol)
+        if self.N > MATRIX_DFT_MAX_N:
+            spec = self.rfftn(r)
+            spec *= self.half(sym)
+            return self.irfftn(spec)
+        H = self._cached("hartley", hartley_matrix)
+        for a in range(self.num_axes):
+            r = _apply_axis_matrix(H, r, a)
+        r *= sym
+        for a in range(self.num_axes):
+            r = _apply_axis_matrix(H, r, a)
+        return r
+
     def mixed_symbols(self, j: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Real half-spectrum symbols (A, B) of d_j dbar_k = A + iB, built once per grid."""
-        if (j, k) not in self._cache:
-            s = self.half(mixed_hessian_symbol(self, j, k))
-            self._cache[j, k] = (np.ascontiguousarray(s.real), np.ascontiguousarray(s.imag))
-        return self._cache[j, k]
-
-    def inverse_flat(self) -> np.ndarray:
-        """Half-spectrum inverse of the flat operator -(1/4) Laplacian, built once per grid."""
-        if "inverse_flat" not in self._cache:
-            self._cache["inverse_flat"] = inverse_flat_symbol(self)
-        return self._cache["inverse_flat"]
+        def build(grid):
+            s = grid.half(mixed_hessian_symbol(grid, j, k))
+            return np.ascontiguousarray(s.real), np.ascontiguousarray(s.imag)
+        return self._cached((j, k), build)
 
     def axis_matrix(self) -> np.ndarray:
         """The first-derivative matrix of one axis, built once per grid."""
-        if "axis" not in self._cache:
-            self._cache["axis"] = differentiation_matrix(self)
-        return self._cache["axis"]
+        return self._cached("axis", differentiation_matrix)
 
-    def dft_matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """rfftn/irfftn's product matrices (R, W, V, Q), built once per grid."""
-        if "dft" not in self._cache:
-            self._cache["dft"] = dft_matrices(self)
-        return self._cache["dft"]
+    def _cached(self, key, build):
+        """build(self), made on first use and kept in the grid's cache under key."""
+        if key not in self._cache:
+            self._cache[key] = build(self)
+        return self._cache[key]
 
 
 @dataclass(frozen=True)
@@ -287,50 +310,35 @@ def differentiation_matrix(grid: Grid) -> np.ndarray:
     return col[(i[:, None] - i[None, :]) % N]
 
 
-def dft_matrices(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The matrices of Grid.rfftn/irfftn for N <= MATRIX_DFT_MAX_N.
+def second_derivative_matrix(grid: Grid) -> np.ndarray:
+    """Real N x N matrix of d^2/dx^2 on the unit period.
 
-    With c_m = cos(2 pi m / N) and s_m = sin(2 pi m / N), m = jk mod N:
-      R  real N x 2(N/2+1), columns interleaving c and -s: a real line times R,
-         viewed as complex, is its half spectrum;
-      W  complex N x N, W[k, j] = exp(-2 pi i jk / N); V = conj(W) / N inverts it;
-      Q  real 2(N/2+1) x N, rows interleaving w_k c and -w_k s with w_k = 2/N,
-         or 1/N for k = 0 and N/2, whose s rows are zero: the half spectrum's
-         real samples, ignoring the imaginary parts that numpy's c2r ignores.
-    c and s are exact at multiples of N/4 and mirror exactly about N/2.
+    The closed form of Trefethen (2000), ch. 3, scaled from period 2 pi to 1:
+    entry (i, j) depends on m = i - j mod N, and is -2 pi^2 (-1)^m / sin^2(pi m / N),
+    -pi^2 (N^2 + 2) / 3 for m = 0.  It is symmetric, and the Nyquist mode keeps
+    -(pi N)^2, as in the pure second symbol; D @ D would annihilate it.  Only
+    m <= N/2 is evaluated; m > N/2 mirrors it, so the symmetry is exact.
     """
     N, h = grid.N, grid.N // 2
-    t = 2 * np.pi * np.arange(h + 1) / N
-    c, s = np.cos(t), np.sin(t)
-    c[h], s[h] = -1.0, 0.0
-    if N % 4 == 0:
-        c[h // 2], s[h // 2] = 0.0, 1.0
-    c = np.r_[c, c[h - 1:0:-1]]
-    s = np.r_[s, -s[h - 1:0:-1]]
-    m = np.arange(N)
-    phase = np.outer(m, m) % N
-    W = c[phase] - 1j * s[phase]
-    half = phase[: h + 1]
-    R = np.stack([c[half.T], -s[half.T]], axis=-1).reshape(N, 2 * (h + 1))
-    w = np.full((h + 1, 1), 2.0 / N)
-    w[[0, h]] = 1.0 / N
-    Q = np.stack([w * c[half], -w * s[half]], axis=1).reshape(2 * (h + 1), N)
-    return R, W, np.conj(W) / N, Q
+    m = np.arange(1, h)
+    col = np.zeros(N)
+    col[0] = -np.pi ** 2 * (N ** 2 + 2) / 3
+    col[1:h] = -2 * np.pi ** 2 * (-1.0) ** m / np.sin(np.pi * m / N) ** 2
+    col[h] = -2 * np.pi ** 2 * (-1.0) ** h
+    col[h + 1:] = col[h - 1:0:-1]
+    i = np.arange(N)
+    return col[(i[:, None] - i[None, :]) % N]
 
 
-def _dft_leading_axes(x: np.ndarray, M: np.ndarray, grid: Grid) -> np.ndarray:
-    """The symmetric N x N matrix M applied along every axis of x but the last.
+def hartley_matrix(grid: Grid) -> np.ndarray:
+    """The orthonormal Hartley matrix cas(2 pi jk / N) / sqrt(N), cas = cos + sin.
 
-    x has the half-spectrum shape.  Each pass is one BLAS product with a
-    transposed view, which transforms the first axis and moves it last; a
-    product along a middle axis would instead be one small product per line.
-    After the passes the last axis leads, and one transposing copy puts it
-    back.  Returns the C-ordered (N^(2n-1), N/2+1) array of last-axis lines.
+    It is symmetric and its own inverse, and it diagonalizes every circulant
+    with an even symbol (Bracewell 1986): C C = N I for the unscaled C.
     """
-    N = grid.N
-    for _ in range(grid.num_axes - 1):
-        x = x.reshape(N, -1).T @ M
-    return np.ascontiguousarray(x.reshape(N // 2 + 1, -1).T)
+    i = np.arange(grid.N)
+    t = 2 * np.pi * (np.outer(i, i) % grid.N) / grid.N
+    return (np.cos(t) + np.sin(t)) / np.sqrt(grid.N)
 
 
 def _product_along_axis(M: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
@@ -343,27 +351,27 @@ def _product_along_axis(M: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
     return out.reshape(lead + (M.shape[0],) + x.shape[axis + 1:])
 
 
-def _apply_axis_matrix(grid: Grid, lines: np.ndarray, axis: int) -> np.ndarray:
-    """The differentiation matrix applied along ``axis`` of C-ordered samples.
+def _apply_axis_matrix(M: np.ndarray, lines: np.ndarray, axis: int) -> np.ndarray:
+    """The real N x N matrix M applied along ``axis`` of C-ordered samples; a new array.
 
     Complex samples go through their float64 view, so every product is a real
     matrix product.
     """
-    M = grid.axis_matrix()
     x = lines.view(np.float64)
-    if axis < grid.num_axes - 1:
+    if axis < lines.ndim - 1:
         out = _product_along_axis(M, x, axis)
+    elif lines.dtype == np.float64:
+        out = x.reshape(-1, M.shape[0]) @ M.T
     else:
         # on the last axis the parts of a complex sample interleave
-        parts = lines.itemsize // 8
-        out = x.reshape(-1, parts * grid.N) @ np.kron(M.T, np.eye(parts))
+        out = x.reshape(-1, 2 * M.shape[0]) @ np.kron(M.T, np.eye(2))
     return out.reshape(x.shape).view(lines.dtype)
 
 
 def inverse_flat_symbol(grid: Grid) -> np.ndarray:
-    """Half-spectrum symbol of the inverse of -(1/4) Laplacian = -sum_j A_jj, zero on constants."""
-    flat = -sum(grid.mixed_symbols(j, j)[0] for j in range(grid.n))
-    return np.divide(1.0, flat, out=np.zeros(flat.shape), where=flat > 0)
+    """Full-grid symbol of the inverse of -(1/4) Laplacian = -sum_j A_jj; 0 on constants."""
+    flat = sum(-0.25 * _pure_second_symbol(grid, a) for a in range(grid.num_axes))
+    return np.divide(1.0, flat, out=np.zeros(grid.shape), where=flat > 0)
 
 
 def partial_z(f: PeriodicScalarField, j: int) -> PeriodicScalarField:

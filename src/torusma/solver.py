@@ -12,10 +12,11 @@ Newton correction solves the linearization
 
     L[psi] = (det g~/det g) lap_{g~} psi = -r
 
-by preconditioned conjugate gradients on mean-zero fields, kept in the rfftn
-half spectrum with the Parseval inner product, only as accurately as the
-Newton step needs (inexact Newton, Eisenstat-Walker choice 2): the relative
-Krylov target is eta_0 = 0.1, then
+by preconditioned conjugate gradients on mean-zero physical samples, with
+the inner product mean(u v) and the flat operator -(1/4) Laplacian as
+preconditioner (Grid.hessian and Grid.inverse_flat, per-axis matrix products
+for N <= 32), only as accurately as the Newton step needs (inexact Newton,
+Eisenstat-Walker choice 2): the relative Krylov target is eta_0 = 0.1, then
 
     eta_k = min(0.1, 0.9 (|r_k| / |r_{k-1}|)^2),
 
@@ -24,11 +25,13 @@ reach newton_tol (sup norms throughout).  After a step that needed more than
 one Newton iteration, the next t-step starts from the secant predictor
 phi_t + s (phi_t - phi_prev), s = (t_next - t) / (t - t_prev), unless its
 metric falls below the eigenvalue floor.  Dyadic damping keeps the metric
-eigenvalues above the configured floor along the path.  Each iterate's metric
-g~ = g + ddbar phi is formed once, by metric_iterate; the residual, the linear
-solve and the damping all read that one iterate.  A metric keeps its
-determinant once formed, so det g~ is formed once per iterate and det g once
-per solve.  Every field here is real (float64).
+eigenvalues above the configured floor along the path; a rejected full step
+screens the shorter ones on g~ + lambda ddbar psi from one Hessian of the
+correction psi.  Each iterate's metric g~ = g + ddbar phi is formed once, by
+metric_iterate; the residual, the linear solve and the damping all read that
+one iterate.  A metric keeps its determinant once formed, so det g~ is formed
+once per iterate and det g once per solve.  Every field here is real
+(float64).
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ import numpy as np
 from .geometry import (
     HermitianMetricField,
     eigenvalue_fields,
+    hermitian_hessian,
     metric_from_potential,
     positivity_check,
 )
@@ -167,8 +171,7 @@ def ma_residual(
 def linearized_apply(psi: PeriodicScalarField, it: MetricIterate) -> PeriodicScalarField:
     """L[psi] = (det g~/det g) * lap_{g~} psi; annihilates constants."""
     _require_positive(it)
-    grid = it.g.grid
-    return make_field(grid, -_LinearizedOperator(it).apply_B(grid.rfftn(psi.values)) / it.g.det)
+    return make_field(it.g.grid, -_LinearizedOperator(it).apply_B(psi.values) / it.g.det)
 
 
 class _LinearizedOperator:
@@ -176,7 +179,8 @@ class _LinearizedOperator:
 
     B[psi] = -det(g~) lap_{g~} psi = -sum adj(g~)[k,j] d_j dbar_k psi is
     self-adjoint and positive semidefinite in the plain L2 inner product;
-    L[psi] = -B[psi]/det(g).
+    L[psi] = -B[psi]/det(g).  Both methods map physical samples to physical
+    samples.
     """
 
     def __init__(self, it: MetricIterate):
@@ -185,29 +189,28 @@ class _LinearizedOperator:
         # B[u] = -sum_jk c_jk h_jk with c_jk = adj(g~)[k, j], h_jk = d_j dbar_k u; both are
         # Hermitian in (j, k), so B[u] = -sum_j c_jj h_jj - 2 sum_{j<k} Re(c_jk h_jk).
         # The adjugate has a closed form: 1 for n = 1; for n = 2 the diagonal
-        # entries swap and the off-diagonal ones change sign.
+        # entries swap and the off-diagonal ones change sign, so with
+        # h_01 = A + iB and c_01 = -g~_{2 1bar} = -off,
+        #   B[u] = -g~_22 h_00 - g~_11 h_11 + 2 Re(off) A - 2 Im(off) B.
+        # The coefficients follow the parts of Grid.hessian: A_00, A_11, A, B.
         if grid.n == 1:
-            self.terms = [(grid.mixed_symbols(0, 0)[0], 1.0)]
+            self.coefs = [-1.0]
         else:
-            A, B = grid.mixed_symbols(0, 1)
-            c01 = -it.gt.off  # adj(g~)[0, 1] = -g~_{2 1bar}
-            self.terms = [
-                (grid.mixed_symbols(0, 0)[0], it.gt.diag[1]),
-                (grid.mixed_symbols(1, 1)[0], it.gt.diag[0]),
-                (A, 2.0 * c01.real),
-                (B, -2.0 * c01.imag),
-            ]
+            gt = it.gt
+            self.coefs = [-gt.diag[1], -gt.diag[0], 2.0 * gt.off.real, -2.0 * gt.off.imag]
 
-    def apply_B(self, spec: np.ndarray) -> np.ndarray:
-        """Physical samples of B[u] from the half spectrum of u: n^2 irfftn."""
-        acc = np.zeros(self.grid.shape)
-        for sym, c in self.terms:
-            acc += c * self.grid.irfftn(spec * sym)
-        return -acc
+    def apply_B(self, u: np.ndarray) -> np.ndarray:
+        """B[u] from the parts of one Grid.hessian of u, summed in place."""
+        acc, *rest = self.grid.hessian(u)
+        acc *= self.coefs[0]
+        for c, h in zip(self.coefs[1:], rest):
+            h *= c
+            acc += h
+        return acc
 
-    def precondition(self, spec: np.ndarray) -> np.ndarray:
-        """Half spectrum of the flat operator -(1/4)Delta's inverse applied to spec."""
-        return spec * self.grid.inverse_flat()
+    def precondition(self, r: np.ndarray) -> np.ndarray:
+        """The flat operator -(1/4)Delta's inverse applied to r, as a new array."""
+        return self.grid.inverse_flat(r)
 
 
 def solve_linearized(
@@ -230,47 +233,48 @@ def solve_linearized(
 def _pcg(op: _LinearizedOperator, rhs: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     """PCG for B x = -det(g) rhs until sup|L x - rhs| <= tol * sup|rhs| (rhs projected).
 
-    x, p, z and r are half spectra (Parseval inner product); r is also kept
-    physical for the stopping test.  An iteration takes n^2 irfftn and one rfftn.
+    Every vector is physical samples, with the inner product mean(u * v)
+    taken as a dot product.  The residual is preconditioned only once the
+    stopping test has failed, so an iteration takes one precondition and one
+    apply_B; the updates reuse their arrays where they can.
     """
     rhs = rhs - np.mean(rhs * op.det_g) / np.mean(op.det_g)  # against constants in dV_g
     rhs_sup = float(np.max(np.abs(rhs)))
     if rhs_sup == 0.0:
         return np.zeros_like(rhs)
     target = tol * rhs_sup
-    grid = op.grid
 
     r = -op.det_g * rhs
     r -= np.mean(r)
-    # the constant mode of r_hat never enters: the preconditioner zeroes it
-    r_hat = grid.rfftn(r)
-    x_hat = np.zeros_like(r_hat)
-    z_hat = op.precondition(r_hat)
-    p_hat = z_hat
-    rz = grid.inner(r_hat, z_hat)
+    x = np.zeros_like(r)
+    p = None
     for it in range(max_iter + 1):
         achieved = float(np.max(np.abs(r / op.det_g)))
         if achieved <= target:
             break
+        if it == max_iter:
+            raise KrylovConvergenceError(achieved, target, it)
+        z = op.precondition(r)
+        rz_new = float(np.vdot(r, z)) / r.size
         # breakdown: B and the preconditioner are positive on mean-zero fields,
         # so a non-positive rz or p.Bp means no further progress
-        if it == max_iter or not rz > 0.0:
+        if not rz_new > 0.0:
             raise KrylovConvergenceError(achieved, target, it)
-        Bp = op.apply_B(p_hat)
-        Bp_hat = grid.rfftn(Bp)
-        pBp = grid.inner(p_hat, Bp_hat)
+        if p is None:
+            p = z
+        else:
+            p *= rz_new / rz
+            p += z
+        rz = rz_new
+        Bp = op.apply_B(p)
+        pBp = float(np.vdot(p, Bp)) / p.size
         if not pBp > 0.0:
             raise KrylovConvergenceError(achieved, target, it)
         alpha = rz / pBp
-        x_hat += alpha * p_hat
-        r -= alpha * Bp
+        x += alpha * p
+        Bp *= alpha
+        r -= Bp
         r -= np.mean(r)
-        r_hat -= alpha * Bp_hat
-        z_hat = op.precondition(r_hat)
-        rz_new = grid.inner(r_hat, z_hat)
-        p_hat = z_hat + (rz_new / rz) * p_hat
-        rz = rz_new
-    x = grid.irfftn(x_hat)
     return x - np.mean(x)
 
 
@@ -341,14 +345,26 @@ def _damped_update(
     psi: PeriodicScalarField,
     floor: float,
 ) -> MetricIterate | None:
-    """Iterate at the largest dyadic lambda in (0,1] with min eig of g~ >= floor."""
+    """Iterate at the largest dyadic lambda in (0,1] with min eig of g~ >= floor.
+
+    lambda = 1 is formed first.  If it fails, ddbar psi is formed once and
+    each smaller lambda is screened on g~ + lambda ddbar psi; only a passing
+    candidate's iterate is formed, and that iterate decides.
+    """
+    phi, grid = it.phi.values, it.phi.grid
+    cand = metric_iterate(it.g, mean_zero_project(make_field(grid, phi + psi.values)))
+    if cand.min_eig >= floor:
+        return cand
+    H = hermitian_hessian(psi)
     lam = 1.0
-    for _ in range(40):
-        cand = mean_zero_project(make_field(it.phi.grid, it.phi.values + lam * psi.values))
-        cand_it = metric_iterate(it.g, cand)
-        if cand_it.min_eig >= floor:
-            return cand_it
+    for _ in range(39):
         lam *= 0.5
+        off = None if H.off is None else it.gt.off + lam * H.off
+        if positivity_check(HermitianMetricField(grid, it.gt.diag + lam * H.diag, off)) < floor:
+            continue
+        cand = metric_iterate(it.g, mean_zero_project(make_field(grid, phi + lam * psi.values)))
+        if cand.min_eig >= floor:
+            return cand
     return None
 
 

@@ -46,6 +46,20 @@ def _axis_second_derivative(u, axis, N):
     return np.fft.ifft(np.fft.fft(u, axis=axis) * sym.reshape(shape), axis=axis)
 
 
+def complex_precondition(r, grid):
+    """The inverse of -(1/4) Laplacian by a complex n-D transform, Nyquist modes kept.
+
+    The reference for the flat preconditioner; it does not go through Grid.inverse_flat.
+    """
+    spec = np.fft.fftn(r)
+    sym = np.zeros(grid.shape)
+    for j in range(grid.n):
+        sym = sym - tm.grid.mixed_hessian_symbol(grid, j, j).real
+    out = np.zeros_like(spec)
+    np.divide(spec, sym, out=out, where=sym > 0)
+    return np.fft.ifftn(out).real
+
+
 @pytest.fixture(scope="session")
 def suite_report():
     """run_suite(name), run once per session and shared by every test that reads it.
@@ -63,16 +77,19 @@ def suite_report():
     return get
 
 
-def count_apply_B(monkeypatch):
-    """Count _LinearizedOperator.apply_B calls from here on; returns the list of calls."""
+def count_calls(monkeypatch, owner, name):
+    """Record the arguments of every call of owner.name from here on; returns the list.
+
+    owner is a module or a class; a method's arguments start with its instance.
+    """
     calls = []
-    apply_B = _LinearizedOperator.apply_B
+    original = getattr(owner, name)
 
-    def counting(self, spec):
-        calls.append(1)
-        return apply_B(self, spec)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(_LinearizedOperator, "apply_B", counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
 
 
@@ -102,7 +119,7 @@ def manufactured_solve():
                         else tm.manufactured_potential_n2(grid))
             F = tm.manufactured_forcing(g, phi_star)
             with pytest.MonkeyPatch.context() as mp:
-                calls = count_apply_B(mp)
+                calls = count_calls(mp, _LinearizedOperator, "apply_B")
                 start = time.perf_counter()
                 result = solve_quietly(F, g, tm.SolverConfig(n=n, N=N))
                 elapsed = time.perf_counter() - start

@@ -6,6 +6,7 @@ import pytest
 
 import torusma as tm
 from torusma.forms import increasing_indices, merge_sign
+from conftest import count_calls
 
 
 class TestIndexAlgebra:
@@ -233,14 +234,7 @@ class TestDolbeaultKernel:
 
     @pytest.mark.parametrize("p,q", [(0, 0), (0, 1), (1, 0), (1, 1), (2, 1), (2, 2)])
     def test_two_partials_per_contributing_index(self, p, q, monkeypatch):
-        calls = []
-        original = tm.Grid.derivative
-
-        def counting(self, values, axis):
-            calls.append(axis)
-            return original(self, values, axis)
-
-        monkeypatch.setattr(tm.Grid, "derivative", counting)
+        calls = count_calls(monkeypatch, tm.Grid, "derivative")
         grid = tm.Grid(n=2, N=8)
         alpha = _random_form(grid, p, q, np.random.default_rng(0))
         tm.exterior_d(alpha)

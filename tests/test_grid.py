@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import torusma as tm
-from conftest import _axis_second_derivative, axis_derivative
+from conftest import _axis_second_derivative, axis_derivative, complex_precondition, count_calls
 
 
 class TestGridValidation:
@@ -123,14 +123,7 @@ class TestDifferentiationMatrices:
             assert not np.any(grid.derivative(u, axis)), axis
 
     def test_one_build_per_grid_and_order(self, monkeypatch, rng):
-        builds = []
-        original = tm.grid.differentiation_matrix
-
-        def counting(grid):
-            builds.append(grid)
-            return original(grid)
-
-        monkeypatch.setattr(tm.grid, "differentiation_matrix", counting)
+        builds = count_calls(monkeypatch, tm.grid, "differentiation_matrix")
         grids = [tm.Grid(n=2, N=16), tm.Grid(n=2, N=16), tm.Grid(n=1, N=64)]
         for grid in grids:
             for real in (True, False):
@@ -139,34 +132,48 @@ class TestDifferentiationMatrices:
                     grid.derivative(f.values, axis)
                 tm.partial_z(f, grid.n - 1)
         # one build for each N = 16 grid, none above MATRIX_DFT_MAX_N
-        assert len(builds) == 2
-        assert builds[0] is grids[0] and builds[1] is grids[1]
+        assert [b for (b,) in builds] == grids[:2]
+        assert builds[0][0] is grids[0] and builds[1][0] is grids[1]
 
 
 _MATRIX_CASES = [(n, N) for n in (1, 2) for N in (8, 16, 32)]
 _MATRIX_IDS = [f"n{n}-N{N}" for n, N in _MATRIX_CASES]
 
 
-class TestMatrixTransforms:
-    """Grid.rfftn/irfftn for N <= MATRIX_DFT_MAX_N: one BLAS product per axis."""
+def _hessian_reference(u, N, n):
+    """Grid.hessian's parts from per-axis complex 1-D transforms, not through torusma."""
+    def d(x, a):
+        return axis_derivative(x, a, N)
 
-    @pytest.mark.parametrize("n,N", _MATRIX_CASES, ids=_MATRIX_IDS)
+    parts = [0.25 * (_axis_second_derivative(u, 2 * j, N)
+                     + _axis_second_derivative(u, 2 * j + 1, N)).real for j in range(n)]
+    if n == 2:
+        dx1, dy1 = d(u, 0), d(u, 1)
+        parts += [0.25 * (d(dx1, 2) + d(dy1, 3)).real, 0.25 * (d(dx1, 3) - d(dy1, 2)).real]
+    return parts
+
+
+class TestMatrixTransforms:
+    """The per-axis matrix products of grids with N <= MATRIX_DFT_MAX_N: the
+    differentiation matrices D and D2 in Grid.hessian and the Hartley matrix in
+    Grid.inverse_flat.  Grid.rfftn/irfftn are numpy's transforms at these sizes."""
+
+    # N = 34 takes the transform branch of both seams against the same references
+    @pytest.mark.parametrize("n,N", _MATRIX_CASES + [(2, 34)], ids=_MATRIX_IDS + ["n2-N34"])
     def test_matches_numpy(self, n, N, rng):
         grid = tm.Grid(n=n, N=N)
         u = _white_noise(grid, rng, real=True)
-        # a first sample far from the mean: taking it out alone would leave a
-        # large mean in the products, whose rounding spreads to other modes
+        # a first sample far from the mean, which the Hessian subtracts
         u.flat[0] = 4.0
-        axes = tuple(range(grid.num_axes))
-        ref = np.fft.rfftn(u, axes=axes)
-        assert np.max(np.abs(grid.rfftn(u) - ref)) <= 1e-14 * np.max(np.abs(ref))
-        # complex data of the half-spectrum shape, not the transform of a real field
-        shape = ref.shape
-        spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        ref = np.fft.irfftn(spec, s=grid.shape, axes=axes)
-        got = grid.irfftn(spec)
-        assert got.dtype == np.float64 and got.shape == grid.shape
-        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        parts = grid.hessian(u)
+        ref = _hessian_reference(u, N, n)
+        assert len(parts) == len(ref) == (1 if n == 1 else 4)
+        for got, want in zip(parts, ref):
+            assert got.dtype == np.float64 and got.shape == grid.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        r = u - np.mean(u)
+        want = complex_precondition(r, grid)
+        assert np.max(np.abs(grid.inverse_flat(r) - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("n,N", _MATRIX_CASES, ids=_MATRIX_IDS)
     def test_constant_gives_exact_zeros_off_the_mean_mode(self, n, N):
@@ -176,6 +183,8 @@ class TestMatrixTransforms:
         assert mean == pytest.approx(3.7 * grid.num_points, rel=1e-15)
         spec[(0,) * grid.num_axes] = 0.0
         assert not np.any(spec)
+        # the Hessian subtracts the first sample, so it has no mean mode to round
+        assert not any(np.any(part) for part in grid.hessian(np.full(grid.shape, 3.7)))
 
     @pytest.mark.parametrize("n,N", _MATRIX_CASES, ids=_MATRIX_IDS)
     def test_ignores_imaginary_parts_of_wavenumbers_zero_and_nyquist(self, n, N, rng):
@@ -198,21 +207,46 @@ class TestMatrixTransforms:
         assert np.max(np.abs(ref - base)) <= 1e-14 * np.max(np.abs(base))
 
     def test_one_build_per_grid(self, monkeypatch, rng):
-        builds = []
-        original = tm.grid.dft_matrices
-
-        def counting(grid):
-            builds.append(grid)
-            return original(grid)
-
-        monkeypatch.setattr(tm.grid, "dft_matrices", counting)
+        names = ("second_derivative_matrix", "hartley_matrix", "inverse_flat_symbol")
+        builds = {name: count_calls(monkeypatch, tm.grid, name) for name in names}
         grids = [tm.Grid(n=2, N=16), tm.Grid(n=2, N=16), tm.Grid(n=1, N=64)]
         for grid in grids:
             for _ in range(2):
-                grid.irfftn(grid.rfftn(_white_noise(grid, rng, real=True)))
-        # the N = 64 grid takes numpy.fft and builds none
-        assert len(builds) == 2
-        assert builds[0] is grids[0] and builds[1] is grids[1]
+                u = _white_noise(grid, rng, real=True)
+                grid.hessian(u)
+                grid.inverse_flat(u - np.mean(u))
+        # the N = 64 grid takes transforms and builds no matrix
+        for name in names[:2]:
+            assert [b for (b,) in builds[name]] == grids[:2], name
+            assert builds[name][0][0] is grids[0] and builds[name][1][0] is grids[1]
+        assert [b for (b,) in builds["inverse_flat_symbol"]] == grids
+        assert all(b is g for (b,), g in zip(builds["inverse_flat_symbol"], grids))
+
+    @pytest.mark.parametrize("n,N", _MATRIX_CASES, ids=_MATRIX_IDS)
+    def test_nyquist_policy(self, n, N):
+        # D2 keeps the Nyquist mode at -(pi N)^2, D annihilates it, so the
+        # Hessian's diagonal keeps it and its cross terms do not; a Hessian that
+        # killed it would leave that residual unreachable and break PCG
+        grid = tm.Grid(n=n, N=N)
+        nyquist = (-1.0) ** np.arange(N)  # cos(pi N x) on the grid
+        D2 = tm.grid.second_derivative_matrix(grid)
+        assert np.array_equal(D2, D2.T)
+        scale = (np.pi * N) ** 2
+        assert np.max(np.abs(D2 @ nyquist + scale * nyquist)) <= 1e-13 * scale
+        for axis in range(grid.num_axes):
+            u = np.cos(np.pi * N * grid.coordinate(axis))
+            parts = grid.hessian(u)
+            j = axis // 2
+            assert np.max(np.abs(parts[j] + 0.25 * scale * u)) <= 1e-13 * scale, axis
+            others = [p for i, p in enumerate(parts) if i != j]
+            assert all(np.max(np.abs(p)) <= 1e-13 * scale for p in others), axis
+
+    @pytest.mark.parametrize("N", [8, 16, 32])
+    def test_hartley_matrix_squares_to_the_identity(self, N):
+        # H = C / sqrt(N) with C[j, k] = cas(2 pi jk / N): C C = N I
+        H = tm.grid.hartley_matrix(tm.Grid(n=1, N=N))
+        assert np.array_equal(H, H.T)
+        assert np.max(np.abs(H @ H - np.eye(N))) <= 1e-14 * N
 
 
 def _one_step_solve(n, N, rng):
@@ -224,33 +258,20 @@ def _one_step_solve(n, N, rng):
 
 
 class TestTransformPath:
-    """Which algorithm a solve's transforms take, on either side of the threshold."""
+    """Which algorithm a solve's operators take, on either side of the threshold."""
 
-    def test_small_grid_solve_makes_no_numpy_transform(self, monkeypatch, rng):
-        def refuse(*args, **kwargs):
-            raise AssertionError("np.fft called")
-
-        for name in ("rfftn", "irfftn"):
-            monkeypatch.setattr(np.fft, name, refuse)
+    def test_small_grid_solve_makes_one_transform(self, monkeypatch, rng):
+        # the band-limit check of F is the one full-grid transform of the solve
+        calls = {name: count_calls(monkeypatch, tm.Grid, name) for name in ("rfftn", "irfftn")}
         result = _one_step_solve(2, 16, rng)
         assert result.converged, result.message
+        assert len(calls["rfftn"]) == 1 and calls["irfftn"] == []
 
     def test_large_grid_solve_uses_numpy_transforms(self, monkeypatch, rng):
-        calls = {"rfftn": 0, "irfftn": 0}
-
-        def counting(name):
-            original = getattr(np.fft, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-            return counted
-
-        for name in calls:
-            monkeypatch.setattr(np.fft, name, counting(name))
+        calls = {name: count_calls(monkeypatch, np.fft, name) for name in ("rfftn", "irfftn")}
         result = _one_step_solve(1, 64, rng)
         assert result.converged, result.message
-        assert calls["rfftn"] > 0 and calls["irfftn"] > 0
+        assert calls["rfftn"] and calls["irfftn"]
 
 
 class TestIntegration:

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import torusma as tm
-from torusma import cli
+from torusma import cli, solver
 from torusma.expressions import parse_expression, ExpressionError
 from torusma.fileio import TRACE_FIELDS
 from torusma.solver import ContinuityStep
+from conftest import count_calls
 
 
 class TestFieldRoundTrip:
@@ -68,15 +69,15 @@ class TestDtypes:
             mats[..., j, j] = 1.0
         potentials = ([0.5 * small_potential] if background else []) + [small_potential]
         for phi in potentials:
+            # Grid.hessian's parts: A_jj, then Re and Im of d_1 dbar_2 phi for n = 2
             H = np.zeros(grid.shape + (n, n), dtype=complex)
-            spec = grid.rfftn(phi.values)
+            parts = grid.hessian(phi.values)
             for j in range(n):
-                for k in range(j, n):
-                    A, B = grid.mixed_symbols(j, k)
-                    H.real[..., j, k] = grid.irfftn(spec * A)
-                    if k > j:
-                        H.imag[..., j, k] = grid.irfftn(spec * B)
-                        H[..., k, j] = np.conj(H[..., j, k])
+                H.real[..., j, j] = parts[j]
+            if n == 2:
+                H.real[..., 0, 1] = parts[2]
+                H.imag[..., 0, 1] = parts[3]
+                H[..., 1, 0] = np.conj(H[..., 0, 1])
             mats = mats + H
         tri = np.stack([mats[..., j, k] for j in range(n) for k in range(j + 1)], axis=-1)
         expected = struct.pack("<4sHHI", b"CMMF", 1, n, grid.N) + tri.astype("<c16").tobytes()
@@ -402,13 +403,28 @@ class TestCliSolve:
         assert "damping_eig_floor 2 is above 1," in err and "smallest eigenvalue is 1)" in err, err
         assert not out.exists()
 
-    def test_unclearable_damping_floor_exits_2(self, tmp_path, capsys):
+    def test_unclearable_damping_floor_exits_2(self, tmp_path, capsys, monkeypatch):
         # a floor between the background's smallest eigenvalue 0.8026 and the
         # bound 1 passes the up-front check, but no short t-step clears it
         path = _write_config(tmp_path, background={"potential": "0.02*cos(2*pi*x1)"},
                              F="0.1*sin(2*pi*x1)", damping_eig_floor=0.9)
         out = tmp_path / "out"
+        # each rejected correction forms the full step's Hessian and that of psi,
+        # where forming every dyadic candidate took 40
+        hessians = count_calls(monkeypatch, tm.Grid, "hessian")
+        per_update = []
+        damped_update = solver._damped_update
+
+        def spy(it, psi, floor):
+            before = len(hessians)
+            try:
+                return damped_update(it, psi, floor)
+            finally:
+                per_update.append(len(hessians) - before)
+
+        monkeypatch.setattr(solver, "_damped_update", spy)
         assert cli.main(["solve", "--config", str(path), "--out", str(out)]) == 2
+        assert per_update and max(per_update) <= 3, per_update
         err = capsys.readouterr().err
         assert err.startswith("solve failed: continuity step underflow below 0.0001 at t=0.0: ")
         assert err.count("\n") == 1, err

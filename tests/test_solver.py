@@ -7,7 +7,7 @@ import torusma as tm
 from torusma import cli, solver
 from torusma.solver import _LinearizedOperator, _pcg
 from torusma.verification import THRESHOLDS
-from conftest import _axis_second_derivative, count_apply_B
+from conftest import _axis_second_derivative, count_calls, solve_quietly
 
 
 class TestDtypes:
@@ -87,14 +87,8 @@ class TestMetricIterate:
 
     def test_consumers_never_rebuild_the_metric(self, grid, small_potential, rng,
                                                 monkeypatch):
-        calls = []
-
-        def counting_hessian(phi):
-            calls.append(phi)
-            return tm.hermitian_hessian(phi)
-
         # metric_iterate reaches the Hessian through geometry.metric_from_potential
-        monkeypatch.setattr(tm.geometry, "hermitian_hessian", counting_hessian)
+        calls = count_calls(monkeypatch, tm.geometry, "hermitian_hessian")
         g = tm.flat_metric(grid)
         it = tm.metric_iterate(g, small_potential)
         assert len(calls) == 1
@@ -279,7 +273,7 @@ class TestLinearSolve:
         grid = tm.Grid(n=2, N=16)
         it = tm.metric_iterate(tm.flat_metric(grid), tm.manufactured_potential_n2(grid))
         rhs = tm.mean_zero_project(tm.random_band_limited(grid, rng, kmax=2, real=True))
-        calls = count_apply_B(monkeypatch)
+        calls = count_calls(monkeypatch, _LinearizedOperator, "apply_B")
         counts = []
         for tol in (None, 1e-6, 1e-3, 1e-1):
             calls.clear()
@@ -288,17 +282,10 @@ class TestLinearSolve:
         assert counts == sorted(counts, reverse=True) and counts[-1] < counts[0]
 
     def test_krylov_cap_is_read_from_the_grid(self, grid, small_potential, rng, monkeypatch):
-        caps = []
-        pcg = solver._pcg
-
-        def spy(op, rhs, tol, max_iter):
-            caps.append(max_iter)
-            return pcg(op, rhs, tol, max_iter)
-
-        monkeypatch.setattr(solver, "_pcg", spy)
+        calls = count_calls(monkeypatch, solver, "_pcg")
         rhs = tm.mean_zero_project(tm.random_band_limited(grid, rng, kmax=2, real=True))
         tm.solve_linearized(rhs, tm.metric_iterate(tm.flat_metric(grid), small_potential))
-        assert caps == [10 * grid.N ** grid.n]
+        assert [max_iter for *_, max_iter in calls] == [10 * grid.N ** grid.n]
 
     @pytest.mark.parametrize("fault", ["zero-preconditioner", "indefinite-operator"])
     def test_breakdown_raises_krylov_error(self, grid, small_potential, rng, fault):
@@ -418,7 +405,7 @@ class TestContinuitySolve:
         grid = tm.Grid(n=1, N=16)
         F = tm.make_field(grid, 0.1 * np.sin(2 * np.pi * grid.coordinate(0)))
         cfg = tm.SolverConfig(n=1, N=16, damping_eig_floor=2.0)
-        calls = count_apply_B(monkeypatch)
+        calls = count_calls(monkeypatch, _LinearizedOperator, "apply_B")
         with pytest.raises(tm.NonPositiveMetricError,
                            match=r"damping_eig_floor 2 is above 1, .* smallest eigenvalue is 1\)"):
             tm.continuity_solve(F, tm.flat_metric(grid), cfg)
@@ -539,22 +526,9 @@ class TestNewtonExits:
     def test_zero_projected_rhs_gives_zero_without_applying_the_operator(self, monkeypatch):
         grid = tm.Grid(n=1, N=8)
         it = tm.metric_iterate(tm.flat_metric(grid), tm.make_field(grid, np.zeros(grid.shape)))
-        calls = count_apply_B(monkeypatch)
+        calls = count_calls(monkeypatch, _LinearizedOperator, "apply_B")
         psi = tm.solve_linearized(tm.make_field(grid, np.full(grid.shape, 0.5)), it)
         assert calls == [] and not np.any(psi.values)
-
-
-def _first_residual_iterates(monkeypatch):
-    """The iterate of each ma_residual call from here on."""
-    seen = []
-    ma_residual = solver.ma_residual
-
-    def spy(it, F, t):
-        seen.append(it)
-        return ma_residual(it, F, t)
-
-    monkeypatch.setattr(solver, "ma_residual", spy)
-    return seen
 
 
 class TestSecantPredictor:
@@ -572,19 +546,19 @@ class TestSecantPredictor:
     def test_starts_from_the_extrapolation(self, accepted, monkeypatch):
         F, cfg, it = accepted
         prev = tm.make_field(it.phi.grid, 0.5 * it.phi.values)
-        seen = _first_residual_iterates(monkeypatch)
+        residuals = count_calls(monkeypatch, solver, "ma_residual")
         assert solver._newton_at_t(it, F, 0.3, cfg, (prev, 0.5)) is not None
         expected = tm.mean_zero_project(it.phi + 0.5 * (it.phi - prev))
-        assert np.array_equal(seen[0].phi.values, expected.values)
+        assert np.array_equal(residuals[0][0].phi.values, expected.values)
 
     def test_falls_back_below_the_floor(self, accepted, monkeypatch):
         F, cfg, it = accepted
         # phi + s (phi - prev) = 1001 phi leaves the positive cone
         prev = tm.make_field(it.phi.grid, -1000.0 * it.phi.values)
         assert tm.metric_iterate(it.g, 1001.0 * it.phi).min_eig < cfg.damping_eig_floor
-        seen = _first_residual_iterates(monkeypatch)
+        residuals = count_calls(monkeypatch, solver, "ma_residual")
         assert solver._newton_at_t(it, F, 0.3, cfg, (prev, 1.0)) is not None
-        assert seen[0] is it
+        assert residuals[0][0] is it
 
     def test_linear_n1_solve_builds_no_prediction(self, monkeypatch):
         # at n = 1 each t-step takes one Newton iteration, so no secant is
@@ -592,14 +566,7 @@ class TestSecantPredictor:
         grid = tm.Grid(n=1, N=64)
         F = tm.poisson_forcing_n1(grid)
         cfg = tm.SolverConfig(n=1, N=64)
-        hessians = []
-        hermitian_hessian = tm.geometry.hermitian_hessian
-
-        def counting(phi):
-            hessians.append(1)
-            return hermitian_hessian(phi)
-
-        monkeypatch.setattr(tm.geometry, "hermitian_hessian", counting)
+        hessians = count_calls(monkeypatch, tm.geometry, "hermitian_hessian")
         tm.continuity_solve(F, tm.flat_metric(grid), cfg)
         with_predictor = len(hessians)
         hessians.clear()
@@ -637,3 +604,70 @@ class TestYauReport:
         assert final.eig_max == float(np.max(hi))
         assert final.eig_min == pytest.approx(1.0, abs=1e-6)
         assert final.eig_max == pytest.approx(1.0, abs=1e-6)
+
+
+def _solve(g, F):
+    grid = g.grid
+    return solve_quietly(tm.make_field(grid, F), g, tm.SolverConfig(n=grid.n, N=grid.N))
+
+
+def _symmetry_case():
+    """(g, F) at n=2 N=16: a background with an imaginary off-diagonal, F its
+    Ricci-flat forcing plus two harmonics."""
+    grid = tm.Grid(n=2, N=16)
+    x1, y1, x2, y2 = (grid.coordinate(a) for a in range(4))
+    chi = tm.make_field(grid, 0.02 * np.cos(2 * np.pi * (x1 + y2))
+                        + 0.01 * np.sin(2 * np.pi * (y1 - x2)))
+    g = tm.metric_from_potential(tm.ricci_flat_background_n2(grid)[1], chi)
+    F = -np.log(g.det) + 0.05 * np.cos(2 * np.pi * (x1 + x2)) + 0.05 * np.sin(2 * np.pi * (y1 - y2))
+    return g, F
+
+
+def _shift(a):
+    """An integer grid translation of the last four axes."""
+    return np.roll(a, (5, 3, 11, 7), axis=(-4, -3, -2, -1))
+
+
+def _swap(a):
+    """z1 <-> z2: the axes (x1, y1) and (x2, y2) trade places."""
+    return np.moveaxis(a, (-4, -3), (-2, -1))
+
+
+def _reflect_y(a):
+    """a(x1, -y1, x2, -y2): index i goes to -i mod N on the axes y1 and y2."""
+    idx = (-np.arange(a.shape[-1])) % a.shape[-1]
+    return a[..., idx, :, :][..., idx]
+
+
+# name: (map of the samples, which phi follows; whether g's diagonals swap;
+# whether off = g_{2 1bar} is conjugated; the constant added to F, which C absorbs)
+_RELATIONS = {
+    "shift": (_shift, False, False, 0.0),
+    "F+0.7": (lambda a: a, False, False, 0.7),
+    "swap": (_swap, True, True, 0.0),
+    "conjugate": (_reflect_y, False, True, 0.0),
+}
+
+
+class TestSymmetryRelations:
+    """The n=2 solve commutes with the torus's symmetries; each relation needs
+    no exact solution and holds to rounding, whatever the solver's last bits."""
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        g, F = _symmetry_case()
+        assert np.max(np.abs(g.off.imag)) > 0.25 and tm.positivity_check(g) > 0.05
+        result = _solve(g, F)
+        assert result.converged, result.message
+        return g, F, result
+
+    @pytest.mark.parametrize("relation", list(_RELATIONS))
+    def test_relation(self, base, relation):
+        g, F, result = base
+        move, swap, conjugate, constant = _RELATIONS[relation]
+        diag = np.ascontiguousarray(move(g.diag[::-1] if swap else g.diag))
+        off = np.ascontiguousarray(move(np.conj(g.off) if conjugate else g.off))
+        again = _solve(tm.HermitianMetricField(g.grid, diag, off),
+                       np.ascontiguousarray(move(F) + constant))
+        assert again.converged, again.message
+        assert np.max(np.abs(again.phi.values - move(result.phi.values))) <= 1e-14

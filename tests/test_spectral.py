@@ -1,7 +1,8 @@
-"""The real-to-complex seam: Grid.rfftn/irfftn and the half-spectrum symbols.
+"""The solver's operators against full complex-FFT formulas.
 
-Each consumer is checked against the full complex-FFT formula it replaced,
-written out here so that the reference does not go through the seam.
+Each operator is checked against the complex-FFT formula it replaced, written
+out here so that the reference goes through neither Grid.hessian nor
+Grid.inverse_flat.
 """
 
 import warnings
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import torusma as tm
-from conftest import axis_derivative
+from conftest import axis_derivative, complex_precondition, count_calls
 from torusma.grid import mixed_hessian_symbol
 from torusma.solver import _LinearizedOperator, _band_limit_warning, yau_estimate_report
 
@@ -40,16 +41,6 @@ def _complex_apply_B(u, it):
         for k in range(grid.n):
             acc += coef[..., j, k] * np.fft.ifftn(spec * mixed_hessian_symbol(grid, j, k))
     return -acc.real
-
-
-def _complex_precondition(r, grid):
-    spec = np.fft.fftn(r)
-    sym = np.zeros(grid.shape)
-    for j in range(grid.n):
-        sym = sym - mixed_hessian_symbol(grid, j, j).real
-    out = np.zeros_like(spec)
-    np.divide(spec, sym, out=out, where=sym > 0)
-    return np.fft.ifftn(out).real
 
 
 def _background(grid, flat):
@@ -91,14 +82,27 @@ class TestMatchesComplexTransform:
     def test_apply_B(self, grid, small_potential, random_real_field):
         it = tm.metric_iterate(tm.flat_metric(grid), small_potential)
         u = random_real_field.values.real
-        Bu = _LinearizedOperator(it).apply_B(grid.rfftn(u))
+        Bu = _LinearizedOperator(it).apply_B(u)
         assert _rel(Bu, _complex_apply_B(u, it)) <= 1e-12
 
     def test_precondition(self, grid, small_potential, random_real_field):
         op = _LinearizedOperator(tm.metric_iterate(tm.flat_metric(grid), small_potential))
         r = random_real_field.values.real
-        z = grid.irfftn(op.precondition(grid.rfftn(r)))
-        assert _rel(z, _complex_precondition(r, grid)) <= 1e-12
+        z = op.precondition(r)
+        assert _rel(z, complex_precondition(r, grid)) <= 1e-12
+
+    # the fixtures' grids are (1, 32) and (2, 16); n=1 N=64 takes the transforms;
+    # test_grid's TestMatrixTransforms covers the preconditioner at every size
+    @pytest.mark.parametrize("n,N", [(1, 8), (1, 16), (2, 8), (1, 64)],
+                             ids=["n1-N8", "n1-N16", "n2-N8", "n1-N64"])
+    def test_apply_B_at_other_sizes(self, n, N):
+        grid = tm.Grid(n=n, N=N)
+        rng = np.random.default_rng(3)
+        phi = tm.mean_zero_project(tm.random_band_limited(grid, rng, kmax=2, amplitude=0.01))
+        it = tm.metric_iterate(_background(grid, flat=False), phi)
+        # white noise: content on every Nyquist plane
+        u = rng.standard_normal(grid.shape)
+        assert _rel(_LinearizedOperator(it).apply_B(u), _complex_apply_B(u, it)) <= 1e-12
 
     # with kmax=1 and this seed the n=2 sup of |d_l d_j dbar_k phi| lies at
     # j != k, where the imaginary symbol B of d_j dbar_k enters; over a
@@ -121,29 +125,13 @@ class TestMatchesComplexTransform:
 
     def test_yau_monitor_takes_no_full_grid_transform(self, grid, small_potential, monkeypatch):
         it = tm.metric_iterate(_background(grid, flat=False), small_potential)
-        calls = []
-        for name in ("rfftn", "irfftn"):
-            original = getattr(tm.Grid, name)
-            monkeypatch.setattr(tm.Grid, name,
-                                lambda self, x, _f=original: calls.append(1) or _f(self, x))
+        calls = [count_calls(monkeypatch, tm.Grid, name) for name in ("rfftn", "irfftn")]
         yau_estimate_report(it)
-        assert calls == []
+        assert calls == [[], []]
 
     def test_hessian_rejects_complex_field(self, grid, rng):
         with pytest.raises(ValueError):
             tm.hermitian_hessian(tm.random_band_limited(grid, rng, kmax=2, real=False))
-
-
-def test_parseval_inner_product(grid, rng):
-    # white noise has content on every Nyquist plane, where the half
-    # spectrum's last-axis edges weigh 1 and its interior 2
-    u = rng.standard_normal(grid.shape)
-    v = u + 0.5 * rng.standard_normal(grid.shape)
-    for a, b in ((u, v), (u, u)):
-        ref = float(np.mean(a * b))
-        assert abs(grid.inner(grid.rfftn(a), grid.rfftn(b)) - ref) <= 1e-14 * abs(ref)
-    nyquist = np.cos(np.pi * grid.N * grid.coordinate(grid.num_axes - 1))
-    assert grid.inner(grid.rfftn(nyquist), grid.rfftn(nyquist)) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_precondition_inverts_flat_operator(grid, random_real_field):
@@ -151,38 +139,28 @@ def test_precondition_inverts_flat_operator(grid, random_real_field):
     zero = tm.make_field(grid, np.zeros(grid.shape))
     op = _LinearizedOperator(tm.metric_iterate(tm.flat_metric(grid), zero))
     u = tm.mean_zero_project(random_real_field).values.real
-    spec = grid.rfftn(u)
-    assert _rel(grid.irfftn(op.precondition(grid.rfftn(op.apply_B(spec)))), u) <= 1e-12
-    assert _rel(op.apply_B(op.precondition(spec)), u) <= 1e-12
+    assert _rel(op.precondition(op.apply_B(u)), u) <= 1e-12
+    assert _rel(op.apply_B(op.precondition(u)), u) <= 1e-12
 
 
-@pytest.mark.parametrize("n,N", [(1, 32), (2, 8)], ids=["n1", "n2"])
+# n=1 N=64 takes the symbols and transforms; the smaller grids take matrix products
+@pytest.mark.parametrize("n,N", [(1, 32), (2, 8), (1, 64)], ids=["n1", "n2", "n1-N64"])
 def test_symbols_built_once_per_grid(n, N, monkeypatch):
-    builds = []
-    inverse_builds = []
-    original = tm.grid.mixed_hessian_symbol
-    original_inverse = tm.grid.inverse_flat_symbol
-
-    def counting_symbol(grid, j, k):
-        builds.append(grid)
-        return original(grid, j, k)
-
-    def counting_inverse(grid):
-        inverse_builds.append(grid)
-        return original_inverse(grid)
-
-    monkeypatch.setattr(tm.grid, "mixed_hessian_symbol", counting_symbol)
-    monkeypatch.setattr(tm.grid, "inverse_flat_symbol", counting_inverse)
+    builds = count_calls(monkeypatch, tm.grid, "mixed_hessian_symbol")
+    inverse_builds = count_calls(monkeypatch, tm.grid, "inverse_flat_symbol")
     grid = tm.Grid(n=n, N=N)
     x1, y1 = grid.coordinate(0), grid.coordinate(1)
     F = tm.make_field(grid, 0.2 * np.sin(2 * np.pi * x1) * np.cos(2 * np.pi * y1))
     result = tm.continuity_solve(F, tm.flat_metric(grid), tm.SolverConfig(n=n, N=N))
     assert result.converged
     assert sum(s.newton_iters for s in result.trace) > 0
-    assert 0 < len(builds) <= n * n
-    assert all(b is grid for b in builds)
+    if N <= tm.grid.MATRIX_DFT_MAX_N:
+        assert builds == []
+    else:
+        assert 0 < len(builds) <= n * n
+        assert all(b[0] is grid for b in builds)
     # the preconditioner's inverse flat symbol: one build for every operator of the solve
-    assert len(inverse_builds) == 1 and inverse_builds[0] is grid
+    assert len(inverse_builds) == 1 and inverse_builds[0][0] is grid
 
 
 class TestBandLimitWarning:
