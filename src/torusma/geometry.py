@@ -49,6 +49,8 @@ class HermitianMetricField:
             raise ValueError(f"diagonal must be float64 of shape {(n,) + self.grid.shape}")
         if (self.off is None) != (n == 1):
             raise ValueError("the off-diagonal entry is stored for n = 2 only")
+        if n == 2 and (self.off.shape != self.grid.shape or self.off.dtype != np.complex128):
+            raise ValueError(f"off-diagonal must be complex128 of shape {self.grid.shape}")
 
     @property
     def mats(self) -> np.ndarray:

@@ -9,8 +9,10 @@ Holomorphic coordinates are z^j = x^j + i*y^j, so the Wirtinger operators are
 
 Differentiation is spectral.  First derivatives zero the Nyquist mode (odd
 symbol) and pure second derivatives keep it with symbol -(pi N)^2, which keeps
-real fields real.  The dtype of a field's samples decides its realness:
-float64 samples make a real field, complex128 samples a complex one.
+real fields real.  Every spectral symbol is built from the grid's two axis
+symbols, which state that policy once (Grid.axis_symbols, Grid.along).  The
+dtype of a field's samples decides its realness: float64 samples make a real
+field, complex128 samples a complex one.
 
 The solver's operators are separable, with symbols even on every axis, so
 each is also a real N x N product along each axis.  Their seams are Grid
@@ -21,7 +23,8 @@ methods that choose between two algorithms by N against MATRIX_DFT_MAX_N (32):
                     MATLAB, 2000, ch. 3), or a 1-D pocketfft pair above 32;
   Grid.hessian      the real parts of d_j dbar_k of real samples: products
                     with D and the second-derivative matrix D2, or one rfftn
-                    and n^2 irfftn with the half-spectrum symbols above 32;
+                    and n^2 irfftn with the same formulas in the axis
+                    symbols above 32;
   Grid.inverse_flat the inverse of the flat operator -(1/4) Laplacian: the
                     orthonormal Hartley matrix along every axis on each side
                     of the symbol (Bracewell, The Hartley Transform, 1986), or
@@ -58,6 +61,9 @@ class Grid:
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in (self.n, self.N)):
+            raise ValueError(f"n and N must be integers, got {self.n!r} and {self.N!r}")
         if self.n not in (1, 2):
             raise ValueError(f"complex dimension must be 1 or 2, got {self.n}")
         if self.N < 8 or self.N % 2 != 0:
@@ -91,17 +97,13 @@ class Grid:
         shape[axis] = self.N
         return np.broadcast_to(x.reshape(shape), self.shape)
 
-    def wavenumbers(self, axis: int) -> np.ndarray:
-        """Integer wavenumbers along ``axis``, shaped for broadcasting."""
+    def along(self, sym: np.ndarray, axis: int, half: bool = False) -> np.ndarray:
+        """A 1-D array over fftfreq wavenumbers, shaped to broadcast along ``axis``;
+        ``half`` cuts the last axis to the rfftn half spectrum, wavenumbers 0..N/2."""
         self.check_axis(axis)
-        k = np.rint(np.fft.fftfreq(self.N, d=1.0 / self.N)).astype(int)
-        shape = [1] * self.num_axes
-        shape[axis] = self.N
-        return k.reshape(shape)
-
-    def half(self, full: np.ndarray) -> np.ndarray:
-        """The rfftn half of a full-spectrum array: last-axis wavenumbers 0..N/2."""
-        return full[..., : self.N // 2 + 1]
+        if half and axis == self.num_axes - 1:
+            sym = sym[: self.N // 2 + 1]
+        return sym.reshape((1,) * axis + (-1,) + (1,) * (self.num_axes - 1 - axis))
 
     def rfftn(self, u: np.ndarray) -> np.ndarray:
         """Half spectrum of a real field's samples (numpy.fft.rfftn over every axis)."""
@@ -128,11 +130,11 @@ class Grid:
                             dtype=complex if np.iscomplexobj(values) else float)
         if self.N <= MATRIX_DFT_MAX_N:
             return _apply_axis_matrix(self.axis_matrix(), lines, axis)
-        sym = first_symbol(self, axis)
+        first = self.axis_symbols()[0]
         if lines.dtype == np.float64:
-            half = sym[(slice(None),) * axis + (slice(0, self.N // 2 + 1),)]
+            half = self.along(first[: self.N // 2 + 1], axis)
             return np.fft.irfft(np.fft.rfft(lines, axis=axis) * half, n=self.N, axis=axis)
-        return np.fft.ifft(np.fft.fft(lines, axis=axis) * sym, axis=axis)
+        return np.fft.ifft(np.fft.fft(lines, axis=axis) * self.along(first, axis), axis=axis)
 
     def hessian(self, u: np.ndarray) -> list[np.ndarray]:
         """[A_00 u, .., A_{n-1,n-1} u], and A_01 u, B_01 u for n = 2: d_j dbar_k = A_jk + i B_jk.
@@ -140,15 +142,14 @@ class Grid:
         For N <= MATRIX_DFT_MAX_N, A_jj = (1/4)(D2_xj + D2_yj),
         A_01 = (1/4)(D_x1 D_x2 + D_y1 D_y2) and B_01 = (1/4)(D_x1 D_y2 - D_y1 D_x2),
         one product per axis and term: D annihilates the Nyquist mode and D2
-        keeps it, the symbols' policy.  The products see u less its first
+        keeps it, the axis symbols' policy.  The products see u less its first
         sample, so a constant gives exact zeros.  Larger grids take one rfftn
-        and n^2 irfftn.
+        and n^2 irfftn with the same formulas in the axis symbols
+        (hessian_symbols).
         """
         if self.N > MATRIX_DFT_MAX_N:
             spec = self.rfftn(u)
-            syms = [self.mixed_symbols(j, j)[0] for j in range(self.n)]
-            syms += list(self.mixed_symbols(0, 1)) if self.n == 2 else []
-            return [self.irfftn(spec * sym) for sym in syms]
+            return [self.irfftn(spec * sym) for sym in self._cached("hessian", hessian_symbols)]
         v = np.subtract(u, u.flat[0], dtype=float)
         v *= 0.25  # a power of two: the products round as if scaled after
         D, D2 = self.axis_matrix(), self._cached("D2", second_derivative_matrix)
@@ -180,7 +181,7 @@ class Grid:
         sym = self._cached("inverse_flat", inverse_flat_symbol)
         if self.N > MATRIX_DFT_MAX_N:
             spec = self.rfftn(r)
-            spec *= self.half(sym)
+            spec *= sym[..., : self.N // 2 + 1]
             return self.irfftn(spec)
         H = self._cached("hartley", hartley_matrix)
         for a in range(self.num_axes):
@@ -190,12 +191,9 @@ class Grid:
             r = _apply_axis_matrix(H, r, a)
         return r
 
-    def mixed_symbols(self, j: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Real half-spectrum symbols (A, B) of d_j dbar_k = A + iB, built once per grid."""
-        def build(grid):
-            s = grid.half(mixed_hessian_symbol(grid, j, k))
-            return np.ascontiguousarray(s.real), np.ascontiguousarray(s.imag)
-        return self._cached((j, k), build)
+    def axis_symbols(self) -> tuple[np.ndarray, np.ndarray]:
+        """The symbols of d/dx and d^2/dx^2 over one axis in fftfreq order, built once per grid."""
+        return self._cached("axis_symbols", axis_symbols)
 
     def axis_matrix(self) -> np.ndarray:
         """The first-derivative matrix of one axis, built once per grid."""
@@ -273,23 +271,25 @@ def make_field(grid: Grid, values: np.ndarray) -> PeriodicScalarField:
 # ---------------------------------------------------------------------------
 # spectral differentiation
 
-def first_symbol(grid: Grid, axis: int) -> np.ndarray:
-    """Spectral symbol of d/dx_axis, zero on the Nyquist mode."""
-    k = grid.wavenumbers(axis)
-    sym = 2j * np.pi * k
-    return np.where(np.abs(k) == grid.N // 2, 0.0, sym)
+def axis_symbols(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """(2 pi i k, -(2 pi k)^2) of d/dx and d^2/dx^2, k in fftfreq order; the odd
+    first symbol zeroes the Nyquist mode, the second keeps it at -(pi N)^2."""
+    k = np.rint(np.fft.fftfreq(grid.N, d=1.0 / grid.N)).astype(int)
+    first = np.where(np.abs(k) == grid.N // 2, 0.0, 2j * np.pi * k)
+    return first, -((2.0 * np.pi * k) ** 2)
 
 
-def _pure_second_symbol(grid: Grid, axis: int) -> np.ndarray:
-    k = grid.wavenumbers(axis)
-    return -((2.0 * np.pi * k) ** 2)
-
-
-def second_symbol(grid: Grid, axis_a: int, axis_b: int) -> np.ndarray:
-    """Spectral symbol of d/dx_a d/dx_b with the Nyquist policy applied."""
-    if axis_a == axis_b:
-        return _pure_second_symbol(grid, axis_a)
-    return first_symbol(grid, axis_a) * first_symbol(grid, axis_b)
+def hessian_symbols(grid: Grid) -> list[np.ndarray]:
+    """Grid.hessian's parts as real half-spectrum symbols of the axis symbols d and s:
+    A_jj = (1/4)(s_xj + s_yj), and A_01, B_01 the real parts of its formulas in d."""
+    first, second = grid.axis_symbols()
+    d = [grid.along(first, a, half=True) for a in range(grid.num_axes)]
+    s = [grid.along(second, a, half=True) for a in range(grid.num_axes)]
+    syms = [0.25 * (s[2 * j] + s[2 * j + 1]) for j in range(grid.n)]
+    if grid.n == 2:
+        syms.append(0.25 * ((d[0] * d[2]).real + (d[1] * d[3]).real))
+        syms.append(0.25 * ((d[0] * d[3]).real - (d[1] * d[2]).real))
+    return syms
 
 
 def differentiation_matrix(grid: Grid) -> np.ndarray:
@@ -298,7 +298,7 @@ def differentiation_matrix(grid: Grid) -> np.ndarray:
     The closed form of Trefethen (2000), ch. 3, scaled from period 2 pi to 1:
     entry (i, j) depends on m = i - j mod N, and is pi (-1)^m cot(pi m / N),
     0 for m = 0.  It is antisymmetric, and the Nyquist mode is annihilated, as
-    by first_symbol.  Only m < N/2 is evaluated; m > N/2 mirrors it, so the
+    by the first axis symbol.  Only m < N/2 is evaluated; m > N/2 mirrors it, so the
     antisymmetry is exact.
     """
     N, h = grid.N, grid.N // 2
@@ -316,7 +316,7 @@ def second_derivative_matrix(grid: Grid) -> np.ndarray:
     The closed form of Trefethen (2000), ch. 3, scaled from period 2 pi to 1:
     entry (i, j) depends on m = i - j mod N, and is -2 pi^2 (-1)^m / sin^2(pi m / N),
     -pi^2 (N^2 + 2) / 3 for m = 0.  It is symmetric, and the Nyquist mode keeps
-    -(pi N)^2, as in the pure second symbol; D @ D would annihilate it.  Only
+    -(pi N)^2, as in the second axis symbol; D @ D would annihilate it.  Only
     m <= N/2 is evaluated; m > N/2 mirrors it, so the symmetry is exact.
     """
     N, h = grid.N, grid.N // 2
@@ -370,7 +370,8 @@ def _apply_axis_matrix(M: np.ndarray, lines: np.ndarray, axis: int) -> np.ndarra
 
 def inverse_flat_symbol(grid: Grid) -> np.ndarray:
     """Full-grid symbol of the inverse of -(1/4) Laplacian = -sum_j A_jj; 0 on constants."""
-    flat = sum(-0.25 * _pure_second_symbol(grid, a) for a in range(grid.num_axes))
+    second = grid.axis_symbols()[1]
+    flat = sum(-0.25 * grid.along(second, a) for a in range(grid.num_axes))
     return np.divide(1.0, flat, out=np.zeros(grid.shape), where=flat > 0)
 
 
@@ -380,21 +381,6 @@ def partial_z(f: PeriodicScalarField, j: int) -> PeriodicScalarField:
     fx = f.grid.derivative(f.values, 2 * j)
     fy = f.grid.derivative(f.values, 2 * j + 1)
     return make_field(f.grid, 0.5 * (fx - 1j * fy))
-
-
-def mixed_hessian_symbol(grid: Grid, j: int, k: int) -> np.ndarray:
-    """Spectral symbol of d/dz^j d/dzbar^k on the full transform."""
-    grid.check_holo(j)
-    grid.check_holo(k)
-    xj, yj = 2 * j, 2 * j + 1
-    xk, yk = 2 * k, 2 * k + 1
-    s = (
-        second_symbol(grid, xj, xk)
-        + 1j * second_symbol(grid, xj, yk)
-        - 1j * second_symbol(grid, yj, xk)
-        + second_symbol(grid, yj, yk)
-    )
-    return 0.25 * s
 
 
 # ---------------------------------------------------------------------------

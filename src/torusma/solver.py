@@ -327,10 +327,12 @@ def _band_limit_warning(F: PeriodicScalarField) -> None:
     total = float(np.sum(spec))
     if total == 0.0:
         return
-    cutoff = grid.N // 4
+    # |k| > N/4 on some axis; entry N/4 of the fftfreq order is k = N/4
+    second = grid.axis_symbols()[1]
+    above = second < second[grid.N // 4]
     mask = np.zeros(spec.shape, dtype=bool)
     for a in range(grid.num_axes):
-        mask |= grid.half(np.abs(grid.wavenumbers(a)) > cutoff)
+        mask |= grid.along(above, a, half=True)
     high = float(np.sum(spec[mask]))
     if high > 1e-10 * total:
         warnings.warn(

@@ -24,26 +24,57 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(line)
 
 
+def wavenumbers(N):
+    """Integer wavenumbers of one axis in fftfreq order."""
+    return np.rint(np.fft.fftfreq(N, d=1.0 / N)).astype(int)
+
+
+def _on_axis(sym, axis, ndim):
+    shape = [1] * ndim
+    shape[axis] = sym.size
+    return sym.reshape(shape)
+
+
+def _first_symbol(N, axis, ndim):
+    """The symbol of d/dx along one axis: 2 pi i k, Nyquist mode zeroed."""
+    k = wavenumbers(N)
+    return _on_axis(np.where(np.abs(k) == N // 2, 0.0, 2j * np.pi * k), axis, ndim)
+
+
+def _second_symbol(N, axis, ndim):
+    """The symbol of d^2/dx^2 along one axis: -(2 pi k)^2, Nyquist mode kept."""
+    return _on_axis(-((2 * np.pi * np.fft.fftfreq(N, d=1.0 / N)) ** 2), axis, ndim)
+
+
 def axis_derivative(u, axis, N):
     """First derivative along one axis by a complex 1-D transform, Nyquist mode zeroed.
 
     The per-axis reference the spectral and forms tests compare against; it
-    does not go through torusma.
+    does not go through torusma, and neither do the other references here.
     """
-    k = np.rint(np.fft.fftfreq(N, d=1.0 / N)).astype(int)
-    sym = np.where(np.abs(k) == N // 2, 0.0, 2j * np.pi * k)
-    shape = [1] * u.ndim
-    shape[axis] = N
-    return np.fft.ifft(np.fft.fft(u, axis=axis) * sym.reshape(shape), axis=axis)
+    return np.fft.ifft(np.fft.fft(u, axis=axis) * _first_symbol(N, axis, u.ndim), axis=axis)
 
 
 def _axis_second_derivative(u, axis, N):
     """Pure second derivative along one axis by a complex 1-D transform, Nyquist mode kept."""
-    k = np.fft.fftfreq(N, d=1.0 / N)
-    shape = [1] * u.ndim
-    shape[axis] = N
-    sym = -((2 * np.pi * k) ** 2)
-    return np.fft.ifft(np.fft.fft(u, axis=axis) * sym.reshape(shape), axis=axis)
+    return np.fft.ifft(np.fft.fft(u, axis=axis) * _second_symbol(N, axis, u.ndim), axis=axis)
+
+
+def complex_hessian_symbol(grid, j, k):
+    """Full-spectrum symbol of d_j dbar_k = (1/4)(d_xj - i d_yj)(d_xk + i d_yk).
+
+    A pure second derivative keeps the Nyquist mode; a product of two first
+    derivatives zeroes it.
+    """
+    N, ndim = grid.N, grid.num_axes
+
+    def second(a, b):
+        if a == b:
+            return _second_symbol(N, a, ndim)
+        return _first_symbol(N, a, ndim) * _first_symbol(N, b, ndim)
+
+    xj, yj, xk, yk = 2 * j, 2 * j + 1, 2 * k, 2 * k + 1
+    return 0.25 * (second(xj, xk) + 1j * second(xj, yk) - 1j * second(yj, xk) + second(yj, yk))
 
 
 def complex_precondition(r, grid):
@@ -52,9 +83,8 @@ def complex_precondition(r, grid):
     The reference for the flat preconditioner; it does not go through Grid.inverse_flat.
     """
     spec = np.fft.fftn(r)
-    sym = np.zeros(grid.shape)
-    for j in range(grid.n):
-        sym = sym - tm.grid.mixed_hessian_symbol(grid, j, j).real
+    sym = sum(-0.25 * _second_symbol(grid.N, a, grid.num_axes) for a in range(grid.num_axes))
+    sym = np.broadcast_to(sym, grid.shape)
     out = np.zeros_like(spec)
     np.divide(spec, sym, out=out, where=sym > 0)
     return np.fft.ifftn(out).real

@@ -17,6 +17,22 @@ class TestFlatMetric:
         assert tm.positivity_check(tm.flat_metric(grid)) == pytest.approx(1.0)
 
 
+class TestMetricValidation:
+    @pytest.mark.parametrize("off", [np.zeros(8, dtype=complex), np.zeros((8,) * 4),
+                                     np.zeros((8,) * 4, dtype=np.complex64)],
+                             ids=["shape-8", "float64", "complex64"])
+    def test_rejects_bad_off_diagonal(self, off):
+        grid = tm.Grid(n=2, N=8)
+        with pytest.raises(ValueError, match="off-diagonal"):
+            tm.HermitianMetricField(grid, np.ones((2,) + grid.shape), off)
+
+    def test_accepts_complex128_grid_off_diagonal(self):
+        grid = tm.Grid(n=2, N=8)
+        g = tm.HermitianMetricField(grid, np.ones((2,) + grid.shape),
+                                    np.full(grid.shape, 0.5j))
+        assert np.array_equal(g.det, np.full(grid.shape, 0.75))
+
+
 class TestMetricFromPotential:
     def test_zero_potential_is_identity(self, grid):
         g0 = tm.flat_metric(grid)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import torusma as tm
-from conftest import _axis_second_derivative, axis_derivative, complex_precondition, count_calls
+from conftest import (_axis_second_derivative, _on_axis, axis_derivative, complex_precondition,
+                      count_calls, wavenumbers)
 
 
 class TestGridValidation:
@@ -17,6 +18,17 @@ class TestGridValidation:
             tm.Grid(n=1, N=15)
         with pytest.raises(ValueError):
             tm.Grid(n=1, N=4)
+
+    @pytest.mark.parametrize("n,N", [(1, 16.0), (1.0, 16), (True, 16), (1, "16"), (2, np.float64(16))],
+                             ids=["N-float", "n-float", "n-bool", "N-str", "N-float64"])
+    def test_rejects_bool_or_non_integer(self, n, N):
+        with pytest.raises(ValueError, match="must be integers"):
+            tm.Grid(n=n, N=N)
+
+    def test_accepts_numpy_integers(self):
+        grid = tm.Grid(n=np.int64(1), N=np.int32(16))
+        assert grid == tm.Grid(n=1, N=16)
+        assert tm.flat_metric(grid).det.shape == (16, 16)
 
     def test_shape_and_axes(self):
         g = tm.Grid(n=2, N=16)
@@ -319,7 +331,8 @@ class TestFieldConstruction:
         f = tm.random_band_limited(grid, rng, kmax=2, real=True)
         spec = np.fft.fftn(f.values)
         for a in range(grid.num_axes):
-            k = np.broadcast_to(np.abs(grid.wavenumbers(a)), grid.shape)
+            k = np.broadcast_to(np.abs(_on_axis(wavenumbers(grid.N), a, grid.num_axes)),
+                                grid.shape)
             assert np.max(np.abs(spec[k > 2])) < 1e-10 * np.max(np.abs(spec))
 
     def test_random_band_limited_seeded(self, grid):

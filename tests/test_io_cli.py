@@ -1,6 +1,10 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,6 +287,23 @@ def _complex_snapshot(tmp_path):
     vals = 0.1 * np.sin(2 * np.pi * x) + 5j * np.cos(2 * np.pi * x)
     tm.write_field(path, tm.make_field(grid, vals))
     return {"path": str(path)}
+
+
+def test_cli_import_loads_numpy_alone():
+    # every CLI command starts with this import, so a third-party module behind it
+    # adds to each command's setup time; the modules the interpreter's own startup
+    # loads are subtracted
+    code = ("import sys\n"
+            "def tops(): return {m.partition('.')[0] for m in sys.modules}\n"
+            "before = tops()\n"
+            "import torusma.cli\n"
+            "print(' '.join(sorted(m for m in tops() - before if m not in sys.stdlib_module_names)))")
+    src = str(Path(tm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["numpy", "torusma"]
 
 
 class TestCliSolve:

@@ -649,9 +649,33 @@ _RELATIONS = {
 }
 
 
+def _symmetry_case_n1(N):
+    """(g, F) at n=1: at N = 32 a non-flat background and F its flattening forcing
+    plus two harmonics; at N = 64 the flat metric and the Poisson forcing, which
+    takes the transform branch of the operators."""
+    grid = tm.Grid(n=1, N=N)
+    if N > tm.grid.MATRIX_DFT_MAX_N:
+        return tm.flat_metric(grid), tm.poisson_forcing_n1(grid).values
+    x, y = grid.coordinate(0), grid.coordinate(1)
+    chi = tm.make_field(grid, 0.004 * np.cos(2 * np.pi * (x + 2 * y))
+                        + 0.002 * np.sin(2 * np.pi * (2 * x - y)))
+    g = tm.metric_from_potential(tm.flat_metric(grid), chi)
+    F = -np.log(g.det) + 0.05 * np.cos(2 * np.pi * (x + y)) + 0.05 * np.sin(2 * np.pi * (x - 2 * y))
+    return g, F
+
+
+# the n=1 analogues: (map of the samples, the constant added to F); the
+# conjugation y -> -y is the reflection of the last axis, and g is real
+_RELATIONS_N1 = {
+    "shift": (lambda a: np.roll(a, (5, 11), axis=(-2, -1)), 0.0),
+    "F+0.7": (lambda a: a, 0.7),
+    "conjugate": (lambda a: a[..., (-np.arange(a.shape[-1])) % a.shape[-1]], 0.0),
+}
+
+
 class TestSymmetryRelations:
-    """The n=2 solve commutes with the torus's symmetries; each relation needs
-    no exact solution and holds to rounding, whatever the solver's last bits."""
+    """The solve commutes with the torus's symmetries; each relation needs no
+    exact solution and holds to rounding, whatever the solver's last bits."""
 
     @pytest.fixture(scope="class")
     def base(self):
@@ -668,6 +692,31 @@ class TestSymmetryRelations:
         diag = np.ascontiguousarray(move(g.diag[::-1] if swap else g.diag))
         off = np.ascontiguousarray(move(np.conj(g.off) if conjugate else g.off))
         again = _solve(tm.HermitianMetricField(g.grid, diag, off),
+                       np.ascontiguousarray(move(F) + constant))
+        assert again.converged, again.message
+        assert np.max(np.abs(again.phi.values - move(result.phi.values))) <= 1e-14
+
+    @pytest.fixture(scope="class")
+    def base_n1(self):
+        """get(N): (g, F, result) of the n=1 case at N, solved once per class."""
+        bases = {}
+
+        def get(N):
+            if N not in bases:
+                g, F = _symmetry_case_n1(N)
+                result = _solve(g, F)
+                assert result.converged, result.message
+                bases[N] = g, F, result
+            return bases[N]
+
+        return get
+
+    @pytest.mark.parametrize("relation", list(_RELATIONS_N1))
+    @pytest.mark.parametrize("N", [32, 64], ids=["n1-N32", "poisson-n1-N64"])
+    def test_relation_n1(self, base_n1, N, relation):
+        g, F, result = base_n1(N)
+        move, constant = _RELATIONS_N1[relation]
+        again = _solve(tm.HermitianMetricField(g.grid, np.ascontiguousarray(move(g.diag))),
                        np.ascontiguousarray(move(F) + constant))
         assert again.converged, again.message
         assert np.max(np.abs(again.phi.values - move(result.phi.values))) <= 1e-14

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 import torusma as tm
-from conftest import axis_derivative, complex_precondition, count_calls
-from torusma.grid import mixed_hessian_symbol
+from conftest import axis_derivative, complex_hessian_symbol, complex_precondition, count_calls
 from torusma.solver import _LinearizedOperator, _band_limit_warning, yau_estimate_report
 
 
@@ -27,7 +26,7 @@ def _complex_hessian(phi):
     H = np.empty(grid.shape + (n, n), dtype=complex)
     for j in range(n):
         for k in range(n):
-            H[..., j, k] = np.fft.ifftn(spec * mixed_hessian_symbol(grid, j, k))
+            H[..., j, k] = np.fft.ifftn(spec * complex_hessian_symbol(grid, j, k))
     return 0.5 * (H + np.conj(np.swapaxes(H, -1, -2)))
 
 
@@ -39,7 +38,7 @@ def _complex_apply_B(u, it):
     acc = np.zeros(grid.shape, dtype=complex)
     for j in range(grid.n):
         for k in range(grid.n):
-            acc += coef[..., j, k] * np.fft.ifftn(spec * mixed_hessian_symbol(grid, j, k))
+            acc += coef[..., j, k] * np.fft.ifftn(spec * complex_hessian_symbol(grid, j, k))
     return -acc.real
 
 
@@ -146,21 +145,21 @@ def test_precondition_inverts_flat_operator(grid, random_real_field):
 # n=1 N=64 takes the symbols and transforms; the smaller grids take matrix products
 @pytest.mark.parametrize("n,N", [(1, 32), (2, 8), (1, 64)], ids=["n1", "n2", "n1-N64"])
 def test_symbols_built_once_per_grid(n, N, monkeypatch):
-    builds = count_calls(monkeypatch, tm.grid, "mixed_hessian_symbol")
-    inverse_builds = count_calls(monkeypatch, tm.grid, "inverse_flat_symbol")
+    names = ("axis_symbols", "hessian_symbols", "inverse_flat_symbol")
+    builds = {name: count_calls(monkeypatch, tm.grid, name) for name in names}
     grid = tm.Grid(n=n, N=N)
     x1, y1 = grid.coordinate(0), grid.coordinate(1)
     F = tm.make_field(grid, 0.2 * np.sin(2 * np.pi * x1) * np.cos(2 * np.pi * y1))
     result = tm.continuity_solve(F, tm.flat_metric(grid), tm.SolverConfig(n=n, N=N))
     assert result.converged
     assert sum(s.newton_iters for s in result.trace) > 0
-    if N <= tm.grid.MATRIX_DFT_MAX_N:
-        assert builds == []
-    else:
-        assert 0 < len(builds) <= n * n
-        assert all(b[0] is grid for b in builds)
-    # the preconditioner's inverse flat symbol: one build for every operator of the solve
-    assert len(inverse_builds) == 1 and inverse_builds[0][0] is grid
+    # the axis symbols serve the band-limit check and the inverse flat symbol at
+    # every N, and the Hessian symbols above MATRIX_DFT_MAX_N; one build each for
+    # every operator of the solve
+    assert [b for (b,) in builds["axis_symbols"]] == [grid]
+    assert [b for (b,) in builds["inverse_flat_symbol"]] == [grid]
+    assert len(builds["hessian_symbols"]) == (N > tm.grid.MATRIX_DFT_MAX_N)
+    assert all(b is grid for name in names for (b,) in builds[name])
 
 
 class TestBandLimitWarning:
