@@ -147,42 +147,43 @@ def form_sum(parts: list[PqForm]) -> FormSum:
 # ---------------------------------------------------------------------------
 # Dolbeault operators
 
-def _dolbeault(alpha: PqForm) -> tuple[PqForm, PqForm]:
-    """(del alpha, delbar alpha): (p,q) -> (p+1,q) and (p,q) -> (p,q+1).
+def _add_dolbeault(alpha: PqForm, acc: dict[tuple[int, int], dict]) -> None:
+    """Add every term of del alpha and delbar alpha into acc[p+1, q] and acc[p, q+1].
 
-    Each component's two real partials along z^j are taken once and feed both
+    acc maps a bidegree to its component arrays; a component's first term
+    becomes a new array, and later terms are added into it in order:
+    component, then j.  Each component's two real partials along z^j are taken
+    once, into two work arrays reused across components and j, and feed both
     d/dz^j (when j is not in J) and d/dzbar^j (when j is not in K).
     """
     grid, p, q = alpha.grid, alpha.p, alpha.q
-    holo: dict[tuple[Index, Index], np.ndarray] = {}
-    anti: dict[tuple[Index, Index], np.ndarray] = {}
+    holo = acc.setdefault((p + 1, q), {})
+    anti = acc.setdefault((p, q + 1), {})
+    fx, ify = np.empty(grid.shape, dtype=complex), np.empty(grid.shape, dtype=complex)
     front = (-1) ** p  # dzbar^j crosses the dz^J block
     for (J, K), arr in alpha.components.items():
         for j in range(grid.n):
             if j in J and j in K:
                 continue
             # the halves of d/dz^j = (d_x - i d_y) / 2, scaled exactly by a power of two
-            fx = grid.derivative(arr, 2 * j)
+            grid.derivative(arr, 2 * j, out=fx)
             fx *= 0.5
-            ify = grid.derivative(arr, 2 * j + 1)
+            grid.derivative(arr, 2 * j + 1, out=ify)
             ify *= 0.5j
             if j not in J:
                 merged, sign = merge_sign((j,), J)
-                # fx is still needed below when j is not in K
-                dz = np.subtract(fx, ify, out=fx if j in K else None)
-                _accumulate(holo, (merged, K), dz, sign)
+                # fx is still needed below when j is not in K; a new difference
+                # is freed before the next partials are taken
+                _accumulate(holo, (merged, K), np.subtract(fx, ify, out=fx if j in K else None), sign)
             if j not in K:
                 merged, sign = merge_sign((j,), K)
                 _accumulate(anti, (J, merged), np.add(fx, ify, out=fx), front * sign)
-            del fx, ify  # free before the next partials are taken
-    # every component of a bidegree within (n, n) receives at least one term
-    return PqForm(grid, p + 1, q, holo), PqForm(grid, p, q + 1, anti)
 
 
 def _accumulate(comps: dict, key: tuple[Index, Index], value: np.ndarray, sign: int) -> None:
-    """comps[key] += sign * value, with the sign applied exactly; value is overwritten.
+    """comps[key] += sign * value, with the sign applied exactly.
 
-    A component's first term becomes its array; 0.0 + value rounds it as a zero array would.
+    A component's first term becomes a new array; 0.0 + value rounds it as a zero array would.
     """
     if key in comps:
         if sign > 0:
@@ -190,9 +191,18 @@ def _accumulate(comps: dict, key: tuple[Index, Index], value: np.ndarray, sign: 
         else:
             comps[key] -= value
     elif sign > 0:
-        comps[key] = np.add(value, 0.0, out=value)
+        comps[key] = np.add(value, 0.0)
     else:
-        comps[key] = np.subtract(0.0, value, out=value)
+        comps[key] = np.subtract(0.0, value)
+
+
+def _dolbeault(alpha: PqForm) -> tuple[PqForm, PqForm]:
+    """(del alpha, delbar alpha): (p,q) -> (p+1,q) and (p,q) -> (p,q+1)."""
+    acc: dict[tuple[int, int], dict] = {}
+    _add_dolbeault(alpha, acc)
+    # every component of a bidegree within (n, n) receives at least one term
+    holo, anti = (PqForm(alpha.grid, p, q, comps) for (p, q), comps in acc.items())
+    return holo, anti
 
 
 def del_(alpha: PqForm) -> PqForm:
@@ -211,18 +221,13 @@ def exterior_d(alpha: PqForm) -> FormSum:
 
 
 def d_sum(alpha: FormSum) -> FormSum:
-    """d of a mixed-degree form, summed in form_sum's order; each part's del and
-    delbar are added into the sum as they are made, so only one pair is alive."""
-    acc: dict[tuple[int, int], PqForm] = {}
+    """d of a mixed-degree form: every term goes straight into one accumulator per
+    bidegree, in the order part, then component, then j."""
+    acc: dict[tuple[int, int], dict] = {}
     for f in alpha.parts.values():
-        for piece in _dolbeault(f):
-            key = (piece.p, piece.q)
-            if key not in acc:
-                acc[key] = piece
-                continue
-            for idx, arr in acc[key].components.items():
-                arr += piece.components[idx]
-    return FormSum(alpha.grid, acc)
+        _add_dolbeault(f, acc)
+    return FormSum(alpha.grid, {(p, q): PqForm(alpha.grid, p, q, comps)
+                                for (p, q), comps in acc.items()})
 
 
 def d_c(u: PeriodicScalarField) -> FormSum:

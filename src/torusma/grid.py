@@ -113,7 +113,7 @@ class Grid:
         """Real samples of a half spectrum (the inverse of rfftn)."""
         return np.fft.irfftn(spec, s=self.shape, axes=tuple(range(self.num_axes)))
 
-    def derivative(self, values: np.ndarray, axis: int) -> np.ndarray:
+    def derivative(self, values: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
         """Spectral first derivative of a sample array along real axis ``axis``.
 
         The Nyquist mode is zeroed and the result keeps the real or complex
@@ -123,18 +123,28 @@ class Grid:
         rounding.  For N <= MATRIX_DFT_MAX_N the lines are multiplied by the
         differentiation matrix (_apply_axis_matrix); larger grids take
         rfft/irfft along the axis for float64 samples, fft/ifft for complex.
+        ``out``, a C-ordered array of the result's shape and dtype, receives
+        the same bytes as a new result would and is returned.
         """
         self.check_axis(axis)
         first = values[(slice(None),) * axis + (slice(0, 1),)]
         lines = np.subtract(values, first, order="C",
                             dtype=complex if np.iscomplexobj(values) else float)
+        if out is not None and not (out.shape == lines.shape and out.dtype == lines.dtype
+                                    and out.flags.c_contiguous):
+            raise ValueError(f"out must be a C-ordered {lines.dtype} array of shape {lines.shape}")
         if self.N <= MATRIX_DFT_MAX_N:
-            return _apply_axis_matrix(self.axis_matrix(), lines, axis)
+            return _apply_axis_matrix(self.axis_matrix(), lines, axis, out)
         first = self.axis_symbols()[0]
         if lines.dtype == np.float64:
             half = self.along(first[: self.N // 2 + 1], axis)
-            return np.fft.irfft(np.fft.rfft(lines, axis=axis) * half, n=self.N, axis=axis)
-        return np.fft.ifft(np.fft.fft(lines, axis=axis) * self.along(first, axis), axis=axis)
+            d = np.fft.irfft(np.fft.rfft(lines, axis=axis) * half, n=self.N, axis=axis)
+        else:
+            d = np.fft.ifft(np.fft.fft(lines, axis=axis) * self.along(first, axis), axis=axis)
+        if out is None:
+            return d
+        out[...] = d
+        return out
 
     def hessian(self, u: np.ndarray) -> list[np.ndarray]:
         """[A_00 u, .., A_{n-1,n-1} u], and A_01 u, B_01 u for n = 2: d_j dbar_k = A_jk + i B_jk.
@@ -341,31 +351,37 @@ def hartley_matrix(grid: Grid) -> np.ndarray:
     return (np.cos(t) + np.sin(t)) / np.sqrt(grid.N)
 
 
-def _product_along_axis(M: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
+def _product_along_axis(M: np.ndarray, x: np.ndarray, axis: int,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """M applied to every line of x along ``axis`` (not the last): one batched BLAS product.
 
-    The result is C-ordered and has M.shape[0] points along ``axis``.
+    The result is C-ordered and has M.shape[0] points along ``axis``; ``out``,
+    if given, is a C-ordered array of that shape and receives it.
     """
     lead = x.shape[:axis]
-    out = np.matmul(M, x.reshape(int(np.prod(lead)), x.shape[axis], -1))
-    return out.reshape(lead + (M.shape[0],) + x.shape[axis + 1:])
+    shape = (int(np.prod(lead)), x.shape[axis], -1)
+    y = np.matmul(M, x.reshape(shape), out=None if out is None else out.reshape(shape))
+    return y.reshape(lead + (M.shape[0],) + x.shape[axis + 1:])
 
 
-def _apply_axis_matrix(M: np.ndarray, lines: np.ndarray, axis: int) -> np.ndarray:
-    """The real N x N matrix M applied along ``axis`` of C-ordered samples; a new array.
+def _apply_axis_matrix(M: np.ndarray, lines: np.ndarray, axis: int,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """The real N x N matrix M applied along ``axis`` of C-ordered samples.
 
     Complex samples go through their float64 view, so every product is a real
-    matrix product.
+    matrix product.  The result is a new array, or ``out``, C-ordered like
+    ``lines``, which receives the same bytes and is returned.
     """
     x = lines.view(np.float64)
+    y = None if out is None else out.view(np.float64)
     if axis < lines.ndim - 1:
-        out = _product_along_axis(M, x, axis)
-    elif lines.dtype == np.float64:
-        out = x.reshape(-1, M.shape[0]) @ M.T
+        res = _product_along_axis(M, x, axis, y)
     else:
         # on the last axis the parts of a complex sample interleave
-        out = x.reshape(-1, 2 * M.shape[0]) @ np.kron(M.T, np.eye(2))
-    return out.reshape(x.shape).view(lines.dtype)
+        W = M.T if lines.dtype == np.float64 else np.kron(M.T, np.eye(2))
+        shape = (-1, W.shape[0])
+        res = np.matmul(x.reshape(shape), W, out=None if y is None else y.reshape(shape))
+    return res.reshape(x.shape).view(lines.dtype) if out is None else out
 
 
 def inverse_flat_symbol(grid: Grid) -> np.ndarray:

@@ -207,10 +207,26 @@ def ricci_flat_background_n2(grid: Grid):
 # ---------------------------------------------------------------------------
 # suites
 
+def _identity_trial(grid: Grid, rng: np.random.Generator, p: int, q: int) -> tuple[float, ...]:
+    """Sup norms of del^2, delbar^2 and the anticommutator on one random (p,q)-form.
+
+    The composed d(d alpha) splits by bidegree into exactly these three parts.
+    Only the norms are returned, so the trial's forms are freed before the next
+    draw, and alpha itself once d alpha is made.
+    """
+    n = grid.n
+    d2 = forms.d_sum(forms.exterior_d(forms.PqForm(grid, p, q, {
+        (J, K): random_band_limited(grid, rng, kmax=3, real=False).values
+        for J in forms.increasing_indices(n, p)
+        for K in forms.increasing_indices(n, q)
+    })))
+    return tuple(d2.part(*pq).sup_norm() for pq in ((p + 2, q), (p, q + 2), (p + 1, q + 1)))
+
+
 def _suite_identities() -> list[SuiteCheck]:
-    # The composed d(d alpha) splits by bidegree into del^2, delbar^2, and the
-    # anticommutator; reading those parts off one composition checks all four
-    # identities on each field, and d^2 has no other part, so its sup is their max.
+    # reading the three parts off one composition checks all four identities on
+    # each field, and d^2 has no other part, so its sup is their max
+    names = ("del_squared", "delbar_squared", "anticommutator")
     worst = {"del_squared": 0.0, "delbar_squared": 0.0, "d_squared": 0.0,
              "anticommutator": 0.0}
     for n in (1, 2):
@@ -218,18 +234,9 @@ def _suite_identities() -> list[SuiteCheck]:
         rng = np.random.default_rng(2024 + n)
         degrees = [(p, q) for p in range(n + 1) for q in range(n + 1) if (p, q) != (n, n)]
         for trial in range(5):
-            p, q = degrees[trial % len(degrees)]
-            alpha = forms.PqForm(grid, p, q, {
-                (J, K): random_band_limited(grid, rng, kmax=3, real=False).values
-                for J in forms.increasing_indices(n, p)
-                for K in forms.increasing_indices(n, q)
-            })
-            d2 = forms.d_sum(forms.exterior_d(alpha))
-            worst["del_squared"] = max(worst["del_squared"], d2.part(p + 2, q).sup_norm())
-            worst["delbar_squared"] = max(worst["delbar_squared"], d2.part(p, q + 2).sup_norm())
-            worst["anticommutator"] = max(worst["anticommutator"], d2.part(p + 1, q + 1).sup_norm())
-    worst["d_squared"] = max(worst["del_squared"], worst["delbar_squared"],
-                             worst["anticommutator"])
+            for name, value in zip(names, _identity_trial(grid, rng, *degrees[trial % len(degrees)])):
+                worst[name] = max(worst[name], value)
+    worst["d_squared"] = max(worst[name] for name in names)
     return [_check(f"identities.{k}", v) for k, v in worst.items()]
 
 

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -95,15 +96,24 @@ def suite_report():
     """run_suite(name), run once per session and shared by every test that reads it.
 
     Timing gates read the report's own ``elapsed_s``, which does not depend
-    on which test ran the suite first.
+    on which test ran the suite first.  The run is traced, and
+    ``suite_report.peak_bytes[name]`` holds its tracemalloc peak.
     """
     reports: dict[str, tm.SuiteReport] = {}
+    peaks: dict[str, int] = {}
 
     def get(name: str) -> tm.SuiteReport:
         if name not in reports:
-            reports[name] = tm.run_suite(name)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                reports[name] = tm.run_suite(name)
+                peaks[name] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
         return reports[name]
 
+    get.peak_bytes = peaks
     return get
 
 

@@ -613,13 +613,16 @@ def _solve(g, F):
 
 def _symmetry_case():
     """(g, F) at n=2 N=16: a background with an imaginary off-diagonal, F its
-    Ricci-flat forcing plus two harmonics."""
+    Ricci-flat forcing plus three harmonics.  The one in x1 + y1 is the only
+    datum that mixes x_j and y_j of one j, so a cross term d_x d_y in A_jj
+    breaks the conjugation relation."""
     grid = tm.Grid(n=2, N=16)
     x1, y1, x2, y2 = (grid.coordinate(a) for a in range(4))
     chi = tm.make_field(grid, 0.02 * np.cos(2 * np.pi * (x1 + y2))
                         + 0.01 * np.sin(2 * np.pi * (y1 - x2)))
     g = tm.metric_from_potential(tm.ricci_flat_background_n2(grid)[1], chi)
-    F = -np.log(g.det) + 0.05 * np.cos(2 * np.pi * (x1 + x2)) + 0.05 * np.sin(2 * np.pi * (y1 - y2))
+    F = (-np.log(g.det) + 0.05 * np.cos(2 * np.pi * (x1 + x2)) + 0.05 * np.sin(2 * np.pi * (y1 - y2))
+         + 0.03 * np.cos(2 * np.pi * (x1 + y1)))
     return g, F
 
 

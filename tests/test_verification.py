@@ -43,6 +43,15 @@ class TestRunSuite:
         assert values["identities.d_squared"] == max(
             values[f"identities.{k}"] for k in ("del_squared", "delbar_squared", "anticommutator"))
 
+    def test_identities_peak_memory(self, suite_report):
+        # the largest n=2 N=32 trial holds d alpha, d(d alpha) and three
+        # transients, 13 fields of 16 MiB (208.8 MiB measured); with each
+        # trial's forms alive during the next draw and d_sum building every
+        # del and delbar piece in full, the peak was 336.7 MiB
+        suite_report("identities")
+        peak = suite_report.peak_bytes["identities"]
+        assert peak <= 240 * 2**20, peak / 2**20
+
     @pytest.mark.parametrize("name", ["geometry", "uniqueness", "poisson_n1"])
     def test_cheap_suites_pass(self, name, suite_report):
         assert suite_report(name).passed
