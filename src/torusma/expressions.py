@@ -10,8 +10,8 @@ Grammar (recursive descent):
     coord  := x1 | y1 | x2 | y2
 
 Every trig factor is an exact grid harmonic, so parsed data is smooth,
-periodic and exactly representable; the largest integer harmonic is tracked
-for the N/4 band-limit check.
+periodic and exactly representable; the N/4 band-limit check reads a bound
+on each coordinate's harmonics derived from the tree (_harmonic_bound).
 
 A sum or a product is one node, folded left to right in a loop, and a chain
 of unary minus signs is parsed in a loop, so neither the parser nor the
@@ -78,17 +78,17 @@ def _tokenize(text: str) -> tuple[list[tuple[str, str]], list[int]]:
 
 @dataclass
 class Expression:
-    """Parsed expression; evaluate on a grid, with its max harmonic recorded."""
+    """Parsed expression; evaluate on a grid, or check it against the band limit."""
 
     text: str
     _ast: tuple
-    max_harmonic: int
 
     def evaluate(self, grid: Grid) -> PeriodicScalarField:
         return make_field(grid, _eval_node(self._ast, grid))
 
     def band_limited(self, grid: Grid) -> bool:
-        return self.max_harmonic <= grid.N // 4
+        # exp(...) keeps its argument's bound; its tail is left to the solver's spectral warning
+        return all(k <= grid.N // 4 for k in _harmonic_bound(self._ast).values())
 
 
 class _Parser:
@@ -96,7 +96,6 @@ class _Parser:
         self.text = text
         self.tokens, self.starts = _tokenize(text)
         self.pos = 0
-        self.max_harmonic = 0
         self.depth = 0
 
     def peek(self):
@@ -194,7 +193,6 @@ class _Parser:
         if not re.fullmatch(r"[xy][12]", coord):
             raise ExpressionError(f"unknown coordinate {coord!r}")
         self.take("op", ")")
-        self.max_harmonic = max(self.max_harmonic, harmonic)
         return ("trig", func, harmonic, coord)
 
 
@@ -205,6 +203,22 @@ def _coord_axis(grid: Grid, coord: str) -> int:
             f"coordinate {coord} does not exist in complex dimension {grid.n}"
         )
     return 2 * j + (0 if coord[0] == "x" else 1)
+
+
+def _harmonic_bound(node: tuple) -> dict[str, int]:
+    """Per coordinate, the largest harmonic node can carry: a product adds its
+    factors' bounds, a sum takes their maximum, neg and exp keep their argument's."""
+    op = node[0]
+    if op in ("const", "trig"):
+        return {} if op == "const" else {node[3]: node[2]}
+    if op in ("neg", "exp"):
+        return _harmonic_bound(node[1])
+    children = (node[1],) + tuple(term for _, term in node[2]) if op == "sum" else node[1]
+    bound: dict[str, int] = {}
+    for child in children:
+        for coord, k in _harmonic_bound(child).items():
+            bound[coord] = max(bound.get(coord, 0), k) if op == "sum" else bound.get(coord, 0) + k
+    return bound
 
 
 def _eval_node(node: tuple, grid: Grid) -> np.ndarray:
@@ -235,6 +249,4 @@ def _eval_node(node: tuple, grid: Grid) -> np.ndarray:
 
 
 def parse_expression(text: str) -> Expression:
-    parser = _Parser(text)
-    ast = parser.parse()
-    return Expression(text=text, _ast=ast, max_harmonic=parser.max_harmonic)
+    return Expression(text=text, _ast=_Parser(text).parse())

@@ -9,20 +9,22 @@ Holomorphic coordinates are z^j = x^j + i*y^j, so the Wirtinger operators are
 
 Differentiation is spectral.  First derivatives zero the Nyquist mode (odd
 symbol) and pure second derivatives keep it with symbol -(pi N)^2, which keeps
-real fields real.  Every spectral symbol is built from the grid's two axis
-symbols, which state that policy once (Grid.axis_symbols, Grid.along).  The
-dtype of a field's samples decides its realness: float64 samples make a real
-field, complex128 samples a complex one.
+real fields real.  Every spectral symbol, and the per-axis matrices D and D2
+below, is built from the grid's two axis symbols, which state that policy
+once (Grid.axis_symbols, Grid.along, axis_matrices).  The dtype of a field's
+samples decides its realness: float64 samples make a real field, complex128
+samples a complex one.
 
 The solver's operators are separable, with symbols even on every axis, so
 each is also a real N x N product along each axis.  Their seams are Grid
 methods that choose between two algorithms by N against MATRIX_DFT_MAX_N (32):
 
   Grid.derivative   a first derivative along one axis: the Fourier
-                    differentiation matrix D (Trefethen, Spectral Methods in
-                    MATLAB, 2000, ch. 3), or a 1-D pocketfft pair above 32;
+                    differentiation matrix D, the circulant of the first
+                    axis symbol (Trefethen, Spectral Methods in MATLAB, 2000,
+                    ch. 3), or a 1-D pocketfft pair above 32;
   Grid.hessian      the real parts of d_j dbar_k of real samples: products
-                    with D and the second-derivative matrix D2, or one rfftn
+                    with D and D2, the circulant of the second, or one rfftn
                     and n^2 irfftn with the same formulas in the axis
                     symbols above 32;
   Grid.inverse_flat the inverse of the flat operator -(1/4) Laplacian: the
@@ -121,7 +123,7 @@ class Grid:
         nothing exactly, but a line constant along the axis then gives exact
         zeros, which a product or transform of the raw samples misses by
         rounding.  For N <= MATRIX_DFT_MAX_N the lines are multiplied by the
-        differentiation matrix (_apply_axis_matrix); larger grids take
+        differentiation matrix D (_apply_axis_matrix); larger grids take
         rfft/irfft along the axis for float64 samples, fft/ifft for complex.
         ``out``, a C-ordered array of the result's shape and dtype, receives
         the same bytes as a new result would and is returned.
@@ -134,7 +136,7 @@ class Grid:
                                     and out.flags.c_contiguous):
             raise ValueError(f"out must be a C-ordered {lines.dtype} array of shape {lines.shape}")
         if self.N <= MATRIX_DFT_MAX_N:
-            return _apply_axis_matrix(self.axis_matrix(), lines, axis, out)
+            return _apply_axis_matrix(self.axis_matrix(1), lines, axis, out)
         first = self.axis_symbols()[0]
         if lines.dtype == np.float64:
             half = self.along(first[: self.N // 2 + 1], axis)
@@ -162,7 +164,7 @@ class Grid:
             return [self.irfftn(spec * sym) for sym in self._cached("hessian", hessian_symbols)]
         v = np.subtract(u, u.flat[0], dtype=float)
         v *= 0.25  # a power of two: the products round as if scaled after
-        D, D2 = self.axis_matrix(), self._cached("D2", second_derivative_matrix)
+        D, D2 = self.axis_matrix(1), self.axis_matrix(2)
         cross = []
         if self.n == 2:
             # first, so that the first partials are freed before the diagonals exist
@@ -205,9 +207,9 @@ class Grid:
         """The symbols of d/dx and d^2/dx^2 over one axis in fftfreq order, built once per grid."""
         return self._cached("axis_symbols", axis_symbols)
 
-    def axis_matrix(self) -> np.ndarray:
-        """The first-derivative matrix of one axis, built once per grid."""
-        return self._cached("axis", differentiation_matrix)
+    def axis_matrix(self, order: int = 1) -> np.ndarray:
+        """D (order 1) or D2 (order 2) of one axis; both are built once per grid."""
+        return self._cached("axis_matrices", axis_matrices)[order - 1]
 
     def _cached(self, key, build):
         """build(self), made on first use and kept in the grid's cache under key."""
@@ -302,42 +304,20 @@ def hessian_symbols(grid: Grid) -> list[np.ndarray]:
     return syms
 
 
-def differentiation_matrix(grid: Grid) -> np.ndarray:
-    """Real N x N matrix of d/dx on the unit period.
+def axis_matrices(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """(D, D2) of d/dx and d^2/dx^2 over one axis: the real circulants of the two
+    axis symbols, whose closed forms Trefethen (2000), ch. 3, gives.
 
-    The closed form of Trefethen (2000), ch. 3, scaled from period 2 pi to 1:
-    entry (i, j) depends on m = i - j mod N, and is pi (-1)^m cot(pi m / N),
-    0 for m = 0.  It is antisymmetric, and the Nyquist mode is annihilated, as
-    by the first axis symbol.  Only m < N/2 is evaluated; m > N/2 mirrors it, so the
-    antisymmetry is exact.
+    Entry (i, j) is entry m = i - j mod N of the symbol's inverse DFT for
+    m <= N/2 and mirrors entry N - m above, negated for the odd D, whose
+    entries 0 and N/2 are 0: D is exactly antisymmetric, D2 exactly symmetric.
     """
     N, h = grid.N, grid.N // 2
-    m = np.arange(1, h)
-    col = np.zeros(N)
-    col[1:h] = np.pi * (-1.0) ** m / np.tan(np.pi * m / N)
-    col[h + 1:] = -col[h - 1:0:-1]
-    i = np.arange(N)
-    return col[(i[:, None] - i[None, :]) % N]
-
-
-def second_derivative_matrix(grid: Grid) -> np.ndarray:
-    """Real N x N matrix of d^2/dx^2 on the unit period.
-
-    The closed form of Trefethen (2000), ch. 3, scaled from period 2 pi to 1:
-    entry (i, j) depends on m = i - j mod N, and is -2 pi^2 (-1)^m / sin^2(pi m / N),
-    -pi^2 (N^2 + 2) / 3 for m = 0.  It is symmetric, and the Nyquist mode keeps
-    -(pi N)^2, as in the second axis symbol; D @ D would annihilate it.  Only
-    m <= N/2 is evaluated; m > N/2 mirrors it, so the symmetry is exact.
-    """
-    N, h = grid.N, grid.N // 2
-    m = np.arange(1, h)
-    col = np.zeros(N)
-    col[0] = -np.pi ** 2 * (N ** 2 + 2) / 3
-    col[1:h] = -2 * np.pi ** 2 * (-1.0) ** m / np.sin(np.pi * m / N) ** 2
-    col[h] = -2 * np.pi ** 2 * (-1.0) ** h
-    col[h + 1:] = col[h - 1:0:-1]
-    i = np.arange(N)
-    return col[(i[:, None] - i[None, :]) % N]
+    d, s = (np.fft.ifft(sym).real for sym in grid.axis_symbols())
+    d[[0, h]] = 0.0
+    d[h + 1:], s[h + 1:] = -d[h - 1:0:-1], s[h - 1:0:-1]
+    m = np.subtract.outer(np.arange(N), np.arange(N)) % N
+    return d[m], s[m]
 
 
 def hartley_matrix(grid: Grid) -> np.ndarray:

@@ -177,10 +177,12 @@ def linearized_apply(psi: PeriodicScalarField, it: MetricIterate) -> PeriodicSca
 class _LinearizedOperator:
     """Precomputed pointwise data for repeated applications of L.
 
-    B[psi] = -det(g~) lap_{g~} psi = -sum adj(g~)[k,j] d_j dbar_k psi is
-    self-adjoint and positive semidefinite in the plain L2 inner product;
-    L[psi] = -B[psi]/det(g).  Both methods map physical samples to physical
-    samples.
+    B[psi] = -det(g~) lap_{g~} psi = -sum adj(g~)[k,j] d_j dbar_k psi and
+    L[psi] = -B[psi]/det(g).  The continuum B is self-adjoint and positive
+    semidefinite in the plain L2 inner product; the discrete B is symmetric
+    only at n = 1 (CONVENTIONS.md), so _pcg's positivity checks on r.z and
+    p.Bp are what stop a bad step.  Both methods map physical samples to
+    physical samples.
     """
 
     def __init__(self, it: MetricIterate):

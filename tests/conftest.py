@@ -133,6 +133,13 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
+def raises_exactly(error, call):
+    """Run call() and check that it raises error itself, not a subclass of it."""
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error, repr(info.value)
+
+
 def solve_quietly(F, g, cfg):
     # a forcing such as the manufactured log det(g~) is not band-limited, so the
     # solver warns about it; every other warning still fails the test

@@ -6,7 +6,7 @@ import pytest
 
 import torusma as tm
 from torusma.forms import increasing_indices, merge_sign
-from conftest import count_calls
+from conftest import count_calls, raises_exactly
 
 
 class TestIndexAlgebra:
@@ -261,3 +261,29 @@ class TestDolbeaultKernel:
         assert len(calls) == 2 * contributing
         if (p, q) == (0, 0):
             assert len(calls) == 4
+
+
+_G8, _G16 = tm.Grid(n=1, N=8), tm.Grid(n=1, N=16)
+
+
+def _inadmissible_uniqueness():
+    # 1 + ddbar cos(2 pi x1) = 1 - pi^2 cos(2 pi x1) is negative at x1 = 0
+    phi = tm.make_field(_G8, np.cos(2 * np.pi * _G8.coordinate(0)))
+    return tm.uniqueness_functional(phi, tm.make_field(_G8, np.zeros(_G8.shape)),
+                                    tm.flat_metric(_G8))
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: tm.PqForm(_G8, -1, 0, {}), ValueError),
+    (lambda: tm.PqForm(_G8, 1, 0, {}), ValueError),
+    (lambda: tm.PqForm(_G8, 0, 0, {((), ()): np.zeros(8, dtype=complex)}), ValueError),
+    (lambda: tm.zero_form(_G8, 0, 0) + tm.zero_form(_G8, 1, 0), ValueError),
+    (lambda: tm.form_sum([tm.zero_form(_G8, 0, 0), tm.zero_form(_G16, 0, 0)]),
+     tm.GridMismatchError),
+    (lambda: tm.wedge(tm.zero_form(_G8, 1, 0), tm.zero_form(_G16, 0, 1)), tm.GridMismatchError),
+    (lambda: tm.integrate_top(tm.zero_form(_G8, 1, 0)), ValueError),
+    (_inadmissible_uniqueness, ValueError),
+], ids=["negative-bidegree", "wrong-components", "wrong-component-shape", "add-unequal-bidegrees",
+        "form-sum-across-grids", "wedge-across-grids", "integrate-non-top", "uniqueness-inadmissible"])
+def test_rejects_malformed_input(call, error):
+    raises_exactly(error, call)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import torusma as tm
-from conftest import _axis_second_derivative
+from conftest import _axis_second_derivative, raises_exactly
 
 
 class TestFlatMetric:
@@ -192,3 +192,28 @@ class TestLaplaceBeltrami:
         g = tm.metric_from_potential(tm.flat_metric(grid), small_potential)
         out = tm.laplace_beltrami(g, tm.make_field(grid, np.full(grid.shape, 4.2)))
         assert out.sup_norm() < 1e-12
+
+
+_G8, _G16 = tm.Grid(n=1, N=8), tm.Grid(n=1, N=16)
+
+
+def _zeros(grid, dtype=float):
+    return tm.make_field(grid, np.zeros(grid.shape, dtype=dtype))
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: tm.HermitianMetricField(_G8, np.ones(_G8.shape)), ValueError),
+    (lambda: tm.HermitianMetricField(_G8, np.ones((1,) + _G8.shape), np.zeros(_G8.shape, complex)),
+     ValueError),
+    (lambda: tm.HermitianMetricField(tm.Grid(n=2, N=8), np.ones((2,) + (8,) * 4)), ValueError),
+    (lambda: tm.flat_metric(_G8) + tm.flat_metric(_G16), tm.GridMismatchError),
+    (lambda: tm.flat_metric(_G8) - tm.flat_metric(_G16), tm.GridMismatchError),
+    (lambda: tm.metric_from_potential(tm.flat_metric(_G8), _zeros(_G16)), tm.GridMismatchError),
+    (lambda: tm.metric_from_potential(tm.flat_metric(_G8), _zeros(_G8, complex)), ValueError),
+    (lambda: tm.log_det_field(-tm.flat_metric(_G8)), tm.SingularMetricError),
+    (lambda: tm.laplace_beltrami(tm.flat_metric(_G8), _zeros(_G16)), tm.GridMismatchError),
+], ids=["bad-diagonal", "off-for-n1", "no-off-for-n2", "add-across-grids", "subtract-across-grids",
+        "potential-across-grids", "complex-potential", "non-positive-det",
+        "laplace-beltrami-across-grids"])
+def test_rejects_malformed_input(call, error):
+    raises_exactly(error, call)

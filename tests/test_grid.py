@@ -5,7 +5,7 @@ import pytest
 
 import torusma as tm
 from conftest import (_axis_second_derivative, _on_axis, axis_derivative, complex_precondition,
-                      count_calls, wavenumbers)
+                      count_calls, raises_exactly, wavenumbers)
 
 
 class TestGridValidation:
@@ -146,7 +146,7 @@ class TestDifferentiationMatrices:
             assert not np.any(grid.derivative(u, axis)), axis
 
     def test_one_build_per_grid_and_order(self, monkeypatch, rng):
-        builds = count_calls(monkeypatch, tm.grid, "differentiation_matrix")
+        builds = count_calls(monkeypatch, tm.grid, "axis_matrices")
         grids = [tm.Grid(n=2, N=16), tm.Grid(n=2, N=16), tm.Grid(n=1, N=64)]
         for grid in grids:
             for real in (True, False):
@@ -230,7 +230,7 @@ class TestMatrixTransforms:
         assert np.max(np.abs(ref - base)) <= 1e-14 * np.max(np.abs(base))
 
     def test_one_build_per_grid(self, monkeypatch, rng):
-        names = ("second_derivative_matrix", "hartley_matrix", "inverse_flat_symbol")
+        names = ("axis_matrices", "hartley_matrix", "inverse_flat_symbol")
         builds = {name: count_calls(monkeypatch, tm.grid, name) for name in names}
         grids = [tm.Grid(n=2, N=16), tm.Grid(n=2, N=16), tm.Grid(n=1, N=64)]
         for grid in grids:
@@ -252,7 +252,7 @@ class TestMatrixTransforms:
         # killed it would leave that residual unreachable and break PCG
         grid = tm.Grid(n=n, N=N)
         nyquist = (-1.0) ** np.arange(N)  # cos(pi N x) on the grid
-        D2 = tm.grid.second_derivative_matrix(grid)
+        D2 = tm.grid.axis_matrices(grid)[1]
         assert np.array_equal(D2, D2.T)
         scale = (np.pi * N) ** 2
         assert np.max(np.abs(D2 @ nyquist + scale * nyquist)) <= 1e-13 * scale
@@ -439,3 +439,19 @@ class TestFiniteDifferenceCrossCheck:
     def test_rejects_unknown_order(self, random_real_field):
         with pytest.raises(ValueError):
             tm.finite_difference_oracle(random_real_field, 0, order=3)
+
+
+_G8 = tm.Grid(n=1, N=8)
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: _G8.coordinate(2), ValueError),
+    (lambda: tm.partial_z(tm.make_field(_G8, np.zeros(_G8.shape)), 1), ValueError),
+    (lambda: tm.make_field(_G8, np.zeros((8, 7))), ValueError),
+    (lambda: tm.mean_zero_project(tm.make_field(_G8, np.zeros(_G8.shape, dtype=complex))),
+     ValueError),
+    (lambda: tm.random_band_limited(_G8, np.random.default_rng(0), kmax=4), ValueError),
+], ids=["axis-out-of-range", "holomorphic-index-out-of-range", "field-shape",
+        "mean-zero-of-complex", "kmax-at-nyquist"])
+def test_rejects_malformed_input(call, error):
+    raises_exactly(error, call)

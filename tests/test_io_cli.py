@@ -254,6 +254,27 @@ class TestExpressions:
         assert f"at position {len(text) - 1}" in message
         assert "0.001)" in message and len(message) < 200, message
 
+    @pytest.mark.parametrize("pos,leading,trailing", [(0, False, True), (100, True, True),
+                                                      (200, True, False)],
+                             ids=["start", "middle", "end"])
+    def test_error_excerpt_marks_each_cut_end(self, pos, leading, trailing):
+        text = "0+" * 100 + "0"  # 201 characters
+        text = text[:pos] + "?" + text[pos + 1:]
+        with pytest.raises(ExpressionError) as info:
+            parse_expression(text)
+        excerpt = str(info.value).split(f"at position {pos} in ", 1)[1]
+        assert excerpt.startswith("...") == leading and excerpt.endswith("...") == trailing, excerpt
+
+    def test_band_limit_of_products(self):
+        # harmonics of a product add on each coordinate: this one carries 12
+        # on x1, which a 16-point grid aliases onto 4
+        grid = tm.Grid(n=1, N=16)
+        assert not parse_expression("sin(2*pi*4*x1)*sin(2*pi*4*x1)*sin(2*pi*4*x1)").band_limited(grid)
+        assert parse_expression("sin(2*pi*4*x1)*sin(2*pi*4*y1)").band_limited(grid)
+        assert parse_expression("-sin(2*pi*2*x1)*cos(2*pi*2*x1) + exp(cos(2*pi*4*y1))"
+                                ).band_limited(grid)
+        assert not parse_expression("1 + (2*sin(2*pi*3*x1))*(cos(2*pi*2*x1) - 1)").band_limited(grid)
+
     def test_band_limit_check(self):
         grid = tm.Grid(n=1, N=16)
         assert parse_expression("sin(2*pi*4*x1)").band_limited(grid)
@@ -369,13 +390,14 @@ class TestCliSolve:
         {"t_step_initial": "0.5"},
         {"F": "(" * 3000 + "0" + ")" * 3000},
         {"F": "exp(" * 3000 + "0" + ")" * 3000},
+        {"N": 16, "F": "0.1*sin(2*pi*4*x1)*sin(2*pi*4*x1)*sin(2*pi*4*x1)"},
     ], ids=["not-json", "not-utf8", "n3", "N7", "n-bool", "non-positive-background", "F-1e400",
             "F-exp-overflow", "F-snapshot-nan", "F-snapshot-inf",
             "background-snapshot-nan", "background-snapshot-inf",
             "F-snapshot-complex", "background-snapshot-complex", "n2-N1024-over-memory",
             "unknown-key", "removed-key", "newton-tol-bool", "newton-tol-nan",
             "damping-floor-inf", "damping-floor-bool", "t-step-string",
-            "F-3000-nested-parentheses", "F-3000-nested-exp"])
+            "F-3000-nested-parentheses", "F-3000-nested-exp", "F-aliased-product"])
     def test_malformed_config_exits_64(self, tmp_path, capsys, overrides):
         if isinstance(overrides, bytes):
             path = tmp_path / "bad.json"
@@ -508,6 +530,13 @@ class TestCliSolve:
 class TestCliVerify:
     def test_unknown_suite_exits_64(self, capsys):
         assert cli.main(["verify", "--suite", "nonsense"]) == 64
+
+    def test_version_exits_0(self, capsys):
+        # argparse's own exit 0 passes through main, unlike its usage errors
+        with pytest.raises(SystemExit) as info:
+            cli.main(["--version"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out == f"{tm.__version__}\n"
 
     # --threads was removed; argparse rejects the unknown flag as a usage error
     @pytest.mark.parametrize("argv", [

@@ -7,7 +7,7 @@ import torusma as tm
 from torusma import cli, solver
 from torusma.solver import _LinearizedOperator, _pcg
 from torusma.verification import THRESHOLDS
-from conftest import _axis_second_derivative, count_calls, solve_quietly
+from conftest import _axis_second_derivative, count_calls, raises_exactly, solve_quietly
 
 
 class TestDtypes:
@@ -723,3 +723,17 @@ class TestSymmetryRelations:
                        np.ascontiguousarray(move(F) + constant))
         assert again.converged, again.message
         assert np.max(np.abs(again.phi.values - move(result.phi.values))) <= 1e-14
+
+
+_G8, _G16 = tm.Grid(n=1, N=8), tm.Grid(n=1, N=16)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: tm.ma_residual(tm.metric_iterate(tm.flat_metric(_G8),
+                                             tm.make_field(_G8, np.zeros(_G8.shape))),
+                           tm.make_field(_G16, np.zeros(_G16.shape)), 1.0),
+    lambda: tm.continuity_solve(tm.make_field(_G16, np.zeros(_G16.shape)), tm.flat_metric(_G8),
+                                tm.SolverConfig(n=1, N=8)),
+], ids=["residual", "continuity-solve"])
+def test_rejects_F_on_another_grid(call):
+    raises_exactly(tm.GridMismatchError, call)

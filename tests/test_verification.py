@@ -105,6 +105,12 @@ class TestPoissonOracle:
         with pytest.raises(ValueError):
             tm.poisson_oracle_n1(tm.make_field(grid, np.zeros(grid.shape)), g)
 
+    def test_rejects_complex_forcing(self):
+        grid = tm.Grid(n=1, N=8)
+        F = tm.make_field(grid, np.zeros(grid.shape, dtype=complex))
+        with pytest.raises(ValueError, match="F must be real"):
+            tm.poisson_oracle_n1(F, tm.flat_metric(grid))
+
     def test_zero_forcing_gives_zero(self):
         grid = tm.Grid(n=1, N=32)
         phi = tm.poisson_oracle_n1(tm.make_field(grid, np.zeros(grid.shape)), tm.flat_metric(grid))
