@@ -17,24 +17,24 @@ samples a complex one.
 
 The solver's operators are separable, with symbols even on every axis, so
 each is also a real N x N product along each axis.  Their seams are Grid
-methods that choose between two algorithms by N against MATRIX_DFT_MAX_N (32):
+methods that choose between two algorithms by the dimension n alone:
 
-  Grid.derivative   a first derivative along one axis: the Fourier
-                    differentiation matrix D, the circulant of the first
-                    axis symbol (Trefethen, Spectral Methods in MATLAB, 2000,
-                    ch. 3), or a 1-D pocketfft pair above 32;
-  Grid.hessian      the real parts of d_j dbar_k of real samples: products
-                    with D and D2, the circulant of the second, or one rfftn
-                    and n^2 irfftn with the same formulas in the axis
-                    symbols above 32;
-  Grid.inverse_flat the inverse of the flat operator -(1/4) Laplacian: the
-                    orthonormal Hartley matrix along every axis on each side
-                    of the symbol (Bracewell, The Hartley Transform, 1986), or
-                    an rfftn/irfftn pair above 32.
+  Grid.derivative   a first derivative along one axis: at n = 2 the Fourier
+                    differentiation matrix D, the circulant of the first axis
+                    symbol (Trefethen, Spectral Methods in MATLAB, 2000,
+                    ch. 3); at n = 1 a 1-D pocketfft pair;
+  Grid.hessian      the real parts of d_j dbar_k of real samples: at n = 2
+                    products with D and D2, the circulant of the second; at
+                    n = 1 one rfftn and one irfftn with (1/4)(s_x + s_y);
+  Grid.inverse_flat the inverse of the flat operator -(1/4) Laplacian: at
+                    n = 2 the orthonormal Hartley matrix along every axis on
+                    each side of the symbol (Bracewell, The Hartley Transform,
+                    1986); at n = 1 an rfftn/irfftn pair.
 
-At N <= 32 a line holds too few points for an FFT's per-line overhead to pay
-off, and each product is one BLAS call.  Grid.rfftn/irfftn are numpy.fft at
-every N; the solve's band-limit check is their one caller at N <= 32.
+A 4-D grid has N^3 lines along each axis, and one BLAS call multiplies all of
+them, where an FFT pays its per-line overhead on each; the 2-D grids run to N
+in the hundreds, where the FFT's N log N work wins.  Grid.rfftn/irfftn are
+numpy.fft at every N; the solve's band-limit check is their one caller at n = 2.
 """
 
 from __future__ import annotations
@@ -42,11 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-# Grids with at most this many points per axis take the solver's derivatives,
-# Hessians and flat preconditioner as per-axis matrix products.
-MATRIX_DFT_MAX_N = 32
 
 
 class GridMismatchError(ValueError):
@@ -122,9 +117,9 @@ class Grid:
         dtype.  Each line's first sample is subtracted first: this changes
         nothing exactly, but a line constant along the axis then gives exact
         zeros, which a product or transform of the raw samples misses by
-        rounding.  For N <= MATRIX_DFT_MAX_N the lines are multiplied by the
-        differentiation matrix D (_apply_axis_matrix); larger grids take
-        rfft/irfft along the axis for float64 samples, fft/ifft for complex.
+        rounding.  At n = 2 the lines are multiplied by the differentiation
+        matrix D (_apply_axis_matrix); at n = 1 they take rfft/irfft along
+        the axis for float64 samples, fft/ifft for complex.
         ``out``, a C-ordered array of the result's shape and dtype, receives
         the same bytes as a new result would and is returned.
         """
@@ -135,7 +130,7 @@ class Grid:
         if out is not None and not (out.shape == lines.shape and out.dtype == lines.dtype
                                     and out.flags.c_contiguous):
             raise ValueError(f"out must be a C-ordered {lines.dtype} array of shape {lines.shape}")
-        if self.N <= MATRIX_DFT_MAX_N:
+        if self.n == 2:
             return _apply_axis_matrix(self.axis_matrix(1), lines, axis, out)
         first = self.axis_symbols()[0]
         if lines.dtype == np.float64:
@@ -151,47 +146,43 @@ class Grid:
     def hessian(self, u: np.ndarray) -> list[np.ndarray]:
         """[A_00 u, .., A_{n-1,n-1} u], and A_01 u, B_01 u for n = 2: d_j dbar_k = A_jk + i B_jk.
 
-        For N <= MATRIX_DFT_MAX_N, A_jj = (1/4)(D2_xj + D2_yj),
+        At n = 1 the one part is irfftn of rfftn(u) times (1/4)(s_x + s_y), s the
+        second axis symbol (hessian_symbol).  At n = 2, A_jj = (1/4)(D2_xj + D2_yj),
         A_01 = (1/4)(D_x1 D_x2 + D_y1 D_y2) and B_01 = (1/4)(D_x1 D_y2 - D_y1 D_x2),
         one product per axis and term: D annihilates the Nyquist mode and D2
         keeps it, the axis symbols' policy.  The products see u less its first
-        sample, so a constant gives exact zeros.  Larger grids take one rfftn
-        and n^2 irfftn with the same formulas in the axis symbols
-        (hessian_symbols).
+        sample, so a constant gives exact zeros.
         """
-        if self.N > MATRIX_DFT_MAX_N:
-            spec = self.rfftn(u)
-            return [self.irfftn(spec * sym) for sym in self._cached("hessian", hessian_symbols)]
+        if self.n == 1:
+            return [self.irfftn(self.rfftn(u) * self._cached("hessian", hessian_symbol))]
         v = np.subtract(u, u.flat[0], dtype=float)
         v *= 0.25  # a power of two: the products round as if scaled after
         D, D2 = self.axis_matrix(1), self.axis_matrix(2)
-        cross = []
-        if self.n == 2:
-            # first, so that the first partials are freed before the diagonals exist
-            dx1, dy1 = _apply_axis_matrix(D, v, 0), _apply_axis_matrix(D, v, 1)
-            re = _apply_axis_matrix(D, dx1, 2)
-            re += _apply_axis_matrix(D, dy1, 3)
-            im = _apply_axis_matrix(D, dx1, 3)
-            im -= _apply_axis_matrix(D, dy1, 2)
-            cross = [re, im]
-            del dx1, dy1
+        # the cross terms first, so that the first partials are freed before
+        # the diagonals exist
+        dx1, dy1 = _apply_axis_matrix(D, v, 0), _apply_axis_matrix(D, v, 1)
+        re = _apply_axis_matrix(D, dx1, 2)
+        re += _apply_axis_matrix(D, dy1, 3)
+        im = _apply_axis_matrix(D, dx1, 3)
+        im -= _apply_axis_matrix(D, dy1, 2)
+        del dx1, dy1
         parts = []
         for j in range(self.n):
             h = _apply_axis_matrix(D2, v, 2 * j)
             h += _apply_axis_matrix(D2, v, 2 * j + 1)
             parts.append(h)
-        return parts + cross
+        return parts + [re, im]
 
     def inverse_flat(self, r: np.ndarray) -> np.ndarray:
         """The inverse of the flat operator -(1/4) Laplacian applied to real samples r.
 
-        Constants map to zero.  For N <= MATRIX_DFT_MAX_N the orthonormal
-        Hartley matrix H, its own inverse, diagonalizes the operator axis by
-        axis: the result is H...(symbol * H...r), 2n products each side.
-        Larger grids take an rfftn/irfftn pair.
+        Constants map to zero.  At n = 2 the orthonormal Hartley matrix H,
+        its own inverse, diagonalizes the operator axis by axis: the result
+        is H...(symbol * H...r), four products each side.  At n = 1 it is an
+        rfftn/irfftn pair.
         """
         sym = self._cached("inverse_flat", inverse_flat_symbol)
-        if self.N > MATRIX_DFT_MAX_N:
+        if self.n == 1:
             spec = self.rfftn(r)
             spec *= sym[..., : self.N // 2 + 1]
             return self.irfftn(spec)
@@ -291,17 +282,11 @@ def axis_symbols(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return first, -((2.0 * np.pi * k) ** 2)
 
 
-def hessian_symbols(grid: Grid) -> list[np.ndarray]:
-    """Grid.hessian's parts as real half-spectrum symbols of the axis symbols d and s:
-    A_jj = (1/4)(s_xj + s_yj), and A_01, B_01 the real parts of its formulas in d."""
-    first, second = grid.axis_symbols()
-    d = [grid.along(first, a, half=True) for a in range(grid.num_axes)]
-    s = [grid.along(second, a, half=True) for a in range(grid.num_axes)]
-    syms = [0.25 * (s[2 * j] + s[2 * j + 1]) for j in range(grid.n)]
-    if grid.n == 2:
-        syms.append(0.25 * ((d[0] * d[2]).real + (d[1] * d[3]).real))
-        syms.append(0.25 * ((d[0] * d[3]).real - (d[1] * d[2]).real))
-    return syms
+def hessian_symbol(grid: Grid) -> np.ndarray:
+    """Grid.hessian's one part at n = 1 as a real half-spectrum symbol,
+    A_00 = (1/4)(s_x + s_y) in the second axis symbol s."""
+    second = grid.axis_symbols()[1]
+    return 0.25 * (grid.along(second, 0, half=True) + grid.along(second, 1, half=True))
 
 
 def axis_matrices(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -348,20 +333,18 @@ def _apply_axis_matrix(M: np.ndarray, lines: np.ndarray, axis: int,
                        out: np.ndarray | None = None) -> np.ndarray:
     """The real N x N matrix M applied along ``axis`` of C-ordered samples.
 
-    Complex samples go through their float64 view, so every product is a real
-    matrix product.  The result is a new array, or ``out``, C-ordered like
-    ``lines``, which receives the same bytes and is returned.
+    On the last axis every line is one row of a single product with M.T.  On
+    the others complex samples go through their float64 view, so the product
+    is a real matrix product.  The result is a new array, or ``out``,
+    C-ordered like ``lines``, which receives the same bytes and is returned.
     """
+    if axis == lines.ndim - 1:
+        shape = (-1, lines.shape[-1])
+        res = np.matmul(lines.reshape(shape), M.T, out=None if out is None else out.reshape(shape))
+        return res.reshape(lines.shape) if out is None else out
     x = lines.view(np.float64)
-    y = None if out is None else out.view(np.float64)
-    if axis < lines.ndim - 1:
-        res = _product_along_axis(M, x, axis, y)
-    else:
-        # on the last axis the parts of a complex sample interleave
-        W = M.T if lines.dtype == np.float64 else np.kron(M.T, np.eye(2))
-        shape = (-1, W.shape[0])
-        res = np.matmul(x.reshape(shape), W, out=None if y is None else y.reshape(shape))
-    return res.reshape(x.shape).view(lines.dtype) if out is None else out
+    res = _product_along_axis(M, x, axis, None if out is None else out.view(np.float64))
+    return res.view(lines.dtype) if out is None else out
 
 
 def inverse_flat_symbol(grid: Grid) -> np.ndarray:

@@ -14,9 +14,10 @@ Newton correction solves the linearization
 
 by preconditioned conjugate gradients on mean-zero physical samples, with
 the inner product mean(u v) and the flat operator -(1/4) Laplacian as
-preconditioner (Grid.hessian and Grid.inverse_flat, per-axis matrix products
-for N <= 32), only as accurately as the Newton step needs (inexact Newton,
-Eisenstat-Walker choice 2): the relative Krylov target is eta_0 = 0.1, then
+preconditioner (Grid.hessian and Grid.inverse_flat: per-axis matrix products
+at n = 2, transforms at n = 1), only as accurately as the Newton step needs
+(inexact Newton, Eisenstat-Walker choice 2): the relative Krylov target is
+eta_0 = 0.1, then
 
     eta_k = min(0.1, 0.9 (|r_k| / |r_{k-1}|)^2),
 
@@ -138,6 +139,13 @@ def metric_iterate(g: HermitianMetricField, phi: PeriodicScalarField) -> MetricI
     return MetricIterate(g, phi, gt, positivity_check(gt))
 
 
+def _require_real_on(f: PeriodicScalarField, it: MetricIterate, name: str) -> None:
+    if f.grid != it.g.grid:
+        raise GridMismatchError(f"{name} and the iterate must share a grid")
+    if not f.is_real:
+        raise ValueError(f"{name} must be real")
+
+
 def _require_positive(it: MetricIterate) -> None:
     if not it.min_eig > 0.0:
         raise NonPositiveMetricError(
@@ -160,8 +168,7 @@ def ma_residual(
     compatible with the linear solve, which projects out r's weighted mean.
     """
     g = it.g
-    if F.grid != g.grid:
-        raise GridMismatchError("F and the iterate must share a grid")
+    _require_real_on(F, it, "F")
     _require_positive(it)
     etF = np.exp(t * F.values)
     C = float(np.mean(it.gt.det)) / float(np.mean(etF * g.det))
@@ -170,6 +177,7 @@ def ma_residual(
 
 def linearized_apply(psi: PeriodicScalarField, it: MetricIterate) -> PeriodicScalarField:
     """L[psi] = (det g~/det g) * lap_{g~} psi; annihilates constants."""
+    _require_real_on(psi, it, "psi")
     _require_positive(it)
     return make_field(it.g.grid, -_LinearizedOperator(it).apply_B(psi.values) / it.g.det)
 
@@ -225,6 +233,7 @@ def solve_linearized(
     rhs is first projected against constants in dV_g, the part L can reach;
     tol defaults to KRYLOV_TOL.  Raises KrylovConvergenceError after 10 N^n PCG iterations.
     """
+    _require_real_on(rhs, it, "rhs")
     _require_positive(it)
     op = _LinearizedOperator(it)
     target = KRYLOV_TOL if tol is None else tol

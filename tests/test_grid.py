@@ -99,7 +99,7 @@ def _white_noise(grid, rng, real):
 
 class TestDifferentiationMatrices:
     """The per-axis kernel: a product with the Fourier differentiation matrix
-    for N <= MATRIX_DFT_MAX_N, a 1-D FFT pair along the axis above it."""
+    at n = 2, a 1-D FFT pair along the axis at n = 1."""
 
     @pytest.fixture(params=[(1, 32), (2, 16), (1, 64)], ids=["n1", "n2", "n1-N64"])
     def grid(self, request):
@@ -147,16 +147,18 @@ class TestDifferentiationMatrices:
 
     def test_one_build_per_grid_and_order(self, monkeypatch, rng):
         builds = count_calls(monkeypatch, tm.grid, "axis_matrices")
-        grids = [tm.Grid(n=2, N=16), tm.Grid(n=2, N=16), tm.Grid(n=1, N=64)]
+        grids = [tm.Grid(n=2, N=16), tm.Grid(n=2, N=16), tm.Grid(n=1, N=64),
+                 tm.Grid(n=2, N=34), tm.Grid(n=1, N=16)]
         for grid in grids:
             for real in (True, False):
                 f = tm.make_field(grid, _white_noise(grid, rng, real))
                 for axis in range(grid.num_axes):
                     grid.derivative(f.values, axis)
                 tm.partial_z(f, grid.n - 1)
-        # one build for each N = 16 grid, none above MATRIX_DFT_MAX_N
-        assert [b for (b,) in builds] == grids[:2]
-        assert builds[0][0] is grids[0] and builds[1][0] is grids[1]
+        # one build for each n = 2 grid, N = 34 included; none at n = 1, N = 16 included
+        matrix_grids = [g for g in grids if g.n == 2]
+        assert [b for (b,) in builds] == matrix_grids
+        assert all(b is g for (b,), g in zip(builds, matrix_grids))
 
 
 _MATRIX_CASES = [(n, N) for n in (1, 2) for N in (8, 16, 32)]
@@ -177,11 +179,12 @@ def _hessian_reference(u, N, n):
 
 
 class TestMatrixTransforms:
-    """The per-axis matrix products of grids with N <= MATRIX_DFT_MAX_N: the
-    differentiation matrices D and D2 in Grid.hessian and the Hartley matrix in
-    Grid.inverse_flat.  Grid.rfftn/irfftn are numpy's transforms at these sizes."""
+    """The two algorithms of Grid.hessian and Grid.inverse_flat: at n = 2 the
+    per-axis products with the differentiation matrices D and D2 and with the
+    Hartley matrix, at n = 1 rfftn/irfftn.  Grid.rfftn/irfftn are numpy's
+    transforms at every size."""
 
-    # N = 34 takes the transform branch of both seams against the same references
+    # n=2 N = 34 takes the matrix products above 32 too, against the same references
     @pytest.mark.parametrize("n,N", _MATRIX_CASES + [(2, 34)], ids=_MATRIX_IDS + ["n2-N34"])
     def test_matches_numpy(self, n, N, rng):
         grid = tm.Grid(n=n, N=N)
@@ -232,16 +235,21 @@ class TestMatrixTransforms:
     def test_one_build_per_grid(self, monkeypatch, rng):
         names = ("axis_matrices", "hartley_matrix", "inverse_flat_symbol")
         builds = {name: count_calls(monkeypatch, tm.grid, name) for name in names}
-        grids = [tm.Grid(n=2, N=16), tm.Grid(n=2, N=16), tm.Grid(n=1, N=64)]
+        rfftn_calls = count_calls(monkeypatch, tm.Grid, "rfftn")
+        grids = [tm.Grid(n=2, N=16), tm.Grid(n=2, N=16), tm.Grid(n=1, N=64),
+                 tm.Grid(n=2, N=34), tm.Grid(n=1, N=16)]
         for grid in grids:
             for _ in range(2):
                 u = _white_noise(grid, rng, real=True)
                 grid.hessian(u)
                 grid.inverse_flat(u - np.mean(u))
-        # the N = 64 grid takes transforms and builds no matrix
+        # the n = 1 grids take transforms and build no matrix; the n = 2 grids,
+        # N = 34 included, build theirs and make no Grid.rfftn call
+        matrix_grids = [g for g in grids if g.n == 2]
         for name in names[:2]:
-            assert [b for (b,) in builds[name]] == grids[:2], name
-            assert builds[name][0][0] is grids[0] and builds[name][1][0] is grids[1]
+            assert [b for (b,) in builds[name]] == matrix_grids, name
+            assert all(b is g for (b,), g in zip(builds[name], matrix_grids))
+        assert {id(g) for (g, _) in rfftn_calls} == {id(g) for g in grids if g.n == 1}
         assert [b for (b,) in builds["inverse_flat_symbol"]] == grids
         assert all(b is g for (b,), g in zip(builds["inverse_flat_symbol"], grids))
 

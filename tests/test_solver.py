@@ -654,10 +654,9 @@ _RELATIONS = {
 
 def _symmetry_case_n1(N):
     """(g, F) at n=1: at N = 32 a non-flat background and F its flattening forcing
-    plus two harmonics; at N = 64 the flat metric and the Poisson forcing, which
-    takes the transform branch of the operators."""
+    plus two harmonics; at N = 64 the flat metric and the Poisson forcing."""
     grid = tm.Grid(n=1, N=N)
-    if N > tm.grid.MATRIX_DFT_MAX_N:
+    if N == 64:
         return tm.flat_metric(grid), tm.poisson_forcing_n1(grid).values
     x, y = grid.coordinate(0), grid.coordinate(1)
     chi = tm.make_field(grid, 0.004 * np.cos(2 * np.pi * (x + 2 * y))
@@ -728,12 +727,30 @@ class TestSymmetryRelations:
 _G8, _G16 = tm.Grid(n=1, N=8), tm.Grid(n=1, N=16)
 
 
+def _flat_iterate(grid):
+    return tm.metric_iterate(tm.flat_metric(grid), tm.make_field(grid, np.zeros(grid.shape)))
+
+
 @pytest.mark.parametrize("call", [
     lambda: tm.ma_residual(tm.metric_iterate(tm.flat_metric(_G8),
                                              tm.make_field(_G8, np.zeros(_G8.shape))),
                            tm.make_field(_G16, np.zeros(_G16.shape)), 1.0),
     lambda: tm.continuity_solve(tm.make_field(_G16, np.zeros(_G16.shape)), tm.flat_metric(_G8),
                                 tm.SolverConfig(n=1, N=8)),
-], ids=["residual", "continuity-solve"])
+    lambda: tm.linearized_apply(tm.make_field(_G16, np.zeros(_G16.shape)), _flat_iterate(_G8)),
+    lambda: tm.solve_linearized(tm.make_field(_G16, np.zeros(_G16.shape)), _flat_iterate(_G8)),
+], ids=["residual", "continuity-solve", "linearized-apply", "solve-linearized"])
 def test_rejects_F_on_another_grid(call):
     raises_exactly(tm.GridMismatchError, call)
+
+
+_I8 = tm.make_field(_G8, np.full(_G8.shape, 1j))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: tm.ma_residual(_flat_iterate(_G8), _I8, 1.0),
+    lambda: tm.linearized_apply(_I8, _flat_iterate(_G8)),
+    lambda: tm.solve_linearized(_I8, _flat_iterate(_G8)),
+], ids=["residual", "linearized-apply", "solve-linearized"])
+def test_rejects_complex_input(call):
+    raises_exactly(ValueError, call)

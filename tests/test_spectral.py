@@ -142,10 +142,10 @@ def test_precondition_inverts_flat_operator(grid, random_real_field):
     assert _rel(op.apply_B(op.precondition(u)), u) <= 1e-12
 
 
-# n=1 N=64 takes the symbols and transforms; the smaller grids take matrix products
+# n=1 takes the symbols and transforms at every N; n=2 takes matrix products
 @pytest.mark.parametrize("n,N", [(1, 32), (2, 8), (1, 64)], ids=["n1", "n2", "n1-N64"])
 def test_symbols_built_once_per_grid(n, N, monkeypatch):
-    names = ("axis_symbols", "hessian_symbols", "inverse_flat_symbol")
+    names = ("axis_symbols", "hessian_symbol", "inverse_flat_symbol")
     builds = {name: count_calls(monkeypatch, tm.grid, name) for name in names}
     grid = tm.Grid(n=n, N=N)
     x1, y1 = grid.coordinate(0), grid.coordinate(1)
@@ -153,12 +153,12 @@ def test_symbols_built_once_per_grid(n, N, monkeypatch):
     result = tm.continuity_solve(F, tm.flat_metric(grid), tm.SolverConfig(n=n, N=N))
     assert result.converged
     assert sum(s.newton_iters for s in result.trace) > 0
-    # the axis symbols serve the band-limit check and the inverse flat symbol at
-    # every N, and the Hessian symbols above MATRIX_DFT_MAX_N; one build each for
-    # every operator of the solve
+    # the axis symbols serve the band-limit check and the inverse flat symbol in
+    # every dimension, and the Hessian symbol at n = 1; one build each for every
+    # operator of the solve
     assert [b for (b,) in builds["axis_symbols"]] == [grid]
     assert [b for (b,) in builds["inverse_flat_symbol"]] == [grid]
-    assert len(builds["hessian_symbols"]) == (N > tm.grid.MATRIX_DFT_MAX_N)
+    assert len(builds["hessian_symbol"]) == (n == 1)
     assert all(b is grid for name in names for (b,) in builds[name])
 
 
