@@ -51,6 +51,14 @@ _SETTING_KEYS = tuple(f.name for f in dataclasses.fields(SolverConfig) if f.name
 _CONFIG_KEYS = ("n", "N", "F", "background") + _SETTING_KEYS
 
 
+def _only_keys(spec: dict, accepted: tuple[str, ...], what: str) -> None:
+    """Reject a config object that holds a key outside accepted, naming both."""
+    unknown = sorted(set(spec) - set(accepted))
+    if unknown:
+        raise ConfigError(f"unknown {what} keys {', '.join(map(repr, unknown))}; "
+                          f"accepted: {', '.join(accepted)}")
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -61,10 +69,7 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config file is not valid JSON: {e}") from e
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = sorted(set(cfg) - set(_CONFIG_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown config keys {', '.join(map(repr, unknown))}; "
-                          f"accepted: {', '.join(_CONFIG_KEYS)}")
+    _only_keys(cfg, _CONFIG_KEYS, "config")
     for key in ("n", "N"):
         value = cfg.get(key)
         if not isinstance(value, int) or isinstance(value, bool):
@@ -111,6 +116,7 @@ def _scalar_from_spec(spec, grid: Grid, what: str, inputs: dict):
         with np.errstate(over="ignore", invalid="ignore"):
             field = expr.evaluate(grid)
     elif isinstance(spec, dict) and isinstance(spec.get("path"), str):
+        _only_keys(spec, ("path",), what)
         path = spec["path"]
         field = read_field(path)  # may raise OSError / SnapshotFormatError
         if field.grid != grid:
@@ -133,6 +139,7 @@ def _background(cfg: dict, grid: Grid, inputs: dict):
     if spec == "flat":
         return flat_metric(grid)
     if isinstance(spec, dict) and "potential" in spec:
+        _only_keys(spec, ("potential",), "background")
         psi = _scalar_from_spec(spec["potential"], grid, "background potential", inputs)
         psi = mean_zero_project(psi)
         return metric_from_potential(flat_metric(grid), psi)
@@ -194,13 +201,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite != "all" and args.suite not in SUITE_NAMES:
-        print(
-            f"error: unknown suite {args.suite!r}; choose from "
-            f"{', '.join(SUITE_NAMES)} or 'all'",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     reports = []
     for name in names:
@@ -260,8 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
-    p_verify.add_argument("--suite", required=True,
-                          help=f"one of: {', '.join(SUITE_NAMES)}")
+    p_verify.add_argument("--suite", required=True, choices=SUITE_NAMES + ("all",))
     p_verify.add_argument("--out", help="write the suite report as JSON")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -62,7 +62,7 @@ class PqForm:
             (J, K)
             for J in increasing_indices(n, self.p)
             for K in increasing_indices(n, self.q)
-        } if self.p <= n and self.q <= n else set()
+        }
         if set(self.components) != expected:
             raise ValueError(
                 f"({self.p},{self.q})-form must carry exactly the components {sorted(expected)}"
@@ -77,9 +77,7 @@ class PqForm:
         return self.components[(tuple(J), tuple(K))]
 
     def sup_norm(self) -> float:
-        if not self.components:
-            return 0.0
-        return max(float(np.max(np.abs(a))) for a in self.components.values())
+        return max((float(np.max(np.abs(a))) for a in self.components.values()), default=0.0)
 
     def __add__(self, other: "PqForm") -> "PqForm":
         if (other.grid, other.p, other.q) != (self.grid, self.p, self.q):
@@ -103,14 +101,11 @@ class PqForm:
 
 def zero_form(grid: Grid, p: int, q: int) -> PqForm:
     n = grid.n
-    comps = {}
-    if p <= n and q <= n:
-        comps = {
-            (J, K): np.zeros(grid.shape, dtype=complex)
-            for J in increasing_indices(n, p)
-            for K in increasing_indices(n, q)
-        }
-    return PqForm(grid, p, q, comps)
+    return PqForm(grid, p, q, {
+        (J, K): np.zeros(grid.shape, dtype=complex)
+        for J in increasing_indices(n, p)
+        for K in increasing_indices(n, q)
+    })
 
 
 def scalar_form(f: PeriodicScalarField) -> PqForm:
@@ -196,28 +191,19 @@ def _accumulate(comps: dict, key: tuple[Index, Index], value: np.ndarray, sign: 
         comps[key] = np.subtract(0.0, value)
 
 
-def _dolbeault(alpha: PqForm) -> tuple[PqForm, PqForm]:
-    """(del alpha, delbar alpha): (p,q) -> (p+1,q) and (p,q) -> (p,q+1)."""
-    acc: dict[tuple[int, int], dict] = {}
-    _add_dolbeault(alpha, acc)
-    # every component of a bidegree within (n, n) receives at least one term
-    holo, anti = (PqForm(alpha.grid, p, q, comps) for (p, q), comps in acc.items())
-    return holo, anti
-
-
 def del_(alpha: PqForm) -> PqForm:
     """Holomorphic exterior derivative, (p,q) -> (p+1,q)."""
-    return _dolbeault(alpha)[0]
+    return exterior_d(alpha).parts[alpha.p + 1, alpha.q]
 
 
 def delbar(alpha: PqForm) -> PqForm:
     """Antiholomorphic exterior derivative, (p,q) -> (p,q+1)."""
-    return _dolbeault(alpha)[1]
+    return exterior_d(alpha).parts[alpha.p, alpha.q + 1]
 
 
 def exterior_d(alpha: PqForm) -> FormSum:
-    """d = del + delbar, returned as the pair of graded pieces."""
-    return form_sum(list(_dolbeault(alpha)))
+    """d = del + delbar: d_sum of alpha alone, with parts (p+1,q) and (p,q+1)."""
+    return d_sum(FormSum(alpha.grid, {(alpha.p, alpha.q): alpha}))
 
 
 def d_sum(alpha: FormSum) -> FormSum:
@@ -231,11 +217,11 @@ def d_sum(alpha: FormSum) -> FormSum:
 
 
 def d_c(u: PeriodicScalarField) -> FormSum:
-    """d^c u = i (delbar - del) u for a real 0-form u."""
+    """d^c u = i (delbar - del) u for a real 0-form u, from the parts of d u."""
     if not u.is_real:
         raise ValueError("d^c is defined for real functions")
-    holo, anti = _dolbeault(scalar_form(u))
-    return form_sum([holo * (-1j), anti * 1j])
+    d = exterior_d(scalar_form(u)).parts
+    return FormSum(u.grid, {(1, 0): d[1, 0] * (-1j), (0, 1): d[0, 1] * 1j})
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +299,8 @@ def uniqueness_functional(
             raise ValueError(f"potential {name} is inadmissible (min eig {min_eig:.3e})")
     u = make_field(g.grid, phi1.values - phi2.values)
     # du ^ d^c u with d^c u = i (delbar - del) u; only its (1,1) part reaches the integral
-    holo, anti = _dolbeault(scalar_form(u))
-    energy = wedge(holo, anti * 1j) + wedge(anti, holo * (-1j))
+    d = exterior_d(scalar_form(u)).parts
+    energy = wedge(d[1, 0], d[0, 1] * 1j) + wedge(d[0, 1], d[1, 0] * (-1j))
     w1 = kahler_form(g1)
     w2 = kahler_form(g2)
     total = 0.0 + 0.0j

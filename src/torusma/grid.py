@@ -176,10 +176,11 @@ class Grid:
     def inverse_flat(self, r: np.ndarray) -> np.ndarray:
         """The inverse of the flat operator -(1/4) Laplacian applied to real samples r.
 
-        Constants map to zero.  At n = 2 the orthonormal Hartley matrix H,
-        its own inverse, diagonalizes the operator axis by axis: the result
-        is H...(symbol * H...r), four products each side.  At n = 1 it is an
-        rfftn/irfftn pair.
+        At n = 2 the orthonormal Hartley matrix H, its own inverse,
+        diagonalizes the operator axis by axis: the result is
+        H...(symbol * H...r), four products each side, and a constant c maps
+        to rounding of about 1e-16 |c|.  At n = 1 it is an rfftn/irfftn pair,
+        and a constant maps to exact zeros.
         """
         sym = self._cached("inverse_flat", inverse_flat_symbol)
         if self.n == 1:

@@ -250,10 +250,7 @@ def _pcg(op: _LinearizedOperator, rhs: np.ndarray, tol: float, max_iter: int) ->
     apply_B; the updates reuse their arrays where they can.
     """
     rhs = rhs - np.mean(rhs * op.det_g) / np.mean(op.det_g)  # against constants in dV_g
-    rhs_sup = float(np.max(np.abs(rhs)))
-    if rhs_sup == 0.0:
-        return np.zeros_like(rhs)
-    target = tol * rhs_sup
+    target = tol * float(np.max(np.abs(rhs)))
 
     r = -op.det_g * rhs
     r -= np.mean(r)
@@ -336,8 +333,6 @@ def _band_limit_warning(F: PeriodicScalarField) -> None:
     # an interior last-axis wavenumber of the half spectrum also stands for its mirror
     spec[..., 1 : grid.N // 2] *= 2.0
     total = float(np.sum(spec))
-    if total == 0.0:
-        return
     # |k| > N/4 on some axis; entry N/4 of the fftfreq order is k = N/4
     second = grid.axis_symbols()[1]
     above = second < second[grid.N // 4]

@@ -212,6 +212,18 @@ class TestMatrixTransforms:
         # the Hessian subtracts the first sample, so it has no mean mode to round
         assert not any(np.any(part) for part in grid.hessian(np.full(grid.shape, 3.7)))
 
+    @pytest.mark.parametrize("n", [1, 2], ids=["n1", "n2"])
+    def test_inverse_flat_of_a_constant(self, n):
+        # exact zeros from the n = 1 transform pair; the n = 2 Hartley products
+        # leave rounding of relative size 1e-16 (4.6e-16 for 3.7, 9.2e-12 for -1e5)
+        grid = tm.Grid(n=n, N=16)
+        for c in (3.7, -1e5):
+            worst = float(np.max(np.abs(grid.inverse_flat(np.full(grid.shape, c)))))
+            if n == 1:
+                assert worst == 0.0
+            else:
+                assert worst <= 1e-15 * abs(c), worst
+
     @pytest.mark.parametrize("n,N", _MATRIX_CASES, ids=_MATRIX_IDS)
     def test_ignores_imaginary_parts_of_wavenumbers_zero_and_nyquist(self, n, N, rng):
         # numpy's c2r step drops the imaginary parts of the last axis's columns

@@ -310,6 +310,14 @@ def _complex_snapshot(tmp_path):
     return {"path": str(path)}
 
 
+def _snapshot_ref(tmp_path, **extra):
+    """{"path": ..., **extra} of a valid n=1 N=32 CMAF snapshot of 0.01 sin(2 pi x1)."""
+    grid = tm.Grid(n=1, N=32)
+    path = tmp_path / "valid.cmaf"
+    tm.write_field(path, tm.make_field(grid, 0.01 * np.sin(2 * np.pi * grid.coordinate(0))))
+    return {"path": str(path), **extra}
+
+
 def test_cli_import_loads_numpy_alone():
     # every CLI command starts with this import, so a third-party module behind it
     # adds to each command's setup time; the modules the interpreter's own startup
@@ -391,13 +399,17 @@ class TestCliSolve:
         {"F": "(" * 3000 + "0" + ")" * 3000},
         {"F": "exp(" * 3000 + "0" + ")" * 3000},
         {"N": 16, "F": "0.1*sin(2*pi*4*x1)*sin(2*pi*4*x1)*sin(2*pi*4*x1)"},
+        {"background": {"potential": "0.01*cos(2*pi*x1)", "potentail": "0.5*cos(2*pi*y1)"}},
+        lambda tmp: {"F": _snapshot_ref(tmp, sha256="deadbeef")},
+        lambda tmp: {"background": {"potential": _snapshot_ref(tmp, sha256="deadbeef")}},
     ], ids=["not-json", "not-utf8", "n3", "N7", "n-bool", "non-positive-background", "F-1e400",
             "F-exp-overflow", "F-snapshot-nan", "F-snapshot-inf",
             "background-snapshot-nan", "background-snapshot-inf",
             "F-snapshot-complex", "background-snapshot-complex", "n2-N1024-over-memory",
             "unknown-key", "removed-key", "newton-tol-bool", "newton-tol-nan",
             "damping-floor-inf", "damping-floor-bool", "t-step-string",
-            "F-3000-nested-parentheses", "F-3000-nested-exp", "F-aliased-product"])
+            "F-3000-nested-parentheses", "F-3000-nested-exp", "F-aliased-product",
+            "background-misspelt-key", "F-path-extra-key", "background-path-extra-key"])
     def test_malformed_config_exits_64(self, tmp_path, capsys, overrides):
         if isinstance(overrides, bytes):
             path = tmp_path / "bad.json"
