@@ -39,7 +39,6 @@ from .forms import (
     delbar,
     exterior_d,
     form_power,
-    form_sum,
     integrate_top,
     kahler_form,
     scalar_form,

@@ -128,32 +128,24 @@ class FormSum:
         return max((f.sup_norm() for f in self.parts.values()), default=0.0)
 
 
-def form_sum(parts: list[PqForm]) -> FormSum:
-    grid = parts[0].grid
-    acc: dict[tuple[int, int], PqForm] = {}
-    for f in parts:
-        if f.grid != grid:
-            raise GridMismatchError("forms live on different grids")
-        key = (f.p, f.q)
-        acc[key] = acc[key] + f if key in acc else f
-    return FormSum(grid, acc)
-
-
 # ---------------------------------------------------------------------------
 # Dolbeault operators
 
-def _add_dolbeault(alpha: PqForm, acc: dict[tuple[int, int], dict]) -> None:
+def _add_dolbeault(alpha: PqForm, acc: dict[tuple[int, int], PqForm]) -> None:
     """Add every term of del alpha and delbar alpha into acc[p+1, q] and acc[p, q+1].
 
-    acc maps a bidegree to its component arrays; a component's first term
-    becomes a new array, and later terms are added into it in order:
-    component, then j.  Each component's two real partials along z^j are taken
-    once, into two work arrays reused across components and j, and feed both
-    d/dz^j (when j is not in J) and d/dzbar^j (when j is not in K).
+    acc maps a bidegree to its form; a bidegree met for the first time starts
+    as zero_form, and terms are added into its components in order: component,
+    then j, with the sign applied exactly by adding or subtracting.  Each
+    component's two real partials along z^j are taken once, into two work
+    arrays reused across components and j, and feed both d/dz^j (when j is not
+    in J) and d/dzbar^j (when j is not in K).
     """
     grid, p, q = alpha.grid, alpha.p, alpha.q
-    holo = acc.setdefault((p + 1, q), {})
-    anti = acc.setdefault((p, q + 1), {})
+    for key in ((p + 1, q), (p, q + 1)):
+        if key not in acc:
+            acc[key] = zero_form(grid, *key)
+    holo, anti = acc[p + 1, q].components, acc[p, q + 1].components
     fx, ify = np.empty(grid.shape, dtype=complex), np.empty(grid.shape, dtype=complex)
     front = (-1) ** p  # dzbar^j crosses the dz^J block
     for (J, K), arr in alpha.components.items():
@@ -169,26 +161,18 @@ def _add_dolbeault(alpha: PqForm, acc: dict[tuple[int, int], dict]) -> None:
                 merged, sign = merge_sign((j,), J)
                 # fx is still needed below when j is not in K; a new difference
                 # is freed before the next partials are taken
-                _accumulate(holo, (merged, K), np.subtract(fx, ify, out=fx if j in K else None), sign)
+                term = np.subtract(fx, ify, out=fx if j in K else None)
+                if sign > 0:
+                    holo[merged, K] += term
+                else:
+                    holo[merged, K] -= term
             if j not in K:
                 merged, sign = merge_sign((j,), K)
-                _accumulate(anti, (J, merged), np.add(fx, ify, out=fx), front * sign)
-
-
-def _accumulate(comps: dict, key: tuple[Index, Index], value: np.ndarray, sign: int) -> None:
-    """comps[key] += sign * value, with the sign applied exactly.
-
-    A component's first term becomes a new array; 0.0 + value rounds it as a zero array would.
-    """
-    if key in comps:
-        if sign > 0:
-            comps[key] += value
-        else:
-            comps[key] -= value
-    elif sign > 0:
-        comps[key] = np.add(value, 0.0)
-    else:
-        comps[key] = np.subtract(0.0, value)
+                term = np.add(fx, ify, out=fx)
+                if front * sign > 0:
+                    anti[J, merged] += term
+                else:
+                    anti[J, merged] -= term
 
 
 def del_(alpha: PqForm) -> PqForm:
@@ -209,11 +193,10 @@ def exterior_d(alpha: PqForm) -> FormSum:
 def d_sum(alpha: FormSum) -> FormSum:
     """d of a mixed-degree form: every term goes straight into one accumulator per
     bidegree, in the order part, then component, then j."""
-    acc: dict[tuple[int, int], dict] = {}
+    acc: dict[tuple[int, int], PqForm] = {}
     for f in alpha.parts.values():
         _add_dolbeault(f, acc)
-    return FormSum(alpha.grid, {(p, q): PqForm(alpha.grid, p, q, comps)
-                                for (p, q), comps in acc.items()})
+    return FormSum(alpha.grid, acc)
 
 
 def d_c(u: PeriodicScalarField) -> FormSum:

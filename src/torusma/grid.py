@@ -11,9 +11,10 @@ Differentiation is spectral.  First derivatives zero the Nyquist mode (odd
 symbol) and pure second derivatives keep it with symbol -(pi N)^2, which keeps
 real fields real.  Every spectral symbol, and the per-axis matrices D and D2
 below, is built from the grid's two axis symbols, which state that policy
-once (Grid.axis_symbols, Grid.along, axis_matrices).  The dtype of a field's
-samples decides its realness: float64 samples make a real field, complex128
-samples a complex one.
+once (Grid.axis_symbols, Grid.along, Grid.axis_matrices).  These spectral
+data are cached properties of the grid, built on first use.  The dtype of a
+field's samples decides its realness: float64 samples make a real field,
+complex128 samples a complex one.
 
 The solver's operators are separable, with symbols even on every axis, so
 each is also a real N x N product along each axis.  Their seams are Grid
@@ -39,7 +40,8 @@ numpy.fft at every N; the solve's band-limit check is their one caller at n = 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,8 +56,6 @@ class Grid:
 
     n: int
     N: int
-    # symbols and differentiation matrices built on first use; not part of the value
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
@@ -94,12 +94,14 @@ class Grid:
         shape[axis] = self.N
         return np.broadcast_to(x.reshape(shape), self.shape)
 
-    def along(self, sym: np.ndarray, axis: int, half: bool = False) -> np.ndarray:
-        """A 1-D array over fftfreq wavenumbers, shaped to broadcast along ``axis``;
-        ``half`` cuts the last axis to the rfftn half spectrum, wavenumbers 0..N/2."""
+    @property
+    def wavenumbers(self) -> np.ndarray:
+        """The integer wavenumbers k of one axis in fftfreq order."""
+        return np.rint(np.fft.fftfreq(self.N, d=1.0 / self.N)).astype(int)
+
+    def along(self, sym: np.ndarray, axis: int) -> np.ndarray:
+        """A 1-D array over fftfreq wavenumbers, shaped to broadcast along ``axis``."""
         self.check_axis(axis)
-        if half and axis == self.num_axes - 1:
-            sym = sym[: self.N // 2 + 1]
         return sym.reshape((1,) * axis + (-1,) + (1,) * (self.num_axes - 1 - axis))
 
     def rfftn(self, u: np.ndarray) -> np.ndarray:
@@ -131,8 +133,8 @@ class Grid:
                                     and out.flags.c_contiguous):
             raise ValueError(f"out must be a C-ordered {lines.dtype} array of shape {lines.shape}")
         if self.n == 2:
-            return _apply_axis_matrix(self.axis_matrix(1), lines, axis, out)
-        first = self.axis_symbols()[0]
+            return _apply_axis_matrix(self.axis_matrices[0], lines, axis, out)
+        first = self.axis_symbols[0]
         if lines.dtype == np.float64:
             half = self.along(first[: self.N // 2 + 1], axis)
             d = np.fft.irfft(np.fft.rfft(lines, axis=axis) * half, n=self.N, axis=axis)
@@ -147,17 +149,17 @@ class Grid:
         """[A_00 u, .., A_{n-1,n-1} u], and A_01 u, B_01 u for n = 2: d_j dbar_k = A_jk + i B_jk.
 
         At n = 1 the one part is irfftn of rfftn(u) times (1/4)(s_x + s_y), s the
-        second axis symbol (hessian_symbol).  At n = 2, A_jj = (1/4)(D2_xj + D2_yj),
+        second axis symbol (hessian_half_symbol).  At n = 2, A_jj = (1/4)(D2_xj + D2_yj),
         A_01 = (1/4)(D_x1 D_x2 + D_y1 D_y2) and B_01 = (1/4)(D_x1 D_y2 - D_y1 D_x2),
         one product per axis and term: D annihilates the Nyquist mode and D2
         keeps it, the axis symbols' policy.  The products see u less its first
         sample, so a constant gives exact zeros.
         """
         if self.n == 1:
-            return [self.irfftn(self.rfftn(u) * self._cached("hessian", hessian_symbol))]
+            return [self.irfftn(self.rfftn(u) * self.hessian_half_symbol)]
         v = np.subtract(u, u.flat[0], dtype=float)
         v *= 0.25  # a power of two: the products round as if scaled after
-        D, D2 = self.axis_matrix(1), self.axis_matrix(2)
+        D, D2 = self.axis_matrices
         # the cross terms first, so that the first partials are freed before
         # the diagonals exist
         dx1, dy1 = _apply_axis_matrix(D, v, 0), _apply_axis_matrix(D, v, 1)
@@ -182,32 +184,72 @@ class Grid:
         to rounding of about 1e-16 |c|.  At n = 1 it is an rfftn/irfftn pair,
         and a constant maps to exact zeros.
         """
-        sym = self._cached("inverse_flat", inverse_flat_symbol)
         if self.n == 1:
             spec = self.rfftn(r)
-            spec *= sym[..., : self.N // 2 + 1]
+            spec *= self.inverse_flat_symbol[..., : self.N // 2 + 1]
             return self.irfftn(spec)
-        H = self._cached("hartley", hartley_matrix)
+        H = self.hartley_matrix
         for a in range(self.num_axes):
             r = _apply_axis_matrix(H, r, a)
-        r *= sym
+        r *= self.inverse_flat_symbol
         for a in range(self.num_axes):
             r = _apply_axis_matrix(H, r, a)
         return r
 
+    @cached_property
     def axis_symbols(self) -> tuple[np.ndarray, np.ndarray]:
-        """The symbols of d/dx and d^2/dx^2 over one axis in fftfreq order, built once per grid."""
-        return self._cached("axis_symbols", axis_symbols)
+        """(2 pi i k, -(2 pi k)^2) of d/dx and d^2/dx^2 over one axis, k in fftfreq
+        order; the odd first symbol zeroes the Nyquist mode, the second keeps it
+        at -(pi N)^2."""
+        k = self.wavenumbers
+        first = np.where(np.abs(k) == self.N // 2, 0.0, 2j * np.pi * k)
+        return first, -((2.0 * np.pi * k) ** 2)
 
-    def axis_matrix(self, order: int = 1) -> np.ndarray:
-        """D (order 1) or D2 (order 2) of one axis; both are built once per grid."""
-        return self._cached("axis_matrices", axis_matrices)[order - 1]
+    @cached_property
+    def axis_matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """(D, D2) of d/dx and d^2/dx^2 over one axis: the real circulants of the two
+        axis symbols, whose closed forms Trefethen (2000), ch. 3, gives.
 
-    def _cached(self, key, build):
-        """build(self), made on first use and kept in the grid's cache under key."""
-        if key not in self._cache:
-            self._cache[key] = build(self)
-        return self._cache[key]
+        Entry (i, j) is entry m = i - j mod N of the symbol's inverse DFT for
+        m <= N/2 and mirrors entry N - m above, negated for the odd D, whose
+        entries 0 and N/2 are 0: D is exactly antisymmetric, D2 exactly symmetric.
+        """
+        N, h = self.N, self.N // 2
+        d, s = (np.fft.ifft(sym).real for sym in self.axis_symbols)
+        d[[0, h]] = 0.0
+        d[h + 1:], s[h + 1:] = -d[h - 1:0:-1], s[h - 1:0:-1]
+        m = np.subtract.outer(np.arange(N), np.arange(N)) % N
+        return d[m], s[m]
+
+    @cached_property
+    def hartley_matrix(self) -> np.ndarray:
+        """The orthonormal Hartley matrix cas(2 pi jk / N) / sqrt(N), cas = cos + sin.
+
+        It is symmetric and its own inverse, and it diagonalizes every circulant
+        with an even symbol (Bracewell 1986): C C = N I for the unscaled C.
+        """
+        i = np.arange(self.N)
+        t = 2 * np.pi * (np.outer(i, i) % self.N) / self.N
+        return (np.cos(t) + np.sin(t)) / np.sqrt(self.N)
+
+    @cached_property
+    def hessian_half_symbol(self) -> np.ndarray:
+        """Grid.hessian's one part at n = 1, A_00 = (1/4)(s_x + s_y), on the rfftn
+        half spectrum: the last axis keeps wavenumbers 0..N/2."""
+        return self._quarter_laplacian()[..., : self.N // 2 + 1].copy()
+
+    @cached_property
+    def inverse_flat_symbol(self) -> np.ndarray:
+        """Full-grid symbol of the inverse of -(1/4) Laplacian = -sum_j A_jj; 0 on constants."""
+        lap = self._quarter_laplacian()
+        return np.divide(-1.0, lap, out=np.zeros(self.shape), where=lap < 0)
+
+    def _quarter_laplacian(self) -> np.ndarray:
+        """(1/4) sum_a s_a over the full grid, s the second axis symbol: the symbol of
+        (1/4) Laplacian = sum_j A_jj.  Starting from -0.0, the exact additive identity,
+        not sum's int 0, keeps the constant mode's (1/4) s(0) = -0.0."""
+        quarter = 0.25 * self.axis_symbols[1]
+        return sum((self.along(quarter, a) for a in range(self.num_axes)), -0.0)
 
 
 @dataclass(frozen=True)
@@ -275,48 +317,6 @@ def make_field(grid: Grid, values: np.ndarray) -> PeriodicScalarField:
 # ---------------------------------------------------------------------------
 # spectral differentiation
 
-def axis_symbols(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """(2 pi i k, -(2 pi k)^2) of d/dx and d^2/dx^2, k in fftfreq order; the odd
-    first symbol zeroes the Nyquist mode, the second keeps it at -(pi N)^2."""
-    k = np.rint(np.fft.fftfreq(grid.N, d=1.0 / grid.N)).astype(int)
-    first = np.where(np.abs(k) == grid.N // 2, 0.0, 2j * np.pi * k)
-    return first, -((2.0 * np.pi * k) ** 2)
-
-
-def hessian_symbol(grid: Grid) -> np.ndarray:
-    """Grid.hessian's one part at n = 1 as a real half-spectrum symbol,
-    A_00 = (1/4)(s_x + s_y) in the second axis symbol s."""
-    second = grid.axis_symbols()[1]
-    return 0.25 * (grid.along(second, 0, half=True) + grid.along(second, 1, half=True))
-
-
-def axis_matrices(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """(D, D2) of d/dx and d^2/dx^2 over one axis: the real circulants of the two
-    axis symbols, whose closed forms Trefethen (2000), ch. 3, gives.
-
-    Entry (i, j) is entry m = i - j mod N of the symbol's inverse DFT for
-    m <= N/2 and mirrors entry N - m above, negated for the odd D, whose
-    entries 0 and N/2 are 0: D is exactly antisymmetric, D2 exactly symmetric.
-    """
-    N, h = grid.N, grid.N // 2
-    d, s = (np.fft.ifft(sym).real for sym in grid.axis_symbols())
-    d[[0, h]] = 0.0
-    d[h + 1:], s[h + 1:] = -d[h - 1:0:-1], s[h - 1:0:-1]
-    m = np.subtract.outer(np.arange(N), np.arange(N)) % N
-    return d[m], s[m]
-
-
-def hartley_matrix(grid: Grid) -> np.ndarray:
-    """The orthonormal Hartley matrix cas(2 pi jk / N) / sqrt(N), cas = cos + sin.
-
-    It is symmetric and its own inverse, and it diagonalizes every circulant
-    with an even symbol (Bracewell 1986): C C = N I for the unscaled C.
-    """
-    i = np.arange(grid.N)
-    t = 2 * np.pi * (np.outer(i, i) % grid.N) / grid.N
-    return (np.cos(t) + np.sin(t)) / np.sqrt(grid.N)
-
-
 def _product_along_axis(M: np.ndarray, x: np.ndarray, axis: int,
                         out: np.ndarray | None = None) -> np.ndarray:
     """M applied to every line of x along ``axis`` (not the last): one batched BLAS product.
@@ -346,13 +346,6 @@ def _apply_axis_matrix(M: np.ndarray, lines: np.ndarray, axis: int,
     x = lines.view(np.float64)
     res = _product_along_axis(M, x, axis, None if out is None else out.view(np.float64))
     return res.view(lines.dtype) if out is None else out
-
-
-def inverse_flat_symbol(grid: Grid) -> np.ndarray:
-    """Full-grid symbol of the inverse of -(1/4) Laplacian = -sum_j A_jj; 0 on constants."""
-    second = grid.axis_symbols()[1]
-    flat = sum(-0.25 * grid.along(second, a) for a in range(grid.num_axes))
-    return np.divide(1.0, flat, out=np.zeros(grid.shape), where=flat > 0)
 
 
 def partial_z(f: PeriodicScalarField, j: int) -> PeriodicScalarField:

@@ -333,12 +333,11 @@ def _band_limit_warning(F: PeriodicScalarField) -> None:
     # an interior last-axis wavenumber of the half spectrum also stands for its mirror
     spec[..., 1 : grid.N // 2] *= 2.0
     total = float(np.sum(spec))
-    # |k| > N/4 on some axis; entry N/4 of the fftfreq order is k = N/4
-    second = grid.axis_symbols()[1]
-    above = second < second[grid.N // 4]
+    # |k| > N/4 on some axis, the last axis cut to the half spectrum
+    above = np.abs(grid.wavenumbers) > grid.N // 4
     mask = np.zeros(spec.shape, dtype=bool)
     for a in range(grid.num_axes):
-        mask |= grid.along(above, a, half=True)
+        mask |= grid.along(above, a)[..., : grid.N // 2 + 1]
     high = float(np.sum(spec[mask]))
     if high > 1e-10 * total:
         warnings.warn(

@@ -30,6 +30,14 @@ def wavenumbers(N):
     return np.rint(np.fft.fftfreq(N, d=1.0 / N)).astype(int)
 
 
+# the spectral data a grid holds once its operators have run: D, D2 and the
+# Hartley matrix at n = 2, the half-spectrum Hessian symbol at n = 1
+HELD_SPECTRAL_DATA = {
+    1: {"axis_symbols", "hessian_half_symbol", "inverse_flat_symbol"},
+    2: {"axis_symbols", "axis_matrices", "hartley_matrix", "inverse_flat_symbol"},
+}
+
+
 def _on_axis(sym, axis, ndim):
     shape = [1] * ndim
     shape[axis] = sym.size

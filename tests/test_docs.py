@@ -1,0 +1,62 @@
+"""The names README.md and CONVENTIONS.md cite still resolve.
+
+Every backticked dotted name of the form ``torusma.<mod>[.<name>...]``,
+``Grid.<attr>`` or ``grid.<attr>`` must name something that exists, so a
+rename in src/ cannot leave the documents pointing at nothing.  Fenced code
+blocks are shell sessions, not citations, and are skipped, as are file
+names such as ``grid.py``.
+"""
+
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+import torusma as tm
+
+ROOT = Path(__file__).resolve().parents[1]
+DOCS = ("README.md", "CONVENTIONS.md")
+# a dotted name that starts a chain: the ``grid.n`` of ``phi.grid.n`` is not cited
+DOTTED = re.compile(r"(?<![\w.])(?:torusma|Grid|grid)(?:\.\w+)+")
+
+
+def cited_names(text):
+    text = re.sub(r"```.*?```", "", text, flags=re.S)
+    names = set()
+    for span in re.findall(r"`([^`]+)`", text):
+        names.update(m.group(0) for m in DOTTED.finditer(span))
+    return sorted(name for name in names if not name.endswith(".py"))
+
+
+def resolves(name):
+    head, *attrs = name.split(".")
+    if head == "torusma":
+        obj, path = tm, "torusma"
+        for attr in attrs:
+            path += "." + attr
+            if not hasattr(obj, attr):
+                try:
+                    importlib.import_module(path)
+                except ImportError:
+                    return False
+            obj = getattr(obj, attr)
+        return True
+    # Grid.<attr> and grid.<attr> both name an attribute of a grid; an
+    # instance also has the dataclass fields, which the class lacks
+    return hasattr(tm.Grid(n=1, N=8), attrs[0])
+
+
+def test_the_pattern_finds_each_form():
+    text = ("`torusma.grid.make_field` and `Grid.along(sym, axis)`, `phi.grid.n`,\n"
+            "`grid.py`, ```\n$ python -m torusma.cli\n``` and `u = grid.hessian(v)`")
+    assert cited_names(text) == ["Grid.along", "grid.hessian", "torusma.grid.make_field"]
+    assert not resolves("Grid.no_such_name") and not resolves("torusma.grid.no_such_name")
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_cited_names_resolve(doc):
+    names = cited_names((ROOT / doc).read_text())
+    assert names, f"{doc} cites no torusma name"
+    missing = [name for name in names if not resolves(name)]
+    assert not missing, missing

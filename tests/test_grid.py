@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import torusma as tm
-from conftest import (_axis_second_derivative, _on_axis, axis_derivative, complex_precondition,
-                      count_calls, raises_exactly, wavenumbers)
+from conftest import (HELD_SPECTRAL_DATA, _axis_second_derivative, _on_axis, axis_derivative,
+                      complex_precondition, count_calls, raises_exactly, wavenumbers)
 
 
 class TestGridValidation:
@@ -127,13 +127,13 @@ class TestDifferentiationMatrices:
                 grid.derivative(u, 0, out=bad)
 
     def test_symmetry(self, grid):
-        D = grid.axis_matrix()
+        D = grid.axis_matrices[0]
         assert np.array_equal(D, -D.T)
 
     def test_nyquist_policy(self, grid):
         N = grid.N
         nyquist = (-1.0) ** np.arange(N)  # cos(pi N x) on the grid
-        assert np.max(np.abs(grid.axis_matrix() @ nyquist)) <= 1e-14 * np.pi * N
+        assert np.max(np.abs(grid.axis_matrices[0] @ nyquist)) <= 1e-14 * np.pi * N
         for axis in range(grid.num_axes):
             u = np.cos(np.pi * N * grid.coordinate(axis))
             assert np.max(np.abs(grid.derivative(u, axis))) <= 1e-14 * np.pi * N, axis
@@ -145,20 +145,23 @@ class TestDifferentiationMatrices:
             u = np.broadcast_to(plane, grid.shape)
             assert not np.any(grid.derivative(u, axis)), axis
 
-    def test_one_build_per_grid_and_order(self, monkeypatch, rng):
-        builds = count_calls(monkeypatch, tm.grid, "axis_matrices")
+    def test_one_build_per_grid_and_order(self, rng):
         grids = [tm.Grid(n=2, N=16), tm.Grid(n=2, N=16), tm.Grid(n=1, N=64),
                  tm.Grid(n=2, N=34), tm.Grid(n=1, N=16)]
         for grid in grids:
+            held = []
             for real in (True, False):
                 f = tm.make_field(grid, _white_noise(grid, rng, real))
                 for axis in range(grid.num_axes):
                     grid.derivative(f.values, axis)
                 tm.partial_z(f, grid.n - 1)
-        # one build for each n = 2 grid, N = 34 included; none at n = 1, N = 16 included
-        matrix_grids = [g for g in grids if g.n == 2]
-        assert [b for (b,) in builds] == matrix_grids
-        assert all(b is g for (b,), g in zip(builds, matrix_grids))
+                held.append(vars(grid).get("axis_matrices"))
+            # each n = 2 grid, N = 34 included, builds D and D2 once and keeps
+            # them; no n = 1 grid, N = 16 included, builds them
+            assert held[0] is held[1]
+            assert (held[0] is not None) == (grid.n == 2)
+        # equal grids each build their own
+        assert vars(grids[0])["axis_matrices"] is not vars(grids[1])["axis_matrices"]
 
 
 _MATRIX_CASES = [(n, N) for n in (1, 2) for N in (8, 16, 32)]
@@ -245,25 +248,38 @@ class TestMatrixTransforms:
         assert np.max(np.abs(ref - base)) <= 1e-14 * np.max(np.abs(base))
 
     def test_one_build_per_grid(self, monkeypatch, rng):
-        names = ("axis_matrices", "hartley_matrix", "inverse_flat_symbol")
-        builds = {name: count_calls(monkeypatch, tm.grid, name) for name in names}
         rfftn_calls = count_calls(monkeypatch, tm.Grid, "rfftn")
         grids = [tm.Grid(n=2, N=16), tm.Grid(n=2, N=16), tm.Grid(n=1, N=64),
                  tm.Grid(n=2, N=34), tm.Grid(n=1, N=16)]
         for grid in grids:
+            held = []
             for _ in range(2):
                 u = _white_noise(grid, rng, real=True)
                 grid.hessian(u)
                 grid.inverse_flat(u - np.mean(u))
-        # the n = 1 grids take transforms and build no matrix; the n = 2 grids,
-        # N = 34 included, build theirs and make no Grid.rfftn call
-        matrix_grids = [g for g in grids if g.n == 2]
-        for name in names[:2]:
-            assert [b for (b,) in builds[name]] == matrix_grids, name
-            assert all(b is g for (b,), g in zip(builds[name], matrix_grids))
+                held.append(dict(vars(grid)))
+            # the n = 1 grids hold symbols and no matrix, the n = 2 grids, N = 34
+            # included, their matrices and no Hessian half-symbol; the second
+            # pass finds the arrays the first one built
+            assert held[0].keys() - {"n", "N"} == HELD_SPECTRAL_DATA[grid.n]
+            assert all(held[1][key] is value for key, value in held[0].items())
+        # only the n = 1 grids take transforms
         assert {id(g) for (g, _) in rfftn_calls} == {id(g) for g in grids if g.n == 1}
-        assert [b for (b,) in builds["inverse_flat_symbol"]] == grids
-        assert all(b is g for (b,), g in zip(builds["inverse_flat_symbol"], grids))
+
+    @pytest.mark.parametrize("N", [8, 10, 64, 512])
+    def test_flat_symbols_match_closed_forms(self, N):
+        # A_00 = (1/4)(s_x + s_y) with s = -(2 pi k)^2 on the half spectrum, and
+        # the inverse flat symbol -1 / A_00 away from k = 0 and +0.0 there
+        grid = tm.Grid(n=1, N=N)
+        s = -((2.0 * np.pi * wavenumbers(N)) ** 2)
+        a00 = 0.25 * (s[:, None] + s[None, :])
+        inverse = np.zeros((N, N))
+        inverse[a00 != 0] = -1.0 / a00[a00 != 0]
+        half = grid.hessian_half_symbol
+        assert half.shape == (N, N // 2 + 1)
+        assert half.tobytes() == a00[:, : N // 2 + 1].tobytes()
+        assert grid.inverse_flat_symbol.tobytes() == inverse.tobytes()
+        assert np.signbit(half[0, 0]) and not np.signbit(grid.inverse_flat_symbol[0, 0])
 
     @pytest.mark.parametrize("n,N", _MATRIX_CASES, ids=_MATRIX_IDS)
     def test_nyquist_policy(self, n, N):
@@ -272,7 +288,7 @@ class TestMatrixTransforms:
         # killed it would leave that residual unreachable and break PCG
         grid = tm.Grid(n=n, N=N)
         nyquist = (-1.0) ** np.arange(N)  # cos(pi N x) on the grid
-        D2 = tm.grid.axis_matrices(grid)[1]
+        D2 = grid.axis_matrices[1]
         assert np.array_equal(D2, D2.T)
         scale = (np.pi * N) ** 2
         assert np.max(np.abs(D2 @ nyquist + scale * nyquist)) <= 1e-13 * scale
@@ -287,7 +303,7 @@ class TestMatrixTransforms:
     @pytest.mark.parametrize("N", [8, 16, 32])
     def test_hartley_matrix_squares_to_the_identity(self, N):
         # H = C / sqrt(N) with C[j, k] = cas(2 pi jk / N): C C = N I
-        H = tm.grid.hartley_matrix(tm.Grid(n=1, N=N))
+        H = tm.Grid(n=1, N=N).hartley_matrix
         assert np.array_equal(H, H.T)
         assert np.max(np.abs(H @ H - np.eye(N))) <= 1e-14 * N
 

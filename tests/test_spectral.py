@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import torusma as tm
-from conftest import axis_derivative, complex_hessian_symbol, complex_precondition, count_calls
+from conftest import (HELD_SPECTRAL_DATA, axis_derivative, complex_hessian_symbol,
+                      complex_precondition, count_calls)
 from torusma.solver import _LinearizedOperator, _band_limit_warning, yau_estimate_report
 
 
@@ -145,21 +146,19 @@ def test_precondition_inverts_flat_operator(grid, random_real_field):
 # n=1 takes the symbols and transforms at every N; n=2 takes matrix products
 @pytest.mark.parametrize("n,N", [(1, 32), (2, 8), (1, 64)], ids=["n1", "n2", "n1-N64"])
 def test_symbols_built_once_per_grid(n, N, monkeypatch):
-    names = ("axis_symbols", "hessian_symbol", "inverse_flat_symbol")
-    builds = {name: count_calls(monkeypatch, tm.grid, name) for name in names}
+    flat_builds = count_calls(monkeypatch, tm.Grid, "_quarter_laplacian")
     grid = tm.Grid(n=n, N=N)
     x1, y1 = grid.coordinate(0), grid.coordinate(1)
     F = tm.make_field(grid, 0.2 * np.sin(2 * np.pi * x1) * np.cos(2 * np.pi * y1))
     result = tm.continuity_solve(F, tm.flat_metric(grid), tm.SolverConfig(n=n, N=N))
     assert result.converged
     assert sum(s.newton_iters for s in result.trace) > 0
-    # the axis symbols serve the band-limit check and the inverse flat symbol in
-    # every dimension, and the Hessian symbol at n = 1; one build each for every
-    # operator of the solve
-    assert [b for (b,) in builds["axis_symbols"]] == [grid]
-    assert [b for (b,) in builds["inverse_flat_symbol"]] == [grid]
-    assert len(builds["hessian_symbol"]) == (n == 1)
-    assert all(b is grid for name in names for (b,) in builds[name])
+    # the grid holds the axis symbols and the inverse flat symbol in every
+    # dimension, and the Hessian half-symbol at n = 1; each flat symbol is
+    # built once for every operator of the solve
+    assert vars(grid).keys() - {"n", "N"} == HELD_SPECTRAL_DATA[n]
+    assert [b for (b,) in flat_builds] == [grid] * (2 if n == 1 else 1)
+    assert all(b is grid for (b,) in flat_builds)
 
 
 class TestBandLimitWarning:
