@@ -137,42 +137,51 @@ def _add_dolbeault(alpha: PqForm, acc: dict[tuple[int, int], PqForm]) -> None:
     acc maps a bidegree to its form; a bidegree met for the first time starts
     as zero_form, and terms are added into its components in order: component,
     then j, with the sign applied exactly by adding or subtracting.  Each
-    component's two real partials along z^j are taken once, into two work
-    arrays reused across components and j, and feed both d/dz^j (when j is not
-    in J) and d/dzbar^j (when j is not in K).
+    component's two real partials along z^j are taken once, and feed both
+    d/dz^j (when j is not in J) and d/dzbar^j (when j is not in K).
+
+    They are taken one slab at a time: one index at a time along the first real
+    axis other than 2j and 2j + 1 (axis 2 for j = 0 and 0 for j = 1 at n = 2;
+    at n = 1 the whole grid is one slab), into two slab-sized work arrays made
+    once per call.  A slab keeps whole lines along 2j, 2j + 1 and the last axis,
+    so its partials are the whole grid's bytes (Grid.derivative), and at n = 2
+    every transient is 1/N of a field.
     """
     grid, p, q = alpha.grid, alpha.p, alpha.q
     for key in ((p + 1, q), (p, q + 1)):
         if key not in acc:
             acc[key] = zero_form(grid, *key)
     holo, anti = acc[p + 1, q].components, acc[p, q + 1].components
-    fx, ify = np.empty(grid.shape, dtype=complex), np.empty(grid.shape, dtype=complex)
+    work = np.empty((2, grid.num_points // grid.N ** (grid.n - 1)), dtype=complex)
     front = (-1) ** p  # dzbar^j crosses the dz^J block
     for (J, K), arr in alpha.components.items():
         for j in range(grid.n):
             if j in J and j in K:
                 continue
-            # the halves of d/dz^j = (d_x - i d_y) / 2, scaled exactly by a power of two
-            grid.derivative(arr, 2 * j, out=fx)
-            fx *= 0.5
-            grid.derivative(arr, 2 * j + 1, out=ify)
-            ify *= 0.5j
-            if j not in J:
-                merged, sign = merge_sign((j,), J)
-                # fx is still needed below when j is not in K; a new difference
-                # is freed before the next partials are taken
-                term = np.subtract(fx, ify, out=fx if j in K else None)
-                if sign > 0:
-                    holo[merged, K] += term
-                else:
-                    holo[merged, K] -= term
-            if j not in K:
-                merged, sign = merge_sign((j,), K)
-                term = np.add(fx, ify, out=fx)
-                if front * sign > 0:
-                    anti[J, merged] += term
-                else:
-                    anti[J, merged] -= term
+            first = [a for a in range(grid.num_axes) if a // 2 != j][:1]  # none at n = 1
+            slabs = [(slice(None),) * a + (slice(k, k + 1),) for a in first for k in range(grid.N)]
+            for slab in slabs or [()]:
+                # the halves of d/dz^j = (d_x - i d_y) / 2, scaled exactly by a power of two
+                fx, ify = (w.reshape(arr[slab].shape) for w in work)
+                grid.derivative(arr[slab], 2 * j, out=fx)
+                fx *= 0.5
+                grid.derivative(arr[slab], 2 * j + 1, out=ify)
+                ify *= 0.5j
+                if j not in J:
+                    merged, sign = merge_sign((j,), J)
+                    # fx is still needed below when j is not in K
+                    term = np.subtract(fx, ify, out=fx if j in K else None)
+                    if sign > 0:
+                        holo[merged, K][slab] += term
+                    else:
+                        holo[merged, K][slab] -= term
+                if j not in K:
+                    merged, sign = merge_sign((j,), K)
+                    term = np.add(fx, ify, out=fx)
+                    if front * sign > 0:
+                        anti[J, merged][slab] += term
+                    else:
+                        anti[J, merged][slab] -= term
 
 
 def del_(alpha: PqForm) -> PqForm:

@@ -40,6 +40,7 @@ numpy.fft at every N; the solve's band-limit check is their one caller at n = 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -123,7 +124,11 @@ class Grid:
         matrix D (_apply_axis_matrix); at n = 1 they take rfft/irfft along
         the axis for float64 samples, fft/ifft for complex.
         ``out``, a C-ordered array of the result's shape and dtype, receives
-        the same bytes as a new result would and is returned.
+        the same bytes as a new result would and is returned.  ``values`` may
+        be a block of a field, C-ordered or not, with whole lines along
+        ``axis`` and along the last axis: its derivative is that block of the
+        field's, bit for bit.  (One index on the last axis would turn the
+        products along axis 2 into matrix-vector calls, which round differently.)
         """
         self.check_axis(axis)
         first = values[(slice(None),) * axis + (slice(0, 1),)]
@@ -325,7 +330,7 @@ def _product_along_axis(M: np.ndarray, x: np.ndarray, axis: int,
     if given, is a C-ordered array of that shape and receives it.
     """
     lead = x.shape[:axis]
-    shape = (int(np.prod(lead)), x.shape[axis], -1)
+    shape = (math.prod(lead), x.shape[axis], -1)
     y = np.matmul(M, x.reshape(shape), out=None if out is None else out.reshape(shape))
     return y.reshape(lead + (M.shape[0],) + x.shape[axis + 1:])
 

@@ -89,6 +89,24 @@ class TestDerivatives:
         f = tm.make_field(g, np.cos(np.pi * g.N * g.coordinate(0)))
         assert np.max(np.abs(g.derivative(f.values, 0))) < 1e-12
 
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 32)], ids=["n1-N64", "n2-N32"])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_slab_derivative_is_bitwise_the_field_derivative(self, n, N, real, rng):
+        # one index at a time along any axis but ``axis`` and the last, which
+        # includes forms._add_dolbeault's slab axes (2 for axes 0, 1 and 0 for
+        # axes 2, 3 at n=2); signed zeros and every last bit must agree
+        grid = tm.Grid(n=n, N=N)
+        v = _white_noise(grid, rng, real)
+        for axis in range(grid.num_axes):
+            full = grid.derivative(v, axis)
+            for slab_axis in set(range(grid.num_axes - 1)) - {axis}:
+                for k in range(N):
+                    blk = (slice(None),) * slab_axis + (slice(k, k + 1),)
+                    out = np.empty(full[blk].shape, dtype=full.dtype)
+                    for got in (grid.derivative(v[blk], axis),
+                                grid.derivative(v[blk], axis, out=out)):
+                        assert got.tobytes() == full[blk].tobytes(), (axis, slab_axis, k)
+
 
 
 def _white_noise(grid, rng, real):
