@@ -1,5 +1,9 @@
 import math
+import os
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -200,16 +204,27 @@ def _assert_bitwise(new, ref):
     assert (new.p, new.q) == (ref.p, ref.q)
     assert new.components.keys() == ref.components.keys()
     for key, arr in ref.components.items():
-        assert new.components[key].dtype == arr.dtype
-        assert new.components[key].tobytes() == arr.tobytes(), key
+        got = new.components[key]
+        assert (got.dtype, got.shape) == (arr.dtype, arr.shape)
+        # the samples' bits, compared in place: no 16 MiB bytes copy per N=32 field
+        assert np.array_equal(got.view(np.uint64), arr.view(np.uint64)), key
 
 
 _BIDEGREES = [(n, N, p, q) for n, N in ((1, 32), (2, 16))
               for p in range(n + 1) for q in range(n + 1)]
 
 
-@pytest.mark.parametrize("p,q,fields", [(0, 0, 10), (0, 1, 9), (0, 2, 3), (1, 0, 9), (1, 1, 5)],
-                         ids=["(0,0)", "(0,1)", "(0,2)", "(1,0)", "(1,1)"])
+def _mock_cpus(monkeypatch, cpus):
+    """Report ``cpus`` CPUs in the affinity mask: the kernel runs min(cpus, N // 8) workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+_PEAK_CASES = pytest.mark.parametrize(
+    "p,q,fields", [(0, 0, 10), (0, 1, 9), (0, 2, 3), (1, 0, 9), (1, 1, 5)],
+    ids=["(0,0)", "(0,1)", "(0,2)", "(1,0)", "(1,1)"])
+
+
+@_PEAK_CASES
 def test_d_sum_peak_memory(p, q, fields):
     # d(d alpha) on every n=2 bidegree the identities suite draws, in grid
     # fields above alpha: d alpha and the result; the kernel's transients are
@@ -230,6 +245,14 @@ def test_d_sum_peak_memory(p, q, fields):
     result = sum(len(f.components) for f in out.parts.values())
     assert d_alpha + result == fields
     assert peak <= (fields + 1) * field, peak / field
+
+
+@_PEAK_CASES
+def test_d_sum_peak_memory_at_64_cpus(p, q, fields, monkeypatch):
+    # N // 8 caps the workers at 2 here; 16 workers, about four slab-sized
+    # transients each, would hold some 4 fields of transients, past the bound
+    _mock_cpus(monkeypatch, 64)
+    test_d_sum_peak_memory(p, q, fields)
 
 
 class TestDolbeaultKernel:
@@ -273,6 +296,61 @@ class TestDolbeaultKernel:
         if (p, q) == (0, 0):
             assert sizes == 4 * grid.num_points
         assert all(values.shape[axis] == grid.N for _, values, axis in calls)
+
+
+class TestDolbeaultWorkers:
+    """The kernel's slabs split across threads: same bytes, errors raised in the caller."""
+
+    @pytest.mark.parametrize("p,q", [(p, q) for p in range(3) for q in range(3)])
+    def test_bytes_do_not_depend_on_worker_count(self, p, q, monkeypatch):
+        # at N=32 the cap N // 8 allows 4 workers; 3 CPUs give unequal chunks
+        grid = tm.Grid(n=2, N=32)
+        alpha = _random_form(grid, p, q, np.random.default_rng(10 * p + q))
+        _mock_cpus(monkeypatch, 1)
+        d = tm.exterior_d(alpha)
+        dd = tm.d_sum(d)
+        threads = count_calls(monkeypatch, threading.Thread, "start")
+        pairs = sum(1 for f in (alpha, *d.parts.values()) for J, K in f.components
+                    for j in range(grid.n) if j not in J or j not in K)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the workers' Python steps as finely as possible
+        try:
+            for cpus in (2, 3, 64):
+                _mock_cpus(monkeypatch, cpus)
+                started = len(threads)
+                _assert_bitwise(tm.exterior_d(alpha), d)
+                _assert_bitwise(tm.d_sum(d), dd)
+                # every (component, j) of alpha and of d alpha starts min(cpus, 4) - 1 threads
+                assert len(threads) - started == pairs * (min(cpus, 4) - 1)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("error", [ZeroDivisionError("in a worker"),
+                                       RuntimeWarning("in a worker")],
+                             ids=["exception", "warning-as-error"])
+    def test_worker_error_reaches_the_caller(self, error, monkeypatch):
+        # at N=16 with 2 CPUs the caller runs slabs 0-7 and one thread 8-15;
+        # only the thread's derivatives fail
+        caller, original = threading.current_thread(), tm.Grid.derivative
+
+        def failing(self, values, axis, out=None):
+            if threading.current_thread() is not caller:
+                if isinstance(error, Warning):
+                    warnings.warn(error)
+                else:
+                    raise error
+            return original(self, values, axis, out)
+
+        monkeypatch.setattr(tm.Grid, "derivative", failing)
+        _mock_cpus(monkeypatch, 2)
+        alpha = _random_form(tm.Grid(n=2, N=16), 0, 0, np.random.default_rng(0))
+        before = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(type(error)) as info:
+                tm.d_sum(tm.FormSum(alpha.grid, {(0, 0): alpha}))
+        assert info.value is error
+        assert threading.active_count() == before
 
 
 _G8, _G16 = tm.Grid(n=1, N=8), tm.Grid(n=1, N=16)

@@ -322,6 +322,12 @@ class TestContinuitySolve:
         assert ts[-1] == 1.0
         assert all(s.residual_sup <= 1e-11 for s in result.trace)
 
+    def test_step_control_t_sequence(self, poisson_solve):
+        # the step starts at 0.1 and doubles after every two fast Newton solves,
+        # up to 0.25: the cap sets the last two steps, 0.6 -> 0.85 -> 1.0
+        _, _, result = poisson_solve
+        assert [s.t for s in result.trace] == pytest.approx([0.1, 0.2, 0.4, 0.6, 0.85, 1.0])
+
     def test_solution_mean_zero(self, poisson_solve):
         _, _, result = poisson_solve
         assert abs(np.mean(result.phi.values)) < 1e-12
