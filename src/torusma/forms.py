@@ -142,21 +142,23 @@ def _add_dolbeault(alpha: PqForm, acc: dict[tuple[int, int], PqForm]) -> None:
     component's two real partials along z^j are taken once, and feed both
     d/dz^j (when j is not in J) and d/dzbar^j (when j is not in K).
 
-    They are taken one slab at a time: one index at a time along the first real
-    axis other than 2j and 2j + 1 (axis 2 for j = 0 and 0 for j = 1 at n = 2;
-    at n = 1 the whole grid is one slab), into two slab-sized work arrays per
-    worker made once per call.  A slab keeps whole lines along 2j, 2j + 1 and
-    the last axis, so its partials are the whole grid's bytes (Grid.derivative),
-    and at n = 2 every transient is 1/N of a field.
+    They are taken one slab at a time: one index at a time along the last real
+    axis other than 2j, 2j + 1 and the last axis (axis 2 for j = 0 and 1 for
+    j = 1 at n = 2; at n = 1 the whole grid is one slab), into two slab-sized
+    work arrays per worker made once per call.  A slab keeps whole lines along
+    2j, 2j + 1 and the last axis, so its partials are the whole grid's bytes
+    (Grid.derivative), and at n = 2 every transient is 1/N of a field.  It also
+    keeps axis 0, or 1 when 2j = 0, whole: its BLAS products stay small
+    (_apply_axis_matrix).
 
     At n = 2 each (component, j)'s slabs go in contiguous chunks to
-    min(CPUs in the affinity mask, N // 8) workers, the caller and threads,
-    joined before the next (component, j), whose slabs may lie along another
-    axis: slabs write disjoint views, and each sample takes its terms in the
-    serial order, so the bytes do not depend on the worker count.  A worker
-    holds about four slab-sized transients; the cap keeps all within half a
-    field.  The first error a worker raised, a warning turned error included,
-    is raised again in the caller once all are joined.
+    min(CPUs available to the process, N // 8) workers, the caller and
+    threads, joined before the next (component, j), whose slabs may lie along
+    another axis: slabs write disjoint views, and each sample takes its terms
+    in the serial order, so the bytes do not depend on the worker count.  A
+    worker holds about four slab-sized transients; the cap keeps all within
+    half a field.  The first error a worker raised, a warning turned error
+    included, is raised again in the caller once all that started are joined.
     """
     grid, p, q = alpha.grid, alpha.p, alpha.q
     for key in ((p + 1, q), (p, q + 1)):
@@ -165,7 +167,9 @@ def _add_dolbeault(alpha: PqForm, acc: dict[tuple[int, int], PqForm]) -> None:
     holo, anti = acc[p + 1, q].components, acc[p, q + 1].components
     workers = 1
     if grid.n == 2:
-        workers = min(len(os.sched_getaffinity(0)), grid.N // 8)
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        workers = min(cpus, grid.N // 8)
         grid.axis_matrices  # a cached property: built here, before any thread reads it
     works = np.empty((workers, 2, grid.num_points // grid.N ** (grid.n - 1)), dtype=complex)
     front = (-1) ** p  # dzbar^j crosses the dz^J block
@@ -201,19 +205,22 @@ def _add_dolbeault(alpha: PqForm, acc: dict[tuple[int, int], PqForm]) -> None:
         for j in range(grid.n):
             if j in J and j in K:
                 continue
-            first = [a for a in range(grid.num_axes) if a // 2 != j][:1]  # none at n = 1
-            slabs = [(slice(None),) * a + (slice(k, k + 1),) for a in first
+            axis = [a for a in range(grid.num_axes - 1) if a // 2 != j][-1:]  # none at n = 1
+            slabs = [(slice(None),) * a + (slice(k, k + 1),) for a in axis
                      for k in range(grid.N)] or [()]
             chunks = [slabs[w * len(slabs) // workers:(w + 1) * len(slabs) // workers]
                       for w in range(workers)]
             errors: list[BaseException] = []
-            threads = [threading.Thread(target=run, args=(arr, J, K, j, c, w, errors))
-                       for c, w in zip(chunks[1:], works[1:])]
-            for t in threads:
-                t.start()
-            run(arr, J, K, j, chunks[0], works[0], errors)
-            for t in threads:
-                t.join()
+            threads: list[threading.Thread] = []
+            try:
+                for c, w in zip(chunks[1:], works[1:]):
+                    t = threading.Thread(target=run, args=(arr, J, K, j, c, w, errors))
+                    t.start()
+                    threads.append(t)
+                run(arr, J, K, j, chunks[0], works[0], errors)
+            finally:
+                for t in threads:
+                    t.join()
             if errors:
                 raise errors[0]
 

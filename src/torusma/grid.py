@@ -32,9 +32,10 @@ methods that choose between two algorithms by the dimension n alone:
                     each side of the symbol (Bracewell, The Hartley Transform,
                     1986); at n = 1 an rfftn/irfftn pair.
 
-A 4-D grid has N^3 lines along each axis, and one BLAS call multiplies all of
-them, where an FFT pays its per-line overhead on each; the 2-D grids run to N
-in the hundreds, where the FFT's N log N work wins.  Grid.rfftn/irfftn are
+A 4-D grid has N^3 lines along each axis, and one batched BLAS product
+(numpy.matmul) multiplies all of them, where an FFT pays its per-line overhead
+on each; the 2-D grids run to N in the hundreds, where the FFT's N log N work
+wins.  Grid.rfftn/irfftn are
 numpy.fft at every N; the solve's band-limit check is their one caller at n = 2.
 """
 
@@ -337,17 +338,28 @@ def _product_along_axis(M: np.ndarray, x: np.ndarray, axis: int,
 
 def _apply_axis_matrix(M: np.ndarray, lines: np.ndarray, axis: int,
                        out: np.ndarray | None = None) -> np.ndarray:
-    """The real N x N matrix M applied along ``axis`` of C-ordered samples.
+    """The real N x N matrix M applied along ``axis`` of C-ordered 4-D samples.
 
-    On the last axis every line is one row of a single product with M.T.  On
-    the others complex samples go through their float64 view, so the product
-    is a real matrix product.  The result is a new array, or ``out``,
-    C-ordered like ``lines``, which receives the same bytes and is returned.
+    On the last axis the lines are rows of products with M.T; on the others
+    complex samples go through their float64 view, so the products are real.
+    One matmul makes a product per index of axis 1 along axis 0, and of axis 0
+    for complex samples along the last axis, so a one-index slab of
+    forms._add_dolbeault makes none above N x N by N x 2N, which OpenBLAS runs
+    on the calling thread at N <= 32.  This rounds as one product would; 32
+    real rows by a 32 x 32 M do not, so real rows stay in one.  The result is
+    a new array, or ``out``, C-ordered like ``lines``, which receives the same
+    bytes and is returned.
     """
     if axis == lines.ndim - 1:
-        shape = (-1, lines.shape[-1])
+        shape = (lines.shape[0] if np.iscomplexobj(lines) else 1, -1, lines.shape[-1])
         res = np.matmul(lines.reshape(shape), M.T, out=None if out is None else out.reshape(shape))
         return res.reshape(lines.shape) if out is None else out
+    if axis == 0:
+        res = np.empty_like(lines) if out is None else out
+        shape = lines.shape[:2] + (-1,)  # lines of one index of axis 1 per product
+        np.matmul(M, lines.view(np.float64).reshape(shape).transpose(1, 0, 2),
+                  out=res.view(np.float64).reshape(shape).transpose(1, 0, 2))
+        return res
     x = lines.view(np.float64)
     res = _product_along_axis(M, x, axis, None if out is None else out.view(np.float64))
     return res.view(lines.dtype) if out is None else out

@@ -2,6 +2,7 @@ import math
 import os
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -219,18 +220,21 @@ def _mock_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
-_PEAK_CASES = pytest.mark.parametrize(
-    "p,q,fields", [(0, 0, 10), (0, 1, 9), (0, 2, 3), (1, 0, 9), (1, 1, 5)],
-    ids=["(0,0)", "(0,1)", "(0,2)", "(1,0)", "(1,1)"])
+_PEAK = [(0, 0, 10), (0, 1, 9), (0, 2, 3), (1, 0, 9), (1, 1, 5)]
 
 
-@_PEAK_CASES
-def test_d_sum_peak_memory(p, q, fields):
+@pytest.mark.parametrize("p,q,fields,cpus", [c + (cpus,) for cpus in (None, 64) for c in _PEAK],
+                         ids=[f"({p},{q}){suffix}" for suffix in ("", "-64cpus") for p, q, _ in _PEAK])
+def test_d_sum_peak_memory(p, q, fields, cpus, monkeypatch):
     # d(d alpha) on every n=2 bidegree the identities suite draws, in grid
     # fields above alpha: d alpha and the result; the kernel's transients are
     # slabs of 1/N field each.  Measured at 10.45, 9.33, 3.32, 9.33 and 5.32
     # fields; with grid-sized transients (two work partials and one difference
-    # or Grid.derivative's lines) 13.1, 12.1, 6.1, 12.1 and 8.1.
+    # or Grid.derivative's lines) 13.1, 12.1, 6.1, 12.1 and 8.1.  At 64 CPUs
+    # N // 8 caps the workers at 2; 16 workers, about four slab-sized
+    # transients each, would hold some 4 fields of transients, past the bound
+    if cpus is not None:
+        _mock_cpus(monkeypatch, cpus)
     grid = tm.Grid(n=2, N=16)
     alpha = _random_form(grid, p, q, np.random.default_rng(3))
     tracemalloc.start()
@@ -245,14 +249,6 @@ def test_d_sum_peak_memory(p, q, fields):
     result = sum(len(f.components) for f in out.parts.values())
     assert d_alpha + result == fields
     assert peak <= (fields + 1) * field, peak / field
-
-
-@_PEAK_CASES
-def test_d_sum_peak_memory_at_64_cpus(p, q, fields, monkeypatch):
-    # N // 8 caps the workers at 2 here; 16 workers, about four slab-sized
-    # transients each, would hold some 4 fields of transients, past the bound
-    _mock_cpus(monkeypatch, 64)
-    test_d_sum_peak_memory(p, q, fields)
 
 
 class TestDolbeaultKernel:
@@ -298,20 +294,27 @@ class TestDolbeaultKernel:
         assert all(values.shape[axis] == grid.N for _, values, axis in calls)
 
 
+def _kernel_pairs(alpha, d):
+    """The (component, j) pairs the kernel splits across workers in d(d alpha)."""
+    return sum(1 for f in (alpha, *d.parts.values()) for J, K in f.components
+               for j in range(alpha.grid.n) if j not in J or j not in K)
+
+
 class TestDolbeaultWorkers:
     """The kernel's slabs split across threads: same bytes, errors raised in the caller."""
 
-    @pytest.mark.parametrize("p,q", [(p, q) for p in range(3) for q in range(3)])
+    @pytest.mark.parametrize("p,q", [(0, 0), (1, 1), (2, 1)])
     def test_bytes_do_not_depend_on_worker_count(self, p, q, monkeypatch):
-        # at N=32 the cap N // 8 allows 4 workers; 3 CPUs give unequal chunks
+        # at N=32 the cap N // 8 allows 4 workers; 3 CPUs give unequal chunks.
+        # The three bidegrees meet every (J, K, j) case: j in neither, in J
+        # only, in K only and in both, on both slab axes
         grid = tm.Grid(n=2, N=32)
         alpha = _random_form(grid, p, q, np.random.default_rng(10 * p + q))
         _mock_cpus(monkeypatch, 1)
         d = tm.exterior_d(alpha)
         dd = tm.d_sum(d)
         threads = count_calls(monkeypatch, threading.Thread, "start")
-        pairs = sum(1 for f in (alpha, *d.parts.values()) for J, K in f.components
-                    for j in range(grid.n) if j not in J or j not in K)
+        pairs = _kernel_pairs(alpha, d)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the workers' Python steps as finely as possible
         try:
@@ -324,6 +327,33 @@ class TestDolbeaultWorkers:
                 assert len(threads) - started == pairs * (min(cpus, 4) - 1)
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("cpus,workers", [(64, 2), (None, 1)], ids=["cpu_count", "unknown"])
+    def test_without_an_affinity_mask(self, cpus, workers, monkeypatch):
+        # where os has no sched_getaffinity the kernel counts os.cpu_count(),
+        # and one worker when that is unknown
+        grid = tm.Grid(n=2, N=16)
+        alpha = _random_form(grid, 0, 0, np.random.default_rng(5))
+        _mock_cpus(monkeypatch, 1)
+        d = tm.exterior_d(alpha)
+        dd = tm.d_sum(d)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        threads = count_calls(monkeypatch, threading.Thread, "start")
+        _assert_bitwise(tm.d_sum(tm.exterior_d(alpha)), dd)
+        assert len(threads) == _kernel_pairs(alpha, d) * (workers - 1)
+
+    def test_slab_products_stay_small(self, monkeypatch):
+        # every BLAS product of a slab is at most N x N by N x 2N, under the
+        # size at which OpenBLAS wakes its thread pool; one product per slab
+        # would be N x N by N x 2N^2 along axis 0 and N^2 x N by N x N along
+        # the last axis
+        grid = tm.Grid(n=2, N=32)
+        alpha = _random_form(grid, 0, 0, np.random.default_rng(6))
+        products = count_calls(monkeypatch, np, "matmul")
+        tm.exterior_d(alpha)
+        assert {a.shape[-1] for a, _ in products} == {grid.N}
+        assert max(a.shape[-2] * a.shape[-1] * b.shape[-1] for a, b in products) <= 2 * grid.N ** 3
 
     @pytest.mark.parametrize("error", [ZeroDivisionError("in a worker"),
                                        RuntimeWarning("in a worker")],
@@ -350,6 +380,33 @@ class TestDolbeaultWorkers:
             with pytest.raises(type(error)) as info:
                 tm.d_sum(tm.FormSum(alpha.grid, {(0, 0): alpha}))
         assert info.value is error
+        assert threading.active_count() == before
+
+    def test_failed_thread_start_joins_the_started(self, monkeypatch):
+        # 3 workers at N=32: the first thread starts and is slowed, the second
+        # fails to start; the error reaches the caller only after the first ends
+        caller, derivative = threading.current_thread(), tm.Grid.derivative
+        start, started = threading.Thread.start, []
+
+        def slow(self, values, axis, out=None):
+            if threading.current_thread() is not caller:
+                time.sleep(0.001)
+            return derivative(self, values, axis, out)
+
+        def start_once(self):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(self)
+            start(self)
+
+        monkeypatch.setattr(tm.Grid, "derivative", slow)
+        monkeypatch.setattr(threading.Thread, "start", start_once)
+        _mock_cpus(monkeypatch, 3)
+        alpha = _random_form(tm.Grid(n=2, N=32), 0, 0, np.random.default_rng(0))
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            tm.exterior_d(alpha)
+        assert not started[0].is_alive()
         assert threading.active_count() == before
 
 

@@ -93,7 +93,7 @@ class TestDerivatives:
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
     def test_slab_derivative_is_bitwise_the_field_derivative(self, n, N, real, rng):
         # one index at a time along any axis but ``axis`` and the last, which
-        # includes forms._add_dolbeault's slab axes (2 for axes 0, 1 and 0 for
+        # includes forms._add_dolbeault's slab axes (2 for axes 0, 1 and 1 for
         # axes 2, 3 at n=2); signed zeros and every last bit must agree
         grid = tm.Grid(n=n, N=N)
         v = _white_noise(grid, rng, real)
