@@ -83,7 +83,10 @@ _SOLVE_PEAK_FIELDS = 40
 
 
 def _check_solve_memory(grid: Grid) -> None:
-    """Reject a grid whose estimated solve peak exceeds the physical memory."""
+    """Reject a grid whose estimated solve peak exceeds the physical memory, where
+    that can be read (Windows has no os.sysconf)."""
+    if not hasattr(os, "sysconf") or "SC_PHYS_PAGES" not in os.sysconf_names:
+        return
     need = _SOLVE_PEAK_FIELDS * 8 * grid.num_points
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,21 +144,22 @@ def _add_dolbeault(alpha: PqForm, acc: dict[tuple[int, int], PqForm]) -> None:
 
     They are taken one slab at a time: one index at a time along the last real
     axis other than 2j, 2j + 1 and the last axis (axis 2 for j = 0 and 1 for
-    j = 1 at n = 2; at n = 1 the whole grid is one slab), into two slab-sized
-    work arrays per worker made once per call.  A slab keeps whole lines along
+    j = 1 at n = 2; at n = 1 the whole grid is one slab), each slab's two
+    partials fresh arrays of Grid.derivative.  A slab keeps whole lines along
     2j, 2j + 1 and the last axis, so its partials are the whole grid's bytes
     (Grid.derivative), and at n = 2 every transient is 1/N of a field.  It also
     keeps axis 0, or 1 when 2j = 0, whole: its BLAS products stay small
     (_apply_axis_matrix).
 
     At n = 2 each (component, j)'s slabs go in contiguous chunks to
-    min(CPUs available to the process, N // 8) workers, the caller and
-    threads, joined before the next (component, j), whose slabs may lie along
-    another axis: slabs write disjoint views, and each sample takes its terms
-    in the serial order, so the bytes do not depend on the worker count.  A
-    worker holds about four slab-sized transients; the cap keeps all within
-    half a field.  The first error a worker raised, a warning turned error
-    included, is raised again in the caller once all that started are joined.
+    min(CPUs available to the process, N // 8) workers: the caller runs the
+    first chunk and a thread pool, opened once per call, the others, all done
+    before the next (component, j), whose slabs may lie along another axis.
+    Slabs write disjoint views, and each sample takes its terms in the serial
+    order, so the bytes do not depend on the worker count.  A worker holds
+    about four slab-sized transients; the cap keeps all within half a field.
+    A worker's error, a warning turned error included, is raised again in the
+    caller, and leaving the pool joins every thread.
     """
     grid, p, q = alpha.grid, alpha.p, alpha.q
     for key in ((p + 1, q), (p, q + 1)):
@@ -171,58 +172,47 @@ def _add_dolbeault(alpha: PqForm, acc: dict[tuple[int, int], PqForm]) -> None:
                 else os.cpu_count() or 1)
         workers = min(cpus, grid.N // 8)
         grid.axis_matrices  # a cached property: built here, before any thread reads it
-    works = np.empty((workers, 2, grid.num_points // grid.N ** (grid.n - 1)), dtype=complex)
     front = (-1) ** p  # dzbar^j crosses the dz^J block
 
-    def run(arr, J, K, j, slabs, work, errors):
-        try:
-            for slab in slabs:
-                # the halves of d/dz^j = (d_x - i d_y) / 2, scaled exactly by a power of two
-                fx, ify = (w.reshape(arr[slab].shape) for w in work)
-                grid.derivative(arr[slab], 2 * j, out=fx)
-                fx *= 0.5
-                grid.derivative(arr[slab], 2 * j + 1, out=ify)
-                ify *= 0.5j
+    def run(arr, j, slabs, to_holo, to_anti):
+        # a target is (component array, np.add or np.subtract as its term's sign), or None
+        for slab in slabs:
+            # the halves of d/dz^j = (d_x - i d_y) / 2, scaled exactly by a power of two
+            fx = grid.derivative(arr[slab], 2 * j)
+            fx *= 0.5
+            ify = grid.derivative(arr[slab], 2 * j + 1)
+            ify *= 0.5j
+            if to_holo:
+                target, add = to_holo
+                # fx is still needed below for a delbar term
+                term = np.subtract(fx, ify, out=None if to_anti else fx)
+                add(target[slab], term, out=target[slab])
+            if to_anti:
+                target, add = to_anti
+                add(target[slab], np.add(fx, ify, out=fx), out=target[slab])
+
+    # one worker submits nothing, and a pool given no task starts no thread
+    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
+        for (J, K), arr in alpha.components.items():
+            for j in range(grid.n):
+                if j in J and j in K:
+                    continue
+                to_holo = to_anti = None
                 if j not in J:
                     merged, sign = merge_sign((j,), J)
-                    # fx is still needed below when j is not in K
-                    term = np.subtract(fx, ify, out=fx if j in K else None)
-                    if sign > 0:
-                        holo[merged, K][slab] += term
-                    else:
-                        holo[merged, K][slab] -= term
+                    to_holo = holo[merged, K], np.add if sign > 0 else np.subtract
                 if j not in K:
                     merged, sign = merge_sign((j,), K)
-                    term = np.add(fx, ify, out=fx)
-                    if front * sign > 0:
-                        anti[J, merged][slab] += term
-                    else:
-                        anti[J, merged][slab] -= term
-        except BaseException as exc:
-            errors.append(exc)
-
-    for (J, K), arr in alpha.components.items():
-        for j in range(grid.n):
-            if j in J and j in K:
-                continue
-            axis = [a for a in range(grid.num_axes - 1) if a // 2 != j][-1:]  # none at n = 1
-            slabs = [(slice(None),) * a + (slice(k, k + 1),) for a in axis
-                     for k in range(grid.N)] or [()]
-            chunks = [slabs[w * len(slabs) // workers:(w + 1) * len(slabs) // workers]
-                      for w in range(workers)]
-            errors: list[BaseException] = []
-            threads: list[threading.Thread] = []
-            try:
-                for c, w in zip(chunks[1:], works[1:]):
-                    t = threading.Thread(target=run, args=(arr, J, K, j, c, w, errors))
-                    t.start()
-                    threads.append(t)
-                run(arr, J, K, j, chunks[0], works[0], errors)
-            finally:
-                for t in threads:
-                    t.join()
-            if errors:
-                raise errors[0]
+                    to_anti = anti[J, merged], np.add if front * sign > 0 else np.subtract
+                axis = [a for a in range(grid.num_axes - 1) if a // 2 != j][-1:]  # none at n = 1
+                slabs = [(slice(None),) * a + (slice(k, k + 1),) for a in axis
+                         for k in range(grid.N)] or [()]
+                chunks = [slabs[w * len(slabs) // workers:(w + 1) * len(slabs) // workers]
+                          for w in range(workers)]
+                futures = [pool.submit(run, arr, j, c, to_holo, to_anti) for c in chunks[1:]]
+                run(arr, j, chunks[0], to_holo, to_anti)
+                for future in futures:
+                    future.result()
 
 
 def del_(alpha: PqForm) -> PqForm:

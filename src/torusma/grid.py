@@ -114,7 +114,7 @@ class Grid:
         """Real samples of a half spectrum (the inverse of rfftn)."""
         return np.fft.irfftn(spec, s=self.shape, axes=tuple(range(self.num_axes)))
 
-    def derivative(self, values: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    def derivative(self, values: np.ndarray, axis: int) -> np.ndarray:
         """Spectral first derivative of a sample array along real axis ``axis``.
 
         The Nyquist mode is zeroed and the result keeps the real or complex
@@ -123,9 +123,7 @@ class Grid:
         zeros, which a product or transform of the raw samples misses by
         rounding.  At n = 2 the lines are multiplied by the differentiation
         matrix D (_apply_axis_matrix); at n = 1 they take rfft/irfft along
-        the axis for float64 samples, fft/ifft for complex.
-        ``out``, a C-ordered array of the result's shape and dtype, receives
-        the same bytes as a new result would and is returned.  ``values`` may
+        the axis for float64 samples, fft/ifft for complex.  ``values`` may
         be a block of a field, C-ordered or not, with whole lines along
         ``axis`` and along the last axis: its derivative is that block of the
         field's, bit for bit.  (One index on the last axis would turn the
@@ -135,21 +133,13 @@ class Grid:
         first = values[(slice(None),) * axis + (slice(0, 1),)]
         lines = np.subtract(values, first, order="C",
                             dtype=complex if np.iscomplexobj(values) else float)
-        if out is not None and not (out.shape == lines.shape and out.dtype == lines.dtype
-                                    and out.flags.c_contiguous):
-            raise ValueError(f"out must be a C-ordered {lines.dtype} array of shape {lines.shape}")
         if self.n == 2:
-            return _apply_axis_matrix(self.axis_matrices[0], lines, axis, out)
+            return _apply_axis_matrix(self.axis_matrices[0], lines, axis)
         first = self.axis_symbols[0]
         if lines.dtype == np.float64:
             half = self.along(first[: self.N // 2 + 1], axis)
-            d = np.fft.irfft(np.fft.rfft(lines, axis=axis) * half, n=self.N, axis=axis)
-        else:
-            d = np.fft.ifft(np.fft.fft(lines, axis=axis) * self.along(first, axis), axis=axis)
-        if out is None:
-            return d
-        out[...] = d
-        return out
+            return np.fft.irfft(np.fft.rfft(lines, axis=axis) * half, n=self.N, axis=axis)
+        return np.fft.ifft(np.fft.fft(lines, axis=axis) * self.along(first, axis), axis=axis)
 
     def hessian(self, u: np.ndarray) -> list[np.ndarray]:
         """[A_00 u, .., A_{n-1,n-1} u], and A_01 u, B_01 u for n = 2: d_j dbar_k = A_jk + i B_jk.
@@ -323,21 +313,17 @@ def make_field(grid: Grid, values: np.ndarray) -> PeriodicScalarField:
 # ---------------------------------------------------------------------------
 # spectral differentiation
 
-def _product_along_axis(M: np.ndarray, x: np.ndarray, axis: int,
-                        out: np.ndarray | None = None) -> np.ndarray:
+def _product_along_axis(M: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
     """M applied to every line of x along ``axis`` (not the last): one batched BLAS product.
 
-    The result is C-ordered and has M.shape[0] points along ``axis``; ``out``,
-    if given, is a C-ordered array of that shape and receives it.
+    The result is C-ordered and has M.shape[0] points along ``axis``.
     """
     lead = x.shape[:axis]
-    shape = (math.prod(lead), x.shape[axis], -1)
-    y = np.matmul(M, x.reshape(shape), out=None if out is None else out.reshape(shape))
+    y = np.matmul(M, x.reshape(math.prod(lead), x.shape[axis], -1))
     return y.reshape(lead + (M.shape[0],) + x.shape[axis + 1:])
 
 
-def _apply_axis_matrix(M: np.ndarray, lines: np.ndarray, axis: int,
-                       out: np.ndarray | None = None) -> np.ndarray:
+def _apply_axis_matrix(M: np.ndarray, lines: np.ndarray, axis: int) -> np.ndarray:
     """The real N x N matrix M applied along ``axis`` of C-ordered 4-D samples.
 
     On the last axis the lines are rows of products with M.T; on the others
@@ -347,22 +333,18 @@ def _apply_axis_matrix(M: np.ndarray, lines: np.ndarray, axis: int,
     forms._add_dolbeault makes none above N x N by N x 2N, which OpenBLAS runs
     on the calling thread at N <= 32.  This rounds as one product would; 32
     real rows by a 32 x 32 M do not, so real rows stay in one.  The result is
-    a new array, or ``out``, C-ordered like ``lines``, which receives the same
-    bytes and is returned.
+    a new array, C-ordered like ``lines``.
     """
     if axis == lines.ndim - 1:
         shape = (lines.shape[0] if np.iscomplexobj(lines) else 1, -1, lines.shape[-1])
-        res = np.matmul(lines.reshape(shape), M.T, out=None if out is None else out.reshape(shape))
-        return res.reshape(lines.shape) if out is None else out
+        return np.matmul(lines.reshape(shape), M.T).reshape(lines.shape)
     if axis == 0:
-        res = np.empty_like(lines) if out is None else out
+        res = np.empty_like(lines)
         shape = lines.shape[:2] + (-1,)  # lines of one index of axis 1 per product
         np.matmul(M, lines.view(np.float64).reshape(shape).transpose(1, 0, 2),
                   out=res.view(np.float64).reshape(shape).transpose(1, 0, 2))
         return res
-    x = lines.view(np.float64)
-    res = _product_along_axis(M, x, axis, None if out is None else out.view(np.float64))
-    return res.view(lines.dtype) if out is None else out
+    return _product_along_axis(M, lines.view(np.float64), axis).view(lines.dtype)
 
 
 def partial_z(f: PeriodicScalarField, j: int) -> PeriodicScalarField:

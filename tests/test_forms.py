@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import torusma as tm
+from torusma import forms
 from torusma.forms import increasing_indices, merge_sign
 from conftest import count_calls, raises_exactly
 
@@ -294,14 +295,24 @@ class TestDolbeaultKernel:
         assert all(values.shape[axis] == grid.N for _, values, axis in calls)
 
 
-def _kernel_pairs(alpha, d):
-    """The (component, j) pairs the kernel splits across workers in d(d alpha)."""
-    return sum(1 for f in (alpha, *d.parts.values()) for J, K in f.components
-               for j in range(alpha.grid.n) if j not in J or j not in K)
+def _threads_per_kernel_call(monkeypatch):
+    """Record (threads started, whether any (component, j) contributes) per kernel call."""
+    starts, calls = count_calls(monkeypatch, threading.Thread, "start"), []
+    kernel = forms._add_dolbeault
+
+    def counting(alpha, acc):
+        before = len(starts)
+        kernel(alpha, acc)
+        contributes = any(j not in J or j not in K
+                          for J, K in alpha.components for j in range(alpha.grid.n))
+        calls.append((len(starts) - before, contributes))
+
+    monkeypatch.setattr(forms, "_add_dolbeault", counting)
+    return calls
 
 
 class TestDolbeaultWorkers:
-    """The kernel's slabs split across threads: same bytes, errors raised in the caller."""
+    """The kernel's slabs split across a thread pool: same bytes, errors raised in the caller."""
 
     @pytest.mark.parametrize("p,q", [(0, 0), (1, 1), (2, 1)])
     def test_bytes_do_not_depend_on_worker_count(self, p, q, monkeypatch):
@@ -313,18 +324,20 @@ class TestDolbeaultWorkers:
         _mock_cpus(monkeypatch, 1)
         d = tm.exterior_d(alpha)
         dd = tm.d_sum(d)
-        threads = count_calls(monkeypatch, threading.Thread, "start")
-        pairs = _kernel_pairs(alpha, d)
+        calls = _threads_per_kernel_call(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the workers' Python steps as finely as possible
         try:
             for cpus in (2, 3, 64):
                 _mock_cpus(monkeypatch, cpus)
-                started = len(threads)
+                calls.clear()
                 _assert_bitwise(tm.exterior_d(alpha), d)
                 _assert_bitwise(tm.d_sum(d), dd)
-                # every (component, j) of alpha and of d alpha starts min(cpus, 4) - 1 threads
-                assert len(threads) - started == pairs * (min(cpus, 4) - 1)
+                # a call's pool starts a thread for its first chunk handed over,
+                # and at most min(cpus, 4) - 1, reused by every (component, j)
+                assert len(calls) == 1 + len(d.parts)
+                assert all((0 < threads <= min(cpus, 4) - 1) == contributes
+                           for threads, contributes in calls), calls
         finally:
             sys.setswitchinterval(interval)
 
@@ -335,13 +348,12 @@ class TestDolbeaultWorkers:
         grid = tm.Grid(n=2, N=16)
         alpha = _random_form(grid, 0, 0, np.random.default_rng(5))
         _mock_cpus(monkeypatch, 1)
-        d = tm.exterior_d(alpha)
-        dd = tm.d_sum(d)
+        dd = tm.d_sum(tm.exterior_d(alpha))
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        threads = count_calls(monkeypatch, threading.Thread, "start")
+        calls = _threads_per_kernel_call(monkeypatch)
         _assert_bitwise(tm.d_sum(tm.exterior_d(alpha)), dd)
-        assert len(threads) == _kernel_pairs(alpha, d) * (workers - 1)
+        assert calls == [(workers - 1, True)] * 3
 
     def test_slab_products_stay_small(self, monkeypatch):
         # every BLAS product of a slab is at most N x N by N x 2N, under the
@@ -363,13 +375,13 @@ class TestDolbeaultWorkers:
         # only the thread's derivatives fail
         caller, original = threading.current_thread(), tm.Grid.derivative
 
-        def failing(self, values, axis, out=None):
+        def failing(self, values, axis):
             if threading.current_thread() is not caller:
                 if isinstance(error, Warning):
                     warnings.warn(error)
                 else:
                     raise error
-            return original(self, values, axis, out)
+            return original(self, values, axis)
 
         monkeypatch.setattr(tm.Grid, "derivative", failing)
         _mock_cpus(monkeypatch, 2)
@@ -388,10 +400,10 @@ class TestDolbeaultWorkers:
         caller, derivative = threading.current_thread(), tm.Grid.derivative
         start, started = threading.Thread.start, []
 
-        def slow(self, values, axis, out=None):
+        def slow(self, values, axis):
             if threading.current_thread() is not caller:
                 time.sleep(0.001)
-            return derivative(self, values, axis, out)
+            return derivative(self, values, axis)
 
         def start_once(self):
             if started:

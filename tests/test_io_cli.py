@@ -519,6 +519,16 @@ class TestCliSolve:
         # n=1 N=1024 needs about 0.3 GiB; the estimate must not reject it (not solved here)
         cli._check_solve_memory(tm.Grid(n=1, N=1024))
 
+    @pytest.mark.parametrize("unreadable", ["no-sysconf", "no-phys-pages"])
+    def test_solves_where_physical_memory_cannot_be_read(self, unreadable, tmp_path, monkeypatch):
+        if unreadable == "no-sysconf":
+            monkeypatch.delattr(os, "sysconf", raising=False)
+        else:
+            monkeypatch.setattr(os, "sysconf_names", {}, raising=False)
+        cli._check_solve_memory(tm.Grid(n=2, N=1024))  # not rejected: the check is skipped
+        cfg = _write_config(tmp_path, N=16)
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
     def test_missing_config_exits_64(self, tmp_path):
         assert cli.main(["solve", "--config", str(tmp_path / "no.json"),
                          "--out", str(tmp_path)]) == 64

@@ -359,10 +359,11 @@ class TestContinuitySolve:
 
     def test_secant_predictor_cuts_newton_work(self, manufactured_solve):
         # each t-step starts from the secant through the last two accepted
-        # potentials; cold restarts took 23 Newton iterations and 96 apply_B calls
+        # potentials; cold restarts took 23 Newton iterations and 96 apply_B calls.
+        # It makes 81, at one BLAS thread and at the default threads
         solved = manufactured_solve(2, 16)
         assert solved.result.converged
-        assert solved.apply_B_calls <= 85
+        assert solved.apply_B_calls <= 81
         assert sum(s.newton_iters for s in solved.result.trace) <= 18
 
     @pytest.mark.parametrize("solve", ["poisson_solve", "ricci_flat_solve"],
