@@ -188,6 +188,8 @@ def cmd_solve(args) -> int:
         },
         "converged": result.converged,
         "t_reached": result.t_reached,
+        "grid_sizes": list(result.grid_sizes),
+        "fell_back": result.fell_back,
         "elapsed_s": elapsed,
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:

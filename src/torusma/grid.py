@@ -36,7 +36,7 @@ A 4-D grid has N^3 lines along each axis, and one batched BLAS product
 (numpy.matmul) multiplies all of them, where an FFT pays its per-line overhead
 on each; the 2-D grids run to N in the hundreds, where the FFT's N log N work
 wins.  Grid.rfftn/irfftn are
-numpy.fft at every N; the solve's band-limit check is their one caller at n = 2.
+numpy.fft at every N; at n = 2 only the band-limit check and Grid.prolong call them.
 """
 
 from __future__ import annotations
@@ -113,6 +113,19 @@ class Grid:
     def irfftn(self, spec: np.ndarray) -> np.ndarray:
         """Real samples of a half spectrum (the inverse of rfftn)."""
         return np.fft.irfftn(spec, s=self.shape, axes=tuple(range(self.num_axes)))
+
+    def prolong(self, u: np.ndarray, fine: Grid) -> np.ndarray:
+        """Samples on the finer grid ``fine`` of the interpolant of this grid's real samples
+        u: the half spectrum zero-padded, with the Nyquist modes dropped on every axis."""
+        if fine.n != self.n or fine.N < self.N:
+            raise ValueError(f"cannot prolong from N={self.N} to n={fine.n} N={fine.N}")
+        h, d = self.N // 2, self.num_axes
+        src = np.ix_(*[np.r_[0:h, self.N - h + 1 : self.N]] * (d - 1), np.arange(h))
+        dst = np.ix_(*[np.r_[0:h, fine.N - h + 1 : fine.N]] * (d - 1), np.arange(h))
+        spec = np.zeros(fine.shape[:-1] + (fine.N // 2 + 1,), dtype=complex)
+        # numpy's inverse transform divides by the number of points
+        spec[dst] = self.rfftn(u)[src] * (fine.num_points / self.num_points)
+        return fine.irfftn(spec)
 
     def derivative(self, values: np.ndarray, axis: int) -> np.ndarray:
         """Spectral first derivative of a sample array along real axis ``axis``.

@@ -33,6 +33,12 @@ metric_iterate; the residual, the linear solve and the damping all read that
 one iterate.  A metric keeps its determinant once formed, so det g~ is formed
 once per iterate and det g once per solve.  Every field here is real
 (float64).
+
+Grid sequencing (Briggs, Henson & McCormick, A Multigrid Tutorial, 2000, ch. 3):
+N is halved while N/2 is even and (N/2)^(2n) >= SEQUENCE_MIN_POINTS.  The path
+runs on the coarsest grid, F and g sampled there; each finer grid takes one Newton
+solve at t = 1 from the potential Grid.prolong carries up, and one monitor.  Any
+failure reruns the path on the requested grid from t = 0 (SolveResult.fell_back).
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ from .geometry import (
     positivity_check,
 )
 from .grid import (
+    Grid,
     GridMismatchError,
     PeriodicScalarField,
     make_field,
@@ -76,6 +83,8 @@ class KrylovConvergenceError(RuntimeError):
 NEWTON_MAX_ITER = 50  # Newton iterations at one t before the t-step is rejected
 T_STEP_MIN = 1e-4  # the solve ends as an underflow once a halved t-step falls below it
 KRYLOV_TOL = 1e-12  # solve_linearized's default tol and the forcing terms' floor
+# n = 2 N = 16, the largest grid whose path an acceptance criterion reads
+SEQUENCE_MIN_POINTS = 16 ** 4
 
 
 @dataclass(frozen=True)
@@ -114,10 +123,12 @@ class ContinuityStep:
 class SolveResult:
     phi: PeriodicScalarField
     metric: HermitianMetricField  # g~ = g + ddbar phi of the final iterate
-    trace: list[ContinuityStep]  # one step per accepted t
+    trace: list[ContinuityStep]  # the path's accepted t, then one t = 1 step per finer grid
     converged: bool
     t_reached: float
     message: str = ""
+    grid_sizes: tuple[int, ...] = ()  # N of each grid the trace has steps on, coarsest first
+    fell_back: bool = False  # a sequenced solve failed and the path was rerun on the grid
 
 
 # ---------------------------------------------------------------------------
@@ -414,35 +425,10 @@ def _newton_at_t(it, F, t, cfg, secant=None):
             return None
 
 
-def continuity_solve(
-    F: PeriodicScalarField,
-    g: HermitianMetricField,
-    cfg: SolverConfig,
-) -> SolveResult:
-    """Path-follow t from 0 to 1 with warm-started damped Newton corrections."""
-    if not F.is_real:
-        raise ValueError("F must be real")
-    if not np.all(np.isfinite(F.values)):
-        raise ValueError("F has non-finite (inf or NaN) values")
-    if F.grid != g.grid:
-        raise GridMismatchError("F and g must share a grid")
-    if (cfg.n, cfg.N) != (g.grid.n, g.grid.N):
-        raise GridMismatchError(
-            f"config is for n={cfg.n} N={cfg.N}, grid n={g.grid.n} N={g.grid.N}")
-    # at phi = 0 the iterate's metric is g itself
-    it = metric_iterate(g, make_field(g.grid, np.zeros(g.grid.shape)))
-    if not it.min_eig > 0.0:
-        raise NonPositiveMetricError("background metric is not positive")
-    # tr(ddbar phi) has zero mean, so min_x eig_min(g + ddbar phi) <= mean(tr g)/n
-    eig_bound = float(np.mean(g.diag))
-    if cfg.damping_eig_floor > eig_bound:
-        raise NonPositiveMetricError(
-            f"damping_eig_floor {cfg.damping_eig_floor:.6g} is above {eig_bound:.6g}, the "
-            f"mean trace of g over n, which no g + ddbar phi can exceed in its smallest "
-            f"eigenvalue (the background's smallest eigenvalue is {it.min_eig:.6g})"
-        )
-    _band_limit_warning(F)
-
+def _follow_path(start: list[MetricIterate], F: PeriodicScalarField, cfg: SolverConfig):
+    """The t-path from the iterate popped from ``start`` at t = 0 to 1 on its grid:
+    (last accepted iterate, steps, t reached, underflow message or "")."""
+    it = start.pop()
     steps: list[ContinuityStep] = []
     t = 0.0
     dt = cfg.t_step_initial
@@ -477,5 +463,83 @@ def continuity_solve(
                                 f"{it.min_eig:.6g} is below damping_eig_floor "
                                 f"{cfg.damping_eig_floor:.6g}, which shorter t-steps cannot clear")
                 break
-    return SolveResult(phi=it.phi, metric=it.gt, trace=steps,
-                       converged=not message, t_reached=t, message=message)
+    return it, steps, t, message
+
+
+def _sequence_grids(grid: Grid) -> list[Grid]:
+    """The solve's grids, coarsest first (the module docstring's halving rule)."""
+    grids = [grid]
+    while (h := grids[0].N // 2) % 2 == 0 and h ** grid.num_axes >= SEQUENCE_MIN_POINTS:
+        grids.insert(0, Grid(grid.n, h))
+    return grids
+
+
+def _sample_at(grid: Grid, F: PeriodicScalarField, g: HermitianMetricField):
+    """F and g at the points of ``grid``, a coarsening of theirs."""
+    idx = (Ellipsis,) + (slice(None, None, g.grid.N // grid.N),) * grid.num_axes
+    off = None if g.off is None else g.off[idx].copy()
+    sampled = HermitianMetricField(grid, g.diag[idx].copy(), off)
+    return make_field(grid, F.values[idx].copy()), sampled
+
+
+def _sequenced_solve(F, g, cfg, grids) -> SolveResult | None:
+    """The path on grids[0], then one t = 1 Newton solve on each finer grid from the
+    prolonged potential; None on any failure (the module docstring)."""
+    Fc, gc = _sample_at(grids[0], F, g)
+    zero = make_field(gc.grid, np.zeros(gc.grid.shape))
+    it, steps, _, message = _follow_path([metric_iterate(gc, zero)], Fc, cfg)
+    if message:
+        return None
+    for fine in grids[1:]:
+        Ff, gf = (F, g) if fine == g.grid else _sample_at(fine, F, g)
+        phi = make_field(fine, it.phi.grid.prolong(it.phi.values, fine))
+        it = metric_iterate(gf, mean_zero_project(phi))
+        outcome = None if it.min_eig < cfg.damping_eig_floor else _newton_at_t(it, Ff, 1.0, cfg)
+        if outcome is None:
+            return None
+        it, iters, res_sup = outcome
+        steps.append(ContinuityStep(t=1.0, newton_iters=iters, residual_sup=res_sup,
+                                    **yau_estimate_report(it)))
+    return SolveResult(phi=it.phi, metric=it.gt, trace=steps, converged=True, t_reached=1.0,
+                       grid_sizes=tuple(grid.N for grid in grids))
+
+
+def continuity_solve(
+    F: PeriodicScalarField,
+    g: HermitianMetricField,
+    cfg: SolverConfig,
+) -> SolveResult:
+    """Path-follow t from 0 to 1 with warm-started damped Newton corrections, on
+    a coarser grid where _sequence_grids finds one (the module docstring)."""
+    if not F.is_real:
+        raise ValueError("F must be real")
+    if not np.all(np.isfinite(F.values)):
+        raise ValueError("F has non-finite (inf or NaN) values")
+    if F.grid != g.grid:
+        raise GridMismatchError("F and g must share a grid")
+    if (cfg.n, cfg.N) != (g.grid.n, g.grid.N):
+        raise GridMismatchError(
+            f"config is for n={cfg.n} N={cfg.N}, grid n={g.grid.n} N={g.grid.N}")
+    # at phi = 0 the iterate's metric is g itself; the path pops it from this list,
+    # so that it is freed once the path has moved on
+    start = [metric_iterate(g, make_field(g.grid, np.zeros(g.grid.shape)))]
+    if not start[0].min_eig > 0.0:
+        raise NonPositiveMetricError("background metric is not positive")
+    # tr(ddbar phi) has zero mean, so min_x eig_min(g + ddbar phi) <= mean(tr g)/n
+    eig_bound = float(np.mean(g.diag))
+    if cfg.damping_eig_floor > eig_bound:
+        raise NonPositiveMetricError(
+            f"damping_eig_floor {cfg.damping_eig_floor:.6g} is above {eig_bound:.6g}, the "
+            f"mean trace of g over n, which no g + ddbar phi can exceed in its smallest "
+            f"eigenvalue (the background's smallest eigenvalue is {start[0].min_eig:.6g})"
+        )
+    _band_limit_warning(F)
+    grids = _sequence_grids(g.grid)
+    if len(grids) > 1:
+        result = _sequenced_solve(F, g, cfg, grids)
+        if result is not None:
+            return result
+    it, steps, t, message = _follow_path(start, F, cfg)
+    return SolveResult(phi=it.phi, metric=it.gt, trace=steps, converged=not message,
+                       t_reached=t, message=message, grid_sizes=(g.grid.N,),
+                       fell_back=len(grids) > 1)

@@ -338,6 +338,35 @@ class TestTransformPath:
         assert calls["rfftn"] and calls["irfftn"]
 
 
+class TestProlong:
+    """Grid.prolong: the coarse half spectrum zero-padded, the coarse Nyquist modes dropped."""
+
+    @staticmethod
+    def _fine_and_coarse(n, N, rng):
+        # content at every wavenumber below the coarse Nyquist mode, sampled on both grids
+        coarse, fine = tm.Grid(n=n, N=N), tm.Grid(n=n, N=2 * N)
+        f = tm.random_band_limited(fine, rng, kmax=N // 2 - 1)
+        return coarse, fine, f.values, f.values[(slice(None, None, 2),) * fine.num_axes].copy()
+
+    @pytest.mark.parametrize("n,N", [(1, 32), (2, 8)], ids=["n1", "n2"])
+    def test_reproduces_band_limited_fine_samples(self, n, N, rng):
+        coarse, fine, on_fine, on_coarse = self._fine_and_coarse(n, N, rng)
+        assert np.max(np.abs(coarse.prolong(on_coarse, fine) - on_fine)) <= 1e-14
+
+    @pytest.mark.parametrize("n,N", [(1, 32), (2, 8)], ids=["n1", "n2"])
+    def test_drops_the_coarse_nyquist_modes(self, n, N, rng):
+        coarse, fine, on_fine, on_coarse = self._fine_and_coarse(n, N, rng)
+        for a in range(coarse.num_axes):
+            on_coarse = on_coarse + np.cos(np.pi * N * coarse.coordinate(a))
+        assert np.max(np.abs(coarse.prolong(on_coarse, fine) - on_fine)) <= 1e-14
+
+    @pytest.mark.parametrize("fine", [tm.Grid(n=2, N=16), tm.Grid(n=1, N=8)],
+                             ids=["another-dimension", "coarser"])
+    def test_rejects_a_grid_it_cannot_reach(self, fine):
+        coarse = tm.Grid(n=1, N=16)
+        raises_exactly(ValueError, lambda: coarse.prolong(np.zeros(coarse.shape), fine))
+
+
 class TestIntegration:
     def test_integrate_pure_harmonic_vanishes(self):
         g = tm.Grid(n=1, N=32)

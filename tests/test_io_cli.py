@@ -348,6 +348,19 @@ class TestCliSolve:
         assert (out / "metric.cmmf").exists()
         assert (out / "trace.json").exists()
 
+    @pytest.mark.parametrize("N,grid_sizes", [(32, [32]), (512, [256, 512])])
+    def test_manifest_names_the_grids_of_the_trace(self, tmp_path, N, grid_sizes):
+        # at N = 512 the path runs at N = 256 and the last step corrects at N = 512
+        cfg = _write_config(tmp_path, N=N)
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["grid_sizes"] == grid_sizes and manifest["fell_back"] is False
+        ts = [rec["t"] for rec in json.loads((out / "trace.json").read_text())]
+        k = len(grid_sizes)  # the path reaches t = 1 once, then one step per finer grid
+        assert ts[-k:] == [1.0] * k and 1.0 not in ts[:-k]
+        assert tm.read_field(out / "phi.cmaf").grid == tm.Grid(n=1, N=N)
+
     @pytest.mark.parametrize("background", [
         "flat", {"potential": "0.02*cos(2*pi*x1)*cos(2*pi*y1)"}], ids=["flat", "potential"])
     def test_metric_is_that_of_the_written_potential(self, tmp_path, background):

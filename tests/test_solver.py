@@ -496,6 +496,110 @@ class TestContinuitySolve:
         assert min(lams) < 0.9
 
 
+class TestGridSequencing:
+    """A grid whose halving keeps SEQUENCE_MIN_POINTS points follows the path on the
+    coarsest such grid and corrects once at t = 1 on each finer one."""
+
+    @pytest.fixture(scope="class", params=["poisson-n1-N512", "manufactured-n2-N32"])
+    def sequenced(self, request):
+        if request.param == "poisson-n1-N512":
+            grid = tm.Grid(n=1, N=512)
+            F, ref = tm.poisson_forcing_n1(grid), None
+        else:
+            grid = tm.Grid(n=2, N=32)
+            ref = tm.manufactured_potential_n2(grid)
+            F = tm.manufactured_forcing(tm.flat_metric(grid), ref)
+        g = tm.flat_metric(grid)
+        if ref is None:
+            ref = tm.poisson_oracle_n1(F, g)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_calls(mp, _LinearizedOperator, "apply_B")
+            result = solve_quietly(F, g, tm.SolverConfig(n=grid.n, N=grid.N))
+        fine_calls = sum(1 for (op, _) in calls if op.grid == grid)
+        return g, F, ref, result, fine_calls
+
+    def test_trace_is_the_coarse_path_then_one_fine_step(self, sequenced):
+        g, F, _, result, _ = sequenced
+        coarse = tm.Grid(n=g.grid.n, N=g.grid.N // 2)
+        assert result.converged and not result.fell_back
+        assert result.grid_sizes == (coarse.N, g.grid.N)
+        Fc, gc = solver._sample_at(coarse, F, g)
+        path = solve_quietly(Fc, gc, tm.SolverConfig(n=coarse.n, N=coarse.N))
+        assert path.grid_sizes == (coarse.N,)
+        monitor = tm.yau_estimate_report(tm.metric_iterate(g, result.phi))
+        last = result.trace[-1]
+        assert result.trace[:-1] == path.trace
+        assert last == tm.ContinuityStep(t=1.0, newton_iters=last.newton_iters,
+                                         residual_sup=last.residual_sup, **monitor)
+
+    def test_every_residual_meets_the_tolerance(self, sequenced):
+        g, *_, result, _ = sequenced
+        newton_tol = tm.SolverConfig(n=g.grid.n, N=g.grid.N).newton_tol
+        assert all(s.residual_sup <= newton_tol for s in result.trace)
+
+    def test_error_is_at_rounding_level(self, sequenced):
+        _, _, ref, result, _ = sequenced
+        assert np.max(np.abs(result.phi.values - ref.values)) <= 1e-14
+
+    def test_fine_grid_takes_a_bounded_number_of_operator_calls(self, sequenced):
+        # measured 0 on both: the prolonged potential already meets newton_tol
+        *_, result, fine_calls = sequenced
+        assert fine_calls <= 2
+        assert result.trace[-1].newton_iters <= 1
+
+    @pytest.mark.parametrize("n,N,sizes", [
+        (2, 16, (16,)), (1, 64, (64,)), (1, 256, (256,)), (1, 550, (550,)), (2, 34, (34,)),
+        (1, 512, (256, 512)), (2, 32, (16, 32)), (1, 1024, (256, 512, 1024)),
+        (2, 64, (16, 32, 64)), (2, 36, (18, 36))])
+    def test_grids_halve_while_n_over_2_is_even_and_keeps_16_to_the_4_points(self, n, N,
+                                                                            sizes):
+        assert tuple(g.N for g in solver._sequence_grids(tm.Grid(n=n, N=N))) == sizes
+
+    @pytest.mark.parametrize("n,N", [(2, 16), (1, 64)])
+    def test_criterion_grids_take_the_direct_path(self, n, N, manufactured_solve):
+        result = manufactured_solve(n, N).result
+        assert result.grid_sizes == (N,) and not result.fell_back
+
+    def test_an_odd_half_grid_takes_the_direct_path(self):
+        # 275 points per axis would be enough, but 275 is odd
+        grid = tm.Grid(n=1, N=550)
+        F = tm.poisson_forcing_n1(grid)
+        result = tm.continuity_solve(F, tm.flat_metric(grid), tm.SolverConfig(n=1, N=550))
+        assert result.converged and result.grid_sizes == (550,) and not result.fell_back
+        assert [s.t for s in result.trace] == pytest.approx([0.1, 0.2, 0.4, 0.6, 0.85, 1.0])
+
+    @pytest.mark.parametrize("fault", ["fine-newton-rejected", "prolonged-below-floor"])
+    def test_a_failed_correction_returns_the_direct_path(self, fault, monkeypatch):
+        grid = tm.Grid(n=1, N=512)
+        g, F = tm.flat_metric(grid), tm.poisson_forcing_n1(grid)
+        cfg = tm.SolverConfig(n=1, N=512)
+        with monkeypatch.context() as mp:
+            mp.setattr(solver, "SEQUENCE_MIN_POINTS", np.inf)
+            direct = tm.continuity_solve(F, g, cfg)
+        assert direct.grid_sizes == (512,) and not direct.fell_back
+        fine_calls = []
+        if fault == "fine-newton-rejected":
+            newton_at_t = solver._newton_at_t
+
+            def reject_first_fine(it, F, t, cfg, secant=None):
+                if it.g.grid == grid and not fine_calls:
+                    fine_calls.append(t)
+                    return None
+                return newton_at_t(it, F, t, cfg, secant)
+
+            monkeypatch.setattr(solver, "_newton_at_t", reject_first_fine)
+        else:
+            # a potential whose metric g + ddbar phi is negative near x1 = 0
+            monkeypatch.setattr(tm.Grid, "prolong", lambda self, u, fine: np.cos(
+                2 * np.pi * fine.coordinate(0)))
+        result = tm.continuity_solve(F, g, cfg)
+        assert fine_calls == ([1.0] if fault == "fine-newton-rejected" else [])
+        assert result.fell_back and result.grid_sizes == (512,)
+        assert result.trace == direct.trace and result.converged
+        assert result.phi.values.tobytes() == direct.phi.values.tobytes()
+        assert result.metric.diag.tobytes() == direct.metric.diag.tobytes()
+
+
 class TestNewtonExits:
     """Each way _newton_at_t rejects a t-step, forced at every step: the solve
     halves t from t_step_initial down to an underflow at t = 0."""

@@ -174,6 +174,20 @@ class TestBandLimitWarning:
             warnings.simplefilter("error")
             _band_limit_warning(F)
 
+    # a wave above N/4 with 1e-9 of the spectral mass warns and one with 1e-11 does
+    # not: the threshold is 1e-10 of the mass, not 1e-8
+    @pytest.mark.parametrize("amplitude,warns", [(1e-10, True), (1e-12, False)],
+                             ids=["above-threshold", "below-threshold"])
+    def test_threshold_is_a_ten_billionth_of_the_mass(self, amplitude, warns):
+        grid = tm.Grid(n=1, N=32)
+        x1 = grid.coordinate(0)
+        F = tm.make_field(grid, 0.1 * np.cos(2 * np.pi * x1)
+                          + amplitude * np.cos(2 * np.pi * 12 * x1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _band_limit_warning(F)
+        assert len(caught) == warns
+
     # the last axis is the one the half spectrum folds
     @pytest.mark.parametrize("last", [False, True], ids=["first-axis", "last-axis"])
     def test_cutoff_is_quarter_band(self, grid, last):
