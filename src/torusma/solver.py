@@ -29,16 +29,17 @@ metric falls below the eigenvalue floor.  Dyadic damping keeps the metric
 eigenvalues above the configured floor along the path; a rejected full step
 screens the shorter ones on g~ + lambda ddbar psi from one Hessian of the
 correction psi.  Each iterate's metric g~ = g + ddbar phi is formed once, by
-metric_iterate; the residual, the linear solve and the damping all read that
-one iterate.  A metric keeps its determinant once formed, so det g~ is formed
-once per iterate and det g once per solve.  Every field here is real
-(float64).
+metric_iterate (at phi = 0 it is a copy of g, with no Hessian); the residual, the
+linear solve and the damping all read that one iterate.  A metric keeps its
+determinant once formed, so det g~ is formed once per iterate and det g once per
+solve.  Every field here is real (float64).
 
 Grid sequencing (Briggs, Henson & McCormick, A Multigrid Tutorial, 2000, ch. 3):
-N is halved while N/2 is even and (N/2)^(2n) >= SEQUENCE_MIN_POINTS.  The path
-runs on the coarsest grid, F and g sampled there; each finer grid takes one Newton
-solve at t = 1 from the potential Grid.prolong carries up, and one monitor.  Any
-failure reruns the path on the requested grid from t = 0 (SolveResult.fell_back).
+N is halved while N/2 is even and N/2 >= SEQUENCE_MIN_N[n] (64 at n = 1, 16 at
+n = 2).  The path runs on the coarsest grid, F and g sampled there; each finer
+grid takes one Newton solve at t = 1 from the potential Grid.prolong carries up,
+and one monitor.  Any failure reruns the path on the requested grid from t = 0
+(SolveResult.fell_back).
 """
 
 from __future__ import annotations
@@ -83,8 +84,8 @@ class KrylovConvergenceError(RuntimeError):
 NEWTON_MAX_ITER = 50  # Newton iterations at one t before the t-step is rejected
 T_STEP_MIN = 1e-4  # the solve ends as an underflow once a halved t-step falls below it
 KRYLOV_TOL = 1e-12  # solve_linearized's default tol and the forcing terms' floor
-# n = 2 N = 16, the largest grid whose path an acceptance criterion reads
-SEQUENCE_MIN_POINTS = 16 ** 4
+# per dimension n, the largest N whose path an acceptance criterion reads
+SEQUENCE_MIN_N = {1: 64, 2: 16}
 
 
 @dataclass(frozen=True)
@@ -148,6 +149,15 @@ def metric_iterate(g: HermitianMetricField, phi: PeriodicScalarField) -> MetricI
     """Form g~ = g + ddbar phi and its smallest eigenvalue, once per iterate."""
     gt = metric_from_potential(g, phi)
     return MetricIterate(g, phi, gt, positivity_check(gt))
+
+
+def _zero_iterate(g: HermitianMetricField) -> MetricIterate:
+    """The iterate at phi = 0, whose metric is g: copied, not formed from a Hessian of
+    zeros.  The copy owns fresh arrays, as metric_iterate's g~ does; sharing g's
+    arrays kept glibc's mmap threshold low, and the n = 2 N = 16 solve then
+    page-faulted in every apply_B, 20 % slower (ROADMAP item 11)."""
+    gt = HermitianMetricField(g.grid, g.diag.copy(), None if g.off is None else g.off.copy())
+    return MetricIterate(g, make_field(g.grid, np.zeros(g.grid.shape)), gt, positivity_check(gt))
 
 
 def _require_real_on(f: PeriodicScalarField, it: MetricIterate, name: str) -> None:
@@ -469,7 +479,7 @@ def _follow_path(start: list[MetricIterate], F: PeriodicScalarField, cfg: Solver
 def _sequence_grids(grid: Grid) -> list[Grid]:
     """The solve's grids, coarsest first (the module docstring's halving rule)."""
     grids = [grid]
-    while (h := grids[0].N // 2) % 2 == 0 and h ** grid.num_axes >= SEQUENCE_MIN_POINTS:
+    while (h := grids[0].N // 2) % 2 == 0 and h >= SEQUENCE_MIN_N[grid.n]:
         grids.insert(0, Grid(grid.n, h))
     return grids
 
@@ -486,8 +496,7 @@ def _sequenced_solve(F, g, cfg, grids) -> SolveResult | None:
     """The path on grids[0], then one t = 1 Newton solve on each finer grid from the
     prolonged potential; None on any failure (the module docstring)."""
     Fc, gc = _sample_at(grids[0], F, g)
-    zero = make_field(gc.grid, np.zeros(gc.grid.shape))
-    it, steps, _, message = _follow_path([metric_iterate(gc, zero)], Fc, cfg)
+    it, steps, _, message = _follow_path([_zero_iterate(gc)], Fc, cfg)
     if message:
         return None
     for fine in grids[1:]:
@@ -520,9 +529,9 @@ def continuity_solve(
     if (cfg.n, cfg.N) != (g.grid.n, g.grid.N):
         raise GridMismatchError(
             f"config is for n={cfg.n} N={cfg.N}, grid n={g.grid.n} N={g.grid.N}")
-    # at phi = 0 the iterate's metric is g itself; the path pops it from this list,
-    # so that it is freed once the path has moved on
-    start = [metric_iterate(g, make_field(g.grid, np.zeros(g.grid.shape)))]
+    # the path pops the t = 0 iterate from this list, so that it is freed once the
+    # path has moved on
+    start = [_zero_iterate(g)]
     if not start[0].min_eig > 0.0:
         raise NonPositiveMetricError("background metric is not positive")
     # tr(ddbar phi) has zero mean, so min_x eig_min(g + ddbar phi) <= mean(tr g)/n

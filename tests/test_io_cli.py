@@ -348,9 +348,9 @@ class TestCliSolve:
         assert (out / "metric.cmmf").exists()
         assert (out / "trace.json").exists()
 
-    @pytest.mark.parametrize("N,grid_sizes", [(32, [32]), (512, [256, 512])])
+    @pytest.mark.parametrize("N,grid_sizes", [(32, [32]), (512, [64, 128, 256, 512])])
     def test_manifest_names_the_grids_of_the_trace(self, tmp_path, N, grid_sizes):
-        # at N = 512 the path runs at N = 256 and the last step corrects at N = 512
+        # at N = 512 the path runs at N = 64 and each finer grid corrects once at t = 1
         cfg = _write_config(tmp_path, N=N)
         out = tmp_path / "out"
         assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 0

@@ -113,6 +113,71 @@ class TestMetricIterate:
         with pytest.raises(tm.NonPositiveMetricError):
             call()
 
+    @pytest.mark.parametrize("background", [
+        "flat-n1-N64", "flat-n2-N16", "ricci-flat-n2-N16", "potential-n1-N32"])
+    def test_zero_iterate_is_the_iterate_at_zero_without_a_hessian(self, background,
+                                                                   monkeypatch):
+        if background == "ricci-flat-n2-N16":
+            g = tm.ricci_flat_background_n2(tm.Grid(n=2, N=16))[1]
+        elif background == "potential-n1-N32":
+            grid = tm.Grid(n=1, N=32)
+            x1, y1 = grid.coordinate(0), grid.coordinate(1)
+            chi = tm.make_field(grid, 0.02 * np.cos(2 * np.pi * x1) * np.cos(2 * np.pi * y1))
+            g = tm.metric_from_potential(tm.flat_metric(grid), chi)
+        else:
+            n, N = {"flat-n1-N64": (1, 64), "flat-n2-N16": (2, 16)}[background]
+            g = tm.flat_metric(tm.Grid(n=n, N=N))
+        hessians = count_calls(monkeypatch, tm.Grid, "hessian")
+        it = solver._zero_iterate(g)
+        assert hessians == []
+        ref = tm.metric_iterate(g, tm.make_field(g.grid, np.zeros(g.grid.shape)))
+        assert len(hessians) == 1
+        assert it.g is g and it.phi.values.tobytes() == ref.phi.values.tobytes()
+        assert it.gt.diag is not g.diag
+        assert (it.gt.off is None) == (ref.gt.off is None) == (g.grid.n == 1)
+        for name in ("diag", "det") + (("off",) if g.grid.n == 2 else ()):
+            ours, theirs = getattr(it.gt, name), getattr(ref.gt, name)
+            assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+        assert np.float64(it.min_eig).tobytes() == np.float64(ref.min_eig).tobytes()
+
+    @pytest.mark.parametrize("N,path_N", [(32, 32), (128, 64)], ids=["direct", "sequenced"])
+    def test_the_path_starts_from_the_zero_iterate(self, N, path_N, monkeypatch):
+        grid = tm.Grid(n=1, N=N)
+        starts = []
+        follow_path = solver._follow_path
+        hessians = count_calls(monkeypatch, tm.Grid, "hessian")
+
+        def spy(start, F, cfg):
+            starts.append((start[-1], len(hessians)))
+            return follow_path(start, F, cfg)
+
+        monkeypatch.setattr(solver, "_follow_path", spy)
+        result = tm.continuity_solve(tm.poisson_forcing_n1(grid), tm.flat_metric(grid),
+                                     tm.SolverConfig(n=1, N=N))
+        assert result.converged and len(starts) == 1
+        it, hessians_before_the_path = starts[0]
+        assert it.g.grid.N == path_N and hessians_before_the_path == 0
+        assert not np.any(it.phi.values) and it.gt.diag.tobytes() == it.g.diag.tobytes()
+
+
+class TestDampedUpdate:
+    """From phi = 0 on the flat n=1 grid, psi = A cos 2 pi x1 gives the metric
+    1 - lambda pi^2 A cos 2 pi x1; _damped_update takes the first of at most 39
+    halvings, lambda = 2^-k, whose smallest eigenvalue clears the floor 1e-8."""
+
+    @pytest.mark.parametrize("A,k", [(1e6, 24), (10 ** 10.5, 39), (1e11, None)],
+                             ids=["1e6", "1e10.5", "1e11"])
+    def test_the_accepted_lambda_and_the_last_halving(self, A, k):
+        grid = tm.Grid(n=1, N=16)
+        psi = tm.make_field(grid, A * np.cos(2 * np.pi * grid.coordinate(0)))
+        out = solver._damped_update(_flat_iterate(grid), psi, 1e-8)
+        if k is None:  # 2^-39 is still too long a step, and no 2^-40 is tried
+            assert out is None
+        else:
+            expected = tm.mean_zero_project(tm.make_field(grid, 2.0 ** -k * psi.values))
+            assert out.phi.values.tobytes() == expected.values.tobytes()
+            assert out.min_eig >= 1e-8
+
 
 class TestResidual:
     def test_zero_at_trivial_data(self, grid):
@@ -497,8 +562,8 @@ class TestContinuitySolve:
 
 
 class TestGridSequencing:
-    """A grid whose halving keeps SEQUENCE_MIN_POINTS points follows the path on the
-    coarsest such grid and corrects once at t = 1 on each finer one."""
+    """A grid whose half has N/2 >= SEQUENCE_MIN_N[n], N/2 even, follows the path on
+    the coarsest such grid and corrects once at t = 1 on each finer one."""
 
     @pytest.fixture(scope="class", params=["poisson-n1-N512", "manufactured-n2-N32"])
     def sequenced(self, request):
@@ -518,17 +583,21 @@ class TestGridSequencing:
         fine_calls = sum(1 for (op, _) in calls if op.grid == grid)
         return g, F, ref, result, fine_calls
 
-    def test_trace_is_the_coarse_path_then_one_fine_step(self, sequenced):
+    def test_trace_is_the_coarse_path_then_one_step_per_finer_grid(self, sequenced):
         g, F, _, result, _ = sequenced
-        coarse = tm.Grid(n=g.grid.n, N=g.grid.N // 2)
+        grids = solver._sequence_grids(g.grid)
+        coarse = grids[0]
         assert result.converged and not result.fell_back
-        assert result.grid_sizes == (coarse.N, g.grid.N)
+        assert result.grid_sizes == tuple(grid.N for grid in grids)
+        assert len(grids) >= 2 and coarse.N == solver.SEQUENCE_MIN_N[coarse.n]
         Fc, gc = solver._sample_at(coarse, F, g)
         path = solve_quietly(Fc, gc, tm.SolverConfig(n=coarse.n, N=coarse.N))
         assert path.grid_sizes == (coarse.N,)
         monitor = tm.yau_estimate_report(tm.metric_iterate(g, result.phi))
+        k = len(path.trace)
+        assert result.trace[:k] == path.trace
+        assert [s.t for s in result.trace[k:]] == [1.0] * (len(grids) - 1)
         last = result.trace[-1]
-        assert result.trace[:-1] == path.trace
         assert last == tm.ContinuityStep(t=1.0, newton_iters=last.newton_iters,
                                          residual_sup=last.residual_sup, **monitor)
 
@@ -548,11 +617,10 @@ class TestGridSequencing:
         assert result.trace[-1].newton_iters <= 1
 
     @pytest.mark.parametrize("n,N,sizes", [
-        (2, 16, (16,)), (1, 64, (64,)), (1, 256, (256,)), (1, 550, (550,)), (2, 34, (34,)),
-        (1, 512, (256, 512)), (2, 32, (16, 32)), (1, 1024, (256, 512, 1024)),
-        (2, 64, (16, 32, 64)), (2, 36, (18, 36))])
-    def test_grids_halve_while_n_over_2_is_even_and_keeps_16_to_the_4_points(self, n, N,
-                                                                            sizes):
+        (2, 16, (16,)), (1, 64, (64,)), (1, 128, (64, 128)), (1, 256, (64, 128, 256)),
+        (1, 550, (550,)), (2, 34, (34,)), (1, 512, (64, 128, 256, 512)), (2, 32, (16, 32)),
+        (1, 1024, (64, 128, 256, 512, 1024)), (2, 64, (16, 32, 64)), (2, 36, (18, 36))])
+    def test_grids_halve_while_n_over_2_is_even_and_at_least_the_floor(self, n, N, sizes):
         assert tuple(g.N for g in solver._sequence_grids(tm.Grid(n=n, N=N))) == sizes
 
     @pytest.mark.parametrize("n,N", [(2, 16), (1, 64)])
@@ -574,7 +642,7 @@ class TestGridSequencing:
         g, F = tm.flat_metric(grid), tm.poisson_forcing_n1(grid)
         cfg = tm.SolverConfig(n=1, N=512)
         with monkeypatch.context() as mp:
-            mp.setattr(solver, "SEQUENCE_MIN_POINTS", np.inf)
+            mp.setattr(solver, "SEQUENCE_MIN_N", {1: np.inf, 2: np.inf})
             direct = tm.continuity_solve(F, g, cfg)
         assert direct.grid_sizes == (512,) and not direct.fell_back
         fine_calls = []
