@@ -232,7 +232,8 @@ def exterior_d(alpha: PqForm) -> FormSum:
 
 def d_sum(alpha: FormSum) -> FormSum:
     """d of a mixed-degree form: every term goes straight into one accumulator per
-    bidegree, in the order part, then component, then j."""
+    bidegree, in the order part, then component, then j, so no part's del or
+    delbar exists in full beside the sum."""
     acc: dict[tuple[int, int], PqForm] = {}
     for f in alpha.parts.values():
         _add_dolbeault(f, acc)

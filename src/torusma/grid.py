@@ -7,36 +7,23 @@ Holomorphic coordinates are z^j = x^j + i*y^j, so the Wirtinger operators are
     d/dz^j    = (d/dx^j - i d/dy^j) / 2
     d/dzbar^j = (d/dx^j + i d/dy^j) / 2
 
-Differentiation is spectral.  First derivatives zero the Nyquist mode (odd
-symbol) and pure second derivatives keep it with symbol -(pi N)^2, which keeps
-real fields real.  Every spectral symbol, and the per-axis matrices D and D2
-below, is built from the grid's two axis symbols, which state that policy
-once (Grid.axis_symbols, Grid.along, Grid.axis_matrices).  These spectral
-data are cached properties of the grid, built on first use.  The dtype of a
-field's samples decides its realness: float64 samples make a real field,
-complex128 samples a complex one.
+Differentiation is spectral.  The Nyquist policy of CONVENTIONS.md is stated
+once, in the grid's two axis symbols (Grid.axis_symbols); every symbol and
+per-axis matrix below is built from them and cached on the grid on first use.
+The dtype of a field's samples decides its realness: float64 samples make a
+real field, complex128 samples a complex one.
 
 The solver's operators are separable, with symbols even on every axis, so
-each is also a real N x N product along each axis.  Their seams are Grid
-methods that choose between two algorithms by the dimension n alone:
-
-  Grid.derivative   a first derivative along one axis: at n = 2 the Fourier
-                    differentiation matrix D, the circulant of the first axis
-                    symbol (Trefethen, Spectral Methods in MATLAB, 2000,
-                    ch. 3); at n = 1 a 1-D pocketfft pair;
-  Grid.hessian      the real parts of d_j dbar_k of real samples: at n = 2
-                    products with D and D2, the circulant of the second; at
-                    n = 1 one rfftn and one irfftn with (1/4)(s_x + s_y);
-  Grid.inverse_flat the inverse of the flat operator -(1/4) Laplacian: at
-                    n = 2 the orthonormal Hartley matrix along every axis on
-                    each side of the symbol (Bracewell, The Hartley Transform,
-                    1986); at n = 1 an rfftn/irfftn pair.
-
-A 4-D grid has N^3 lines along each axis, and one batched BLAS product
-(numpy.matmul) multiplies all of them, where an FFT pays its per-line overhead
-on each; the 2-D grids run to N in the hundreds, where the FFT's N log N work
-wins.  Grid.rfftn/irfftn are
-numpy.fft at every N; at n = 2 only the band-limit check and Grid.prolong call them.
+each is also a real N x N product along each axis.  Their three seams,
+Grid.derivative, Grid.hessian and Grid.inverse_flat, choose the algorithm by
+the dimension n alone, at every N: per-axis products with D, D2 or the
+Hartley matrix at n = 2, transforms at n = 1.  A 4-D grid has N^3 lines along
+each axis, and one batched BLAS product (numpy.matmul) multiplies all of
+them, where an FFT pays its per-line overhead on each.  A 2-D grid runs to N
+in the hundreds, where the FFT's N log N work wins, and there the transforms
+also round better than the D2 products (acceptance criterion 10).
+Grid.rfftn/irfftn are numpy.fft at every N; at n = 2 only the band-limit
+check and Grid.prolong call them.
 """
 
 from __future__ import annotations
@@ -54,7 +41,12 @@ class GridMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform N^(2n) grid on the unit torus, n the complex dimension."""
+    """Uniform N^(2n) grid on the unit torus, n the complex dimension.
+
+    At n = 1 the cost of every transform grows with the largest prime factor
+    of N, so N should have only small prime factors: a solve at N = 514 =
+    2 * 257 is several times slower than one at N = 550 = 2 * 5^2 * 11.
+    """
 
     n: int
     N: int
@@ -116,7 +108,9 @@ class Grid:
 
     def prolong(self, u: np.ndarray, fine: Grid) -> np.ndarray:
         """Samples on the finer grid ``fine`` of the interpolant of this grid's real samples
-        u: the half spectrum zero-padded, with the Nyquist modes dropped on every axis."""
+        u: the half spectrum zero-padded, with the Nyquist modes dropped on every axis,
+        since sin(pi N x) vanishes at every point here and the samples cannot say
+        which wave at N/2 to carry up."""
         if fine.n != self.n or fine.N < self.N:
             raise ValueError(f"cannot prolong from N={self.N} to n={fine.n} N={fine.N}")
         h, d = self.N // 2, self.num_axes
@@ -297,23 +291,11 @@ class PeriodicScalarField:
     def __add__(self, other):
         return self._binary(other, lambda a, b: a + b)
 
-    def __radd__(self, other):
-        return self._binary(other, lambda a, b: b + a)
-
     def __sub__(self, other):
         return self._binary(other, lambda a, b: a - b)
 
-    def __rsub__(self, other):
-        return self._binary(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._binary(other, lambda a, b: a * b)
-
     def __rmul__(self, other):
         return self._binary(other, lambda a, b: b * a)
-
-    def __neg__(self):
-        return make_field(self.grid, -self.values)
 
 
 def make_field(grid: Grid, values: np.ndarray) -> PeriodicScalarField:
@@ -340,7 +322,8 @@ def _apply_axis_matrix(M: np.ndarray, lines: np.ndarray, axis: int) -> np.ndarra
     """The real N x N matrix M applied along ``axis`` of C-ordered 4-D samples.
 
     On the last axis the lines are rows of products with M.T; on the others
-    complex samples go through their float64 view, so the products are real.
+    complex samples go through their float64 view: real products, faster there
+    than a complex GEMM.
     One matmul makes a product per index of axis 1 along axis 0, and of axis 0
     for complex samples along the last axis, so a one-index slab of
     forms._add_dolbeault makes none above N x N by N x 2N, which OpenBLAS runs

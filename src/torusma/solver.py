@@ -14,10 +14,9 @@ Newton correction solves the linearization
 
 by preconditioned conjugate gradients on mean-zero physical samples, with
 the inner product mean(u v) and the flat operator -(1/4) Laplacian as
-preconditioner (Grid.hessian and Grid.inverse_flat: per-axis matrix products
-at n = 2, transforms at n = 1), only as accurately as the Newton step needs
-(inexact Newton, Eisenstat-Walker choice 2): the relative Krylov target is
-eta_0 = 0.1, then
+preconditioner (Grid.hessian, Grid.inverse_flat), only as accurately as the
+Newton step needs (inexact Newton, Eisenstat-Walker choice 2): the relative
+Krylov target is eta_0 = 0.1, then
 
     eta_k = min(0.1, 0.9 (|r_k| / |r_{k-1}|)^2),
 
@@ -38,8 +37,9 @@ Grid sequencing (Briggs, Henson & McCormick, A Multigrid Tutorial, 2000, ch. 3):
 N is halved while N/2 is even and N/2 >= SEQUENCE_MIN_N[n] (64 at n = 1, 16 at
 n = 2).  The path runs on the coarsest grid, F and g sampled there; each finer
 grid takes one Newton solve at t = 1 from the potential Grid.prolong carries up,
-and one monitor.  Any failure reruns the path on the requested grid from t = 0
-(SolveResult.fell_back).
+and one monitor.  A coarse underflow, a prolonged iterate below the floor or a
+rejected fine Newton step reruns the path on the requested grid from t = 0,
+with the direct solve's bytes (SolveResult.fell_back).
 """
 
 from __future__ import annotations

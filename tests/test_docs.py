@@ -1,12 +1,16 @@
-"""The names README.md and CONVENTIONS.md cite still resolve.
+"""The names README.md and CONVENTIONS.md cite still resolve, and README's API
+map lists the whole public surface.
 
 Every backticked dotted name of the form ``torusma.<mod>[.<name>...]``,
 ``Grid.<attr>`` or ``grid.<attr>`` must name something that exists, so a
 rename in src/ cannot leave the documents pointing at nothing.  Fenced code
 blocks are shell sessions, not citations, and are skipped, as are file
-names such as ``grid.py``.
+names such as ``grid.py``.  README's API map and src/torusma/__init__.py
+list the same names: every name the package imports opens a backticked span
+of the map, and every entry of the map opens with an exported name.
 """
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -60,3 +64,27 @@ def test_cited_names_resolve(doc):
     assert names, f"{doc} cites no torusma name"
     missing = [name for name in names if not resolves(name)]
     assert not missing, missing
+
+
+def api_map(readme):
+    """README's "## API map" section, up to the next heading of its level, less code blocks."""
+    section = readme.split("\n## API map\n", 1)[1].split("\n## ", 1)[0]
+    return re.sub(r"```.*?```", "", section, flags=re.S)
+
+
+def exported_names():
+    tree = ast.parse((ROOT / "src" / "torusma" / "__init__.py").read_text())
+    return sorted(alias.asname or alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) for alias in node.names)
+
+
+def test_api_map_lists_every_export():
+    names = exported_names()
+    assert "Grid" in names and "continuity_solve" in names
+    section = api_map((ROOT / "README.md").read_text())
+    listed = {re.match(r"\w*", span).group(0) for span in re.findall(r"`([^`]+)`", section)}
+    missing = [name for name in names if name not in listed]
+    assert not missing, missing
+    # each entry opens with the name it documents, which must still be exported
+    stale = [name for name in re.findall(r"^- `(\w+)", section, flags=re.M) if name not in names]
+    assert not stale, stale

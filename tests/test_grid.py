@@ -322,16 +322,16 @@ def _one_step_solve(n, N, rng):
 
 
 class TestTransformPath:
-    """Which algorithm a solve's operators take, on either side of the threshold."""
+    """Which algorithm a solve's operators take: the dimension picks it, whatever N."""
 
-    def test_small_grid_solve_makes_one_transform(self, monkeypatch, rng):
+    def test_n2_solve_makes_one_transform(self, monkeypatch, rng):
         # the band-limit check of F is the one full-grid transform of the solve
         calls = {name: count_calls(monkeypatch, tm.Grid, name) for name in ("rfftn", "irfftn")}
         result = _one_step_solve(2, 16, rng)
         assert result.converged, result.message
         assert len(calls["rfftn"]) == 1 and calls["irfftn"] == []
 
-    def test_large_grid_solve_uses_numpy_transforms(self, monkeypatch, rng):
+    def test_n1_solve_uses_numpy_transforms(self, monkeypatch, rng):
         calls = {name: count_calls(monkeypatch, np.fft, name) for name in ("rfftn", "irfftn")}
         result = _one_step_solve(1, 64, rng)
         assert result.converged, result.message

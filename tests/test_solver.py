@@ -636,7 +636,8 @@ class TestGridSequencing:
         assert result.converged and result.grid_sizes == (550,) and not result.fell_back
         assert [s.t for s in result.trace] == pytest.approx([0.1, 0.2, 0.4, 0.6, 0.85, 1.0])
 
-    @pytest.mark.parametrize("fault", ["fine-newton-rejected", "prolonged-below-floor"])
+    @pytest.mark.parametrize("fault", ["fine-newton-rejected", "prolonged-below-floor",
+                                       "coarse-path-underflow"])
     def test_a_failed_correction_returns_the_direct_path(self, fault, monkeypatch):
         grid = tm.Grid(n=1, N=512)
         g, F = tm.flat_metric(grid), tm.poisson_forcing_n1(grid)
@@ -645,23 +646,28 @@ class TestGridSequencing:
             mp.setattr(solver, "SEQUENCE_MIN_N", {1: np.inf, 2: np.inf})
             direct = tm.continuity_solve(F, g, cfg)
         assert direct.grid_sizes == (512,) and not direct.fell_back
-        fine_calls = []
-        if fault == "fine-newton-rejected":
+        fine_calls, coarse_calls = [], []
+        coarse = solver._sequence_grids(grid)[0]
+        if fault == "prolonged-below-floor":
+            # a potential whose metric g + ddbar phi is negative near x1 = 0
+            monkeypatch.setattr(tm.Grid, "prolong", lambda self, u, fine: np.cos(
+                2 * np.pi * fine.coordinate(0)))
+        else:
             newton_at_t = solver._newton_at_t
 
-            def reject_first_fine(it, F, t, cfg, secant=None):
-                if it.g.grid == grid and not fine_calls:
+            def reject(it, F, t, cfg, secant=None):
+                if fault == "coarse-path-underflow" and it.g.grid == coarse:
+                    coarse_calls.append(t)  # every step of the coarse path, down to T_STEP_MIN
+                    return None
+                if fault == "fine-newton-rejected" and it.g.grid == grid and not fine_calls:
                     fine_calls.append(t)
                     return None
                 return newton_at_t(it, F, t, cfg, secant)
 
-            monkeypatch.setattr(solver, "_newton_at_t", reject_first_fine)
-        else:
-            # a potential whose metric g + ddbar phi is negative near x1 = 0
-            monkeypatch.setattr(tm.Grid, "prolong", lambda self, u, fine: np.cos(
-                2 * np.pi * fine.coordinate(0)))
+            monkeypatch.setattr(solver, "_newton_at_t", reject)
         result = tm.continuity_solve(F, g, cfg)
         assert fine_calls == ([1.0] if fault == "fine-newton-rejected" else [])
+        assert bool(coarse_calls) == (fault == "coarse-path-underflow")
         assert result.fell_back and result.grid_sizes == (512,)
         assert result.trace == direct.trace and result.converged
         assert result.phi.values.tobytes() == direct.phi.values.tobytes()
