@@ -94,13 +94,14 @@ def flat_metric(grid: Grid) -> HermitianMetricField:
     return HermitianMetricField(grid, np.ones((grid.n,) + grid.shape), off)
 
 
-def hermitian_hessian(phi: PeriodicScalarField) -> HermitianMetricField:
-    """d_j dbar_k phi of a real phi, packed, from the parts of Grid.hessian: the n
-    real diagonals, and for n = 2 d_2 dbar_1 phi = conj(d_1 dbar_2 phi)."""
+def hermitian_hessian(phi: PeriodicScalarField, spec: np.ndarray | None = None
+                      ) -> HermitianMetricField:
+    """d_j dbar_k phi of a real phi, packed, from the parts of Grid.hessian(phi, spec):
+    the n real diagonals, and for n = 2 d_2 dbar_1 phi = conj(d_1 dbar_2 phi)."""
     if not phi.is_real:
         raise ValueError("the complex Hessian is taken of real fields")
     grid = phi.grid
-    parts = grid.hessian(phi.values)
+    parts = grid.hessian(phi.values, spec)
     diag = np.stack(parts[:grid.n])
     off = None
     if grid.n == 2:
@@ -110,13 +111,14 @@ def hermitian_hessian(phi: PeriodicScalarField) -> HermitianMetricField:
     return HermitianMetricField(grid, diag, off)
 
 
-def metric_from_potential(g: HermitianMetricField, phi: PeriodicScalarField) -> HermitianMetricField:
+def metric_from_potential(g: HermitianMetricField, phi: PeriodicScalarField,
+                          spec: np.ndarray | None = None) -> HermitianMetricField:
     """g~ = g + d dbar phi, Hermitian by construction; the one place g~ is formed."""
     if phi.grid != g.grid:
         raise GridMismatchError("potential and metric live on different grids")
     if not phi.is_real:
         raise ValueError("potential must be real")
-    return g + hermitian_hessian(phi)
+    return g + hermitian_hessian(phi, spec)
 
 
 def eigenvalue_fields(g: HermitianMetricField) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,7 @@ them, where an FFT pays its per-line overhead on each.  A 2-D grid runs to N
 in the hundreds, where the FFT's N log N work wins, and there the transforms
 also round better than the D2 products (acceptance criterion 10).
 Grid.rfftn/irfftn are numpy.fft at every N; at n = 2 only the band-limit
-check and Grid.prolong call them.
+check and grid sequencing's prolongation call them.
 """
 
 from __future__ import annotations
@@ -106,20 +106,21 @@ class Grid:
         """Real samples of a half spectrum (the inverse of rfftn)."""
         return np.fft.irfftn(spec, s=self.shape, axes=tuple(range(self.num_axes)))
 
-    def prolong(self, u: np.ndarray, fine: Grid) -> np.ndarray:
-        """Samples on the finer grid ``fine`` of the interpolant of this grid's real samples
-        u: the half spectrum zero-padded, with the Nyquist modes dropped on every axis,
-        since sin(pi N x) vanishes at every point here and the samples cannot say
-        which wave at N/2 to carry up."""
-        if fine.n != self.n or fine.N < self.N:
-            raise ValueError(f"cannot prolong from N={self.N} to n={fine.n} N={fine.N}")
+    def prolong(self, spec: np.ndarray, fine: Grid) -> np.ndarray:
+        """The half spectrum on the finer grid ``fine`` of the interpolant whose rfftn half
+        spectrum here is spec, with no transform: spec zero-padded, with the Nyquist
+        modes dropped on every axis, since sin(pi N x) vanishes at every point here
+        and the samples cannot say which wave at N/2 to carry up."""
+        if (fine.n != self.n or fine.N < self.N
+                or spec.shape != self.shape[:-1] + (self.N // 2 + 1,)):
+            raise ValueError(f"cannot prolong {spec.shape} from N={self.N} to {fine}")
         h, d = self.N // 2, self.num_axes
         src = np.ix_(*[np.r_[0:h, self.N - h + 1 : self.N]] * (d - 1), np.arange(h))
         dst = np.ix_(*[np.r_[0:h, fine.N - h + 1 : fine.N]] * (d - 1), np.arange(h))
-        spec = np.zeros(fine.shape[:-1] + (fine.N // 2 + 1,), dtype=complex)
+        padded = np.zeros(fine.shape[:-1] + (fine.N // 2 + 1,), dtype=complex)
         # numpy's inverse transform divides by the number of points
-        spec[dst] = self.rfftn(u)[src] * (fine.num_points / self.num_points)
-        return fine.irfftn(spec)
+        padded[dst] = spec[src] * (fine.num_points / self.num_points)
+        return padded
 
     def derivative(self, values: np.ndarray, axis: int) -> np.ndarray:
         """Spectral first derivative of a sample array along real axis ``axis``.
@@ -148,18 +149,19 @@ class Grid:
             return np.fft.irfft(np.fft.rfft(lines, axis=axis) * half, n=self.N, axis=axis)
         return np.fft.ifft(np.fft.fft(lines, axis=axis) * self.along(first, axis), axis=axis)
 
-    def hessian(self, u: np.ndarray) -> list[np.ndarray]:
+    def hessian(self, u: np.ndarray, spec: np.ndarray | None = None) -> list[np.ndarray]:
         """[A_00 u, .., A_{n-1,n-1} u], and A_01 u, B_01 u for n = 2: d_j dbar_k = A_jk + i B_jk.
 
-        At n = 1 the one part is irfftn of rfftn(u) times (1/4)(s_x + s_y), s the
-        second axis symbol (hessian_half_symbol).  At n = 2, A_jj = (1/4)(D2_xj + D2_yj),
-        A_01 = (1/4)(D_x1 D_x2 + D_y1 D_y2) and B_01 = (1/4)(D_x1 D_y2 - D_y1 D_x2),
-        one product per axis and term: D annihilates the Nyquist mode and D2
-        keeps it, the axis symbols' policy.  The products see u less its first
-        sample, so a constant gives exact zeros.
+        At n = 1 the one part is irfftn of u's half spectrum (spec, else rfftn(u)) times
+        (1/4)(s_x + s_y), s the second axis symbol (hessian_half_symbol).  At n = 2,
+        A_jj = (1/4)(D2_xj + D2_yj), A_01 = (1/4)(D_x1 D_x2 + D_y1 D_y2) and
+        B_01 = (1/4)(D_x1 D_y2 - D_y1 D_x2), one product per axis and term: D
+        annihilates the Nyquist mode and D2 keeps it, the axis symbols' policy.  The
+        products see u less its first sample, so a constant gives exact zeros.
         """
         if self.n == 1:
-            return [self.irfftn(self.rfftn(u) * self.hessian_half_symbol)]
+            spec = self.rfftn(u) if spec is None else spec
+            return [self.irfftn(spec * self.hessian_half_symbol)]
         v = np.subtract(u, u.flat[0], dtype=float)
         v *= 0.25  # a power of two: the products round as if scaled after
         D, D2 = self.axis_matrices

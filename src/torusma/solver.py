@@ -29,17 +29,20 @@ eigenvalues above the configured floor along the path; a rejected full step
 screens the shorter ones on g~ + lambda ddbar psi from one Hessian of the
 correction psi.  Each iterate's metric g~ = g + ddbar phi is formed once, by
 metric_iterate (at phi = 0 it is a copy of g, with no Hessian); the residual, the
-linear solve and the damping all read that one iterate.  A metric keeps its
-determinant once formed, so det g~ is formed once per iterate and det g once per
-solve.  Every field here is real (float64).
+linear solve and the damping all read that one iterate.  At n = 1 it also keeps
+phi's half spectrum, of which g~ and the monitor's derivatives are symbol
+products.  A metric keeps its determinant once formed, so det g~ is formed once
+per iterate and det g once per solve.  Every field here is real (float64).
 
 Grid sequencing (Briggs, Henson & McCormick, A Multigrid Tutorial, 2000, ch. 3):
 N is halved while N/2 is even and N/2 >= SEQUENCE_MIN_N[n] (64 at n = 1, 16 at
 n = 2).  The path runs on the coarsest grid, F and g sampled there; each finer
-grid takes one Newton solve at t = 1 from the potential Grid.prolong carries up,
-and one monitor.  A coarse underflow, a prolonged iterate below the floor or a
-rejected fine Newton step reruns the path on the requested grid from t = 0,
-with the direct solve's bytes (SolveResult.fell_back).
+grid takes one Newton solve at t = 1 from the half spectrum Grid.prolong pads,
+and one monitor: at n = 1 an rfftn of the start's rounded samples would scale
+their noise eps |phi| by the Hessian symbol's (pi N)^2 / 2.  A coarse underflow,
+a prolonged iterate below the floor or a rejected fine Newton step reruns the
+path on the requested grid from t = 0, with the direct solve's bytes
+(SolveResult.fell_back).
 """
 
 from __future__ import annotations
@@ -143,21 +146,29 @@ class MetricIterate:
     phi: PeriodicScalarField
     gt: HermitianMetricField
     min_eig: float  # smallest pointwise eigenvalue of gt
+    spec: np.ndarray | None = None  # phi's rfftn half spectrum at n = 1, None at n = 2
 
 
-def metric_iterate(g: HermitianMetricField, phi: PeriodicScalarField) -> MetricIterate:
-    """Form g~ = g + ddbar phi and its smallest eigenvalue, once per iterate."""
-    gt = metric_from_potential(g, phi)
-    return MetricIterate(g, phi, gt, positivity_check(gt))
+def metric_iterate(g: HermitianMetricField, phi: PeriodicScalarField,
+                   spec: np.ndarray | None = None) -> MetricIterate:
+    """Form g~ = g + ddbar phi and its smallest eigenvalue, once per iterate, from
+    phi's half spectrum at n = 1: spec if the caller holds it, else rfftn(phi)."""
+    if g.grid.n == 1 and spec is None and phi.is_real:  # metric_from_potential refuses complex phi
+        spec = g.grid.rfftn(phi.values)
+    gt = metric_from_potential(g, phi, spec)
+    return MetricIterate(g, phi, gt, positivity_check(gt), spec if g.grid.n == 1 else None)
 
 
 def _zero_iterate(g: HermitianMetricField) -> MetricIterate:
     """The iterate at phi = 0, whose metric is g: copied, not formed from a Hessian of
-    zeros.  The copy owns fresh arrays, as metric_iterate's g~ does; sharing g's
-    arrays kept glibc's mmap threshold low, and the n = 2 N = 16 solve then
-    page-faulted in every apply_B, 20 % slower (ROADMAP item 11)."""
-    gt = HermitianMetricField(g.grid, g.diag.copy(), None if g.off is None else g.off.copy())
-    return MetricIterate(g, make_field(g.grid, np.zeros(g.grid.shape)), gt, positivity_check(gt))
+    zeros, and whose n = 1 spectrum is a read-only zero that allocates nothing.  The
+    copy owns fresh arrays, as metric_iterate's g~ does; sharing g's arrays kept
+    glibc's mmap threshold low, and the n = 2 N = 16 solve then page-faulted in
+    every apply_B, 20 % slower (ROADMAP item 11)."""
+    grid = g.grid
+    gt = HermitianMetricField(grid, g.diag.copy(), None if g.off is None else g.off.copy())
+    spec = np.broadcast_to(0j, grid.shape[:-1] + (grid.N // 2 + 1,)) if grid.n == 1 else None
+    return MetricIterate(g, make_field(grid, np.zeros(grid.shape)), gt, positivity_check(gt), spec)
 
 
 def _require_real_on(f: PeriodicScalarField, it: MetricIterate, name: str) -> None:
@@ -313,29 +324,32 @@ def _pcg(op: _LinearizedOperator, rhs: np.ndarray, tol: float, max_iter: int) ->
 def yau_estimate_report(it: MetricIterate) -> dict[str, float]:
     """sup|phi|, sup|grad phi|, eigenvalue range of g~ = g + ddbar phi, sup third derivs.
 
-    The keys are the monitored fields of ContinuityStep.  Every derivative is
-    a Grid.derivative call: grad phi from phi, and sup_third, the sup of
-    |d_l d_j dbar_k phi| over all l, j, k, from the iterate's Hessian
-    h = g~ - g.  A real diagonal entry has |d_l h| = |dbar_l h| =
-    sqrt(h_x^2 + h_y^2) / 2; for n = 2, d_l of the conjugate entry conj(off)
-    is conj(dbar_l off), so |d_l off| and |dbar_l off| cover both.
+    The keys are the monitored fields of ContinuityStep; sup_third is the sup of
+    |d_l d_j dbar_k phi| over all l, j, k.  At n = 1 grad phi and d h, h the
+    Hessian, are symbol products of the iterate's half spectrum, with no forward
+    transform; at n = 2, Grid.derivative calls on phi and h = g~ - g.  A real
+    diagonal entry has |d_l h| = |dbar_l h| = sqrt(h_x^2 + h_y^2) / 2; for n = 2,
+    d_l of conj(off) is conj(dbar_l off), so |d_l off| and |dbar_l off| cover both.
     """
     grid = it.phi.grid
     phi = it.phi.values
-    grad_sq = grid.derivative(phi, 0) ** 2
-    for a in range(1, grid.num_axes):
-        grad_sq += grid.derivative(phi, a) ** 2
-    lo, hi = eigenvalue_fields(it.gt)
-    hess = it.gt - it.g
-    third_sq = 0.0
-    for l in range(grid.n):
-        for h in hess.diag:
-            hx, hy = grid.derivative(h, 2 * l), grid.derivative(h, 2 * l + 1)
-            third_sq = max(third_sq, 0.25 * float(np.max(hx ** 2 + hy ** 2)))
-        if hess.off is not None:
+    if grid.n == 1:
+        grad_sq = _sup_gradient_sq(grid, it.spec)
+        third_sq = 0.25 * _sup_gradient_sq(grid, it.spec * grid.hessian_half_symbol)
+    else:
+        grad_sq = grid.derivative(phi, 0) ** 2
+        for a in range(1, grid.num_axes):
+            grad_sq += grid.derivative(phi, a) ** 2
+        hess = it.gt - it.g
+        third_sq = 0.0
+        for l in range(grid.n):
+            for h in hess.diag:
+                hx, hy = grid.derivative(h, 2 * l), grid.derivative(h, 2 * l + 1)
+                third_sq = max(third_sq, 0.25 * float(np.max(hx ** 2 + hy ** 2)))
             ox, oy = grid.derivative(hess.off, 2 * l), grid.derivative(hess.off, 2 * l + 1)
             for d in (ox - 1j * oy, ox + 1j * oy):  # 2 d_l off and 2 dbar_l off
                 third_sq = max(third_sq, 0.25 * float(np.max(d.real ** 2 + d.imag ** 2)))
+    lo, hi = eigenvalue_fields(it.gt)
     return {
         "sup_phi": float(np.max(np.abs(phi))),
         "sup_grad_phi": float(np.sqrt(np.max(grad_sq))),
@@ -343,6 +357,15 @@ def yau_estimate_report(it: MetricIterate) -> dict[str, float]:
         "eig_max": float(np.max(hi)),
         "sup_third": float(np.sqrt(third_sq)),
     }
+
+
+def _sup_gradient_sq(grid: Grid, spec: np.ndarray) -> float:
+    """sup(u_x^2 + u_y^2) of the n = 1 field u with half spectrum spec: one irfftn per partial."""
+    first = grid.axis_symbols[0]
+    ux, uy = (grid.irfftn(spec * grid.along(first, a)[..., : grid.N // 2 + 1]) for a in (0, 1))
+    ux *= ux
+    ux += uy * uy
+    return float(np.max(ux))
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +524,11 @@ def _sequenced_solve(F, g, cfg, grids) -> SolveResult | None:
         return None
     for fine in grids[1:]:
         Ff, gf = (F, g) if fine == g.grid else _sample_at(fine, F, g)
-        phi = make_field(fine, it.phi.grid.prolong(it.phi.values, fine))
-        it = metric_iterate(gf, mean_zero_project(phi))
+        spec = it.phi.grid.rfftn(it.phi.values) if it.spec is None else it.spec
+        spec = it.phi.grid.prolong(spec, fine)
+        phi = fine.irfftn(spec)
+        phi -= np.mean(phi)  # mean_zero_project's bytes, with no second field
+        it = metric_iterate(gf, make_field(fine, phi), spec)
         outcome = None if it.min_eig < cfg.damping_eig_floor else _newton_at_t(it, Ff, 1.0, cfg)
         if outcome is None:
             return None

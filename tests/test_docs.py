@@ -2,8 +2,11 @@
 map lists the whole public surface.
 
 Every backticked dotted name of the form ``torusma.<mod>[.<name>...]``,
-``Grid.<attr>`` or ``grid.<attr>`` must name something that exists, so a
-rename in src/ cannot leave the documents pointing at nothing.  Fenced code
+``Grid.<attr>`` or ``grid.<attr>`` must name something that exists, and so
+must every backticked bare constant (ALL_CAPS with an underscore, such as
+``KRYLOV_TOL``) and ``_private`` name, in some torusma module, so a rename in
+src/ cannot leave the documents pointing at nothing.  Math symbols such as
+``A_12`` are not constants.  Fenced code
 blocks are shell sessions, not citations, and are skipped, as are file
 names such as ``grid.py``.  README's API map and src/torusma/__init__.py
 list the same names: every name the package imports opens a backticked span
@@ -23,18 +26,30 @@ ROOT = Path(__file__).resolve().parents[1]
 DOCS = ("README.md", "CONVENTIONS.md")
 # a dotted name that starts a chain: the ``grid.n`` of ``phi.grid.n`` is not cited
 DOTTED = re.compile(r"(?<![\w.])(?:torusma|Grid|grid)(?:\.\w+)+")
+# a bare constant or private name, with the attributes it opens: every word
+# of a constant starts with a letter, so A_12 is not one
+BARE = re.compile(r"(?<![\w.])(?:_[A-Za-z]\w*|[A-Z][A-Z0-9]*(?:_[A-Z][A-Z0-9]*)+)"
+                  r"(?:\.\w+)*(?!\w)")
+MODULES = ("cli", "expressions", "fileio", "forms", "geometry", "grid", "solver",
+           "verification")
 
 
 def cited_names(text):
     text = re.sub(r"```.*?```", "", text, flags=re.S)
     names = set()
     for span in re.findall(r"`([^`]+)`", text):
-        names.update(m.group(0) for m in DOTTED.finditer(span))
+        for pattern in (DOTTED, BARE):
+            names.update(m.group(0) for m in pattern.finditer(span))
     return sorted(name for name in names if not name.endswith(".py"))
 
 
 def resolves(name):
     head, *attrs = name.split(".")
+    if head not in ("torusma", "Grid", "grid"):
+        # a bare name resolves in the first torusma module that defines it
+        owners = [importlib.import_module(f"torusma.{m}") for m in MODULES]
+        owner = next((mod for mod in owners if hasattr(mod, head)), None)
+        return owner is not None and resolves(".".join([owner.__name__, head, *attrs]))
     if head == "torusma":
         obj, path = tm, "torusma"
         for attr in attrs:
@@ -53,9 +68,16 @@ def resolves(name):
 
 def test_the_pattern_finds_each_form():
     text = ("`torusma.grid.make_field` and `Grid.along(sym, axis)`, `phi.grid.n`,\n"
-            "`grid.py`, ```\n$ python -m torusma.cli\n``` and `u = grid.hessian(v)`")
-    assert cited_names(text) == ["Grid.along", "grid.hessian", "torusma.grid.make_field"]
+            "`grid.py`, ```\n$ python -m torusma.cli\n``` and `u = grid.hessian(v)`,\n"
+            "`NEWTON_MAX_ITER = 50`, `T_STEP_MIN`, `_pcg(op)`, `_LinearizedOperator.apply_B`,\n"
+            "`solver._pcg`, `A_12 + i B_12`, `BENCH_<k>.json`, `__init__.py` and `F`")
+    assert cited_names(text) == [
+        "Grid.along", "NEWTON_MAX_ITER", "T_STEP_MIN", "_LinearizedOperator.apply_B", "_pcg",
+        "grid.hessian", "torusma.grid.make_field"]
     assert not resolves("Grid.no_such_name") and not resolves("torusma.grid.no_such_name")
+    assert resolves("KRYLOV_TOL") and resolves("_LinearizedOperator.apply_B")
+    assert not resolves("NO_SUCH_NAME") and not resolves("_no_such_name")
+    assert not resolves("_LinearizedOperator.no_such_name")
 
 
 @pytest.mark.parametrize("doc", DOCS)

@@ -339,7 +339,12 @@ class TestTransformPath:
 
 
 class TestProlong:
-    """Grid.prolong: the coarse half spectrum zero-padded, the coarse Nyquist modes dropped."""
+    """Grid.prolong: the coarse half spectrum zero-padded, the coarse Nyquist modes dropped.
+    The fine samples are the irfftn of the padded spectrum."""
+
+    @staticmethod
+    def _prolong(coarse, u, fine):
+        return fine.irfftn(coarse.prolong(coarse.rfftn(u), fine))
 
     @staticmethod
     def _fine_and_coarse(n, N, rng):
@@ -351,20 +356,28 @@ class TestProlong:
     @pytest.mark.parametrize("n,N", [(1, 32), (2, 8)], ids=["n1", "n2"])
     def test_reproduces_band_limited_fine_samples(self, n, N, rng):
         coarse, fine, on_fine, on_coarse = self._fine_and_coarse(n, N, rng)
-        assert np.max(np.abs(coarse.prolong(on_coarse, fine) - on_fine)) <= 1e-14
+        assert np.max(np.abs(self._prolong(coarse, on_coarse, fine) - on_fine)) <= 1e-14
 
     @pytest.mark.parametrize("n,N", [(1, 32), (2, 8)], ids=["n1", "n2"])
     def test_drops_the_coarse_nyquist_modes(self, n, N, rng):
         coarse, fine, on_fine, on_coarse = self._fine_and_coarse(n, N, rng)
         for a in range(coarse.num_axes):
             on_coarse = on_coarse + np.cos(np.pi * N * coarse.coordinate(a))
-        assert np.max(np.abs(coarse.prolong(on_coarse, fine) - on_fine)) <= 1e-14
+        assert np.max(np.abs(self._prolong(coarse, on_coarse, fine) - on_fine)) <= 1e-14
 
     @pytest.mark.parametrize("fine", [tm.Grid(n=2, N=16), tm.Grid(n=1, N=8)],
                              ids=["another-dimension", "coarser"])
     def test_rejects_a_grid_it_cannot_reach(self, fine):
         coarse = tm.Grid(n=1, N=16)
-        raises_exactly(ValueError, lambda: coarse.prolong(np.zeros(coarse.shape), fine))
+        half = coarse.rfftn(np.zeros(coarse.shape))
+        assert coarse.prolong(half, tm.Grid(n=1, N=32)).shape == (32, 17)
+        raises_exactly(ValueError, lambda: coarse.prolong(half, fine))
+
+    def test_rejects_samples(self):
+        # samples have N points on the last axis, a half spectrum N/2 + 1
+        coarse = tm.Grid(n=1, N=16)
+        raises_exactly(ValueError, lambda: coarse.prolong(np.zeros(coarse.shape),
+                                                          tm.Grid(n=1, N=32)))
 
 
 class TestIntegration:

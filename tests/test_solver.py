@@ -128,11 +128,19 @@ class TestMetricIterate:
             n, N = {"flat-n1-N64": (1, 64), "flat-n2-N16": (2, 16)}[background]
             g = tm.flat_metric(tm.Grid(n=n, N=N))
         hessians = count_calls(monkeypatch, tm.Grid, "hessian")
+        transforms = count_calls(monkeypatch, tm.Grid, "rfftn")
         it = solver._zero_iterate(g)
-        assert hessians == []
+        assert hessians == [] and transforms == []
         ref = tm.metric_iterate(g, tm.make_field(g.grid, np.zeros(g.grid.shape)))
         assert len(hessians) == 1
         assert it.g is g and it.phi.values.tobytes() == ref.phi.values.tobytes()
+        # at n = 1 the spectrum too: zeros, where metric_iterate's rfftn also
+        # makes some -0.0
+        if g.grid.n == 1:
+            assert it.spec.dtype == ref.spec.dtype and it.spec.shape == ref.spec.shape
+            assert np.array_equal(it.spec, ref.spec) and not np.any(it.spec)
+        else:
+            assert it.spec is None and ref.spec is None
         assert it.gt.diag is not g.diag
         assert (it.gt.off is None) == (ref.gt.off is None) == (g.grid.n == 1)
         for name in ("diag", "det") + (("off",) if g.grid.n == 2 else ()):
@@ -593,10 +601,18 @@ class TestGridSequencing:
         Fc, gc = solver._sample_at(coarse, F, g)
         path = solve_quietly(Fc, gc, tm.SolverConfig(n=coarse.n, N=coarse.N))
         assert path.grid_sizes == (coarse.N,)
-        monitor = tm.yau_estimate_report(tm.metric_iterate(g, result.phi))
         k = len(path.trace)
         assert result.trace[:k] == path.trace
         assert [s.t for s in result.trace[k:]] == [1.0] * (len(grids) - 1)
+        # no finer grid takes a Newton step, so the final iterate holds the path's
+        # spectrum padded up grid by grid, and its potential is that spectrum's samples
+        assert [s.newton_iters for s in result.trace[k:]] == [0] * (len(grids) - 1)
+        spec = coarse.rfftn(path.phi.values)
+        for grid, fine in zip(grids, grids[1:]):
+            spec = grid.prolong(spec, fine)
+        carried = tm.mean_zero_project(tm.make_field(g.grid, g.grid.irfftn(spec)))
+        assert result.phi.values.tobytes() == carried.values.tobytes()
+        monitor = tm.yau_estimate_report(tm.metric_iterate(g, result.phi, spec))
         last = result.trace[-1]
         assert last == tm.ContinuityStep(t=1.0, newton_iters=last.newton_iters,
                                          residual_sup=last.residual_sup, **monitor)
@@ -605,6 +621,38 @@ class TestGridSequencing:
         g, *_, result, _ = sequenced
         newton_tol = tm.SolverConfig(n=g.grid.n, N=g.grid.N).newton_tol
         assert all(s.residual_sup <= newton_tol for s in result.trace)
+        if g.grid.n == 1:
+            # a tenth of newton_tol: no finer grid's Hessian is taken of rounded samples
+            assert all(s.residual_sup <= 1e-12 for s in result.trace)
+
+    def test_n1_N1024_converges_on_the_sequenced_path(self):
+        grid = tm.Grid(n=1, N=1024)
+        F, g = tm.poisson_forcing_n1(grid), tm.flat_metric(grid)
+        result = tm.continuity_solve(F, g, tm.SolverConfig(n=1, N=1024))
+        assert result.converged and not result.fell_back
+        assert result.grid_sizes == (64, 128, 256, 512, 1024)
+        assert all(s.residual_sup <= 1e-12 for s in result.trace)
+        assert np.max(np.abs(result.phi.values - tm.poisson_oracle_n1(F, g).values)) <= 1e-16
+
+    def test_a_fine_correction_without_newton_steps_transforms_no_samples(self, monkeypatch):
+        # the finer grid's iterate is built from the carried spectrum, and its
+        # monitor reads that spectrum: after the coarse path, no rfftn at all
+        grid = tm.Grid(n=1, N=128)
+        transforms = count_calls(monkeypatch, tm.Grid, "rfftn")
+        after_path = []
+        follow_path = solver._follow_path
+
+        def spy(start, F, cfg):
+            try:
+                return follow_path(start, F, cfg)
+            finally:
+                after_path.append(len(transforms))
+
+        monkeypatch.setattr(solver, "_follow_path", spy)
+        result = tm.continuity_solve(tm.poisson_forcing_n1(grid), tm.flat_metric(grid),
+                                     tm.SolverConfig(n=1, N=128))
+        assert result.grid_sizes == (64, 128) and result.trace[-1].newton_iters == 0
+        assert after_path[0] > 0 and len(transforms) == after_path[0]
 
     def test_error_is_at_rounding_level(self, sequenced):
         _, _, ref, result, _ = sequenced
@@ -650,8 +698,8 @@ class TestGridSequencing:
         coarse = solver._sequence_grids(grid)[0]
         if fault == "prolonged-below-floor":
             # a potential whose metric g + ddbar phi is negative near x1 = 0
-            monkeypatch.setattr(tm.Grid, "prolong", lambda self, u, fine: np.cos(
-                2 * np.pi * fine.coordinate(0)))
+            monkeypatch.setattr(tm.Grid, "prolong", lambda self, spec, fine: fine.rfftn(
+                np.cos(2 * np.pi * fine.coordinate(0))))
         else:
             newton_at_t = solver._newton_at_t
 

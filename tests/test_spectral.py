@@ -123,11 +123,15 @@ class TestMatchesComplexTransform:
         assert abs(report["sup_third"] - third) <= 1e-12 * third
         assert report["sup_phi"] == float(np.max(np.abs(phi.values.real)))
 
-    def test_yau_monitor_takes_no_full_grid_transform(self, grid, small_potential, monkeypatch):
+    def test_yau_monitor_takes_no_forward_transform(self, grid, small_potential, monkeypatch):
+        # n = 1 reads grad phi and d h from the iterate's half spectrum, one
+        # irfftn each and no per-axis transform; n = 2 multiplies per-axis matrices
         it = tm.metric_iterate(_background(grid, flat=False), small_potential)
         calls = [count_calls(monkeypatch, tm.Grid, name) for name in ("rfftn", "irfftn")]
+        per_axis = [count_calls(monkeypatch, np.fft, name) for name in ("rfft", "irfft")]
         yau_estimate_report(it)
-        assert calls == [[], []]
+        assert [len(c) for c in calls] == [0, 4 if grid.n == 1 else 0]
+        assert per_axis == [[], []]
 
     def test_hessian_rejects_complex_field(self, grid, rng):
         with pytest.raises(ValueError):
