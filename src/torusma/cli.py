@@ -190,6 +190,7 @@ def cmd_solve(args) -> int:
         "t_reached": result.t_reached,
         "grid_sizes": list(result.grid_sizes),
         "fell_back": result.fell_back,
+        "message": result.message,
         "elapsed_s": elapsed,
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:

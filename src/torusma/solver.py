@@ -36,20 +36,19 @@ per iterate and det g once per solve.  Every field here is real (float64).
 
 Grid sequencing (Briggs, Henson & McCormick, A Multigrid Tutorial, 2000, ch. 3):
 N is halved while N/2 is even and N/2 >= SEQUENCE_MIN_N[n] (64 at n = 1, 16 at
-n = 2).  The path runs on the coarsest grid, F and g sampled there; each finer
-grid takes one Newton solve at t = 1 from the half spectrum Grid.prolong pads,
-and one monitor: at n = 1 an rfftn of the start's rounded samples would scale
-their noise eps |phi| by the Hessian symbol's (pi N)^2 / 2.  A coarse underflow,
-a prolonged iterate below the floor or a rejected fine Newton step reruns the
-path on the requested grid from t = 0, with the direct solve's bytes
-(SolveResult.fell_back).
+n = 2).  One driver runs the path on the coarsest grid, F and g sampled there,
+then one Newton solve at t = 1 and one monitor on each finer grid, from the half
+spectrum Grid.prolong pads: at n = 1 an rfftn of rounded samples would scale
+their noise eps |phi| by the Hessian symbol's (pi N)^2 / 2.  The direct solve is
+the same driver on the requested grid alone, and so is the fallback after a
+failed sequenced solve (SolveResult.fell_back, whose message names the failure).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -458,10 +457,9 @@ def _newton_at_t(it, F, t, cfg, secant=None):
             return None
 
 
-def _follow_path(start: list[MetricIterate], F: PeriodicScalarField, cfg: SolverConfig):
-    """The t-path from the iterate popped from ``start`` at t = 0 to 1 on its grid:
+def _follow_path(it: MetricIterate, F: PeriodicScalarField, cfg: SolverConfig):
+    """The t-path from the iterate ``it`` at t = 0 to 1 on its grid:
     (last accepted iterate, steps, t reached, underflow message or "")."""
-    it = start.pop()
     steps: list[ContinuityStep] = []
     t = 0.0
     dt = cfg.t_step_initial
@@ -508,35 +506,38 @@ def _sequence_grids(grid: Grid) -> list[Grid]:
 
 
 def _sample_at(grid: Grid, F: PeriodicScalarField, g: HermitianMetricField):
-    """F and g at the points of ``grid``, a coarsening of theirs."""
+    """F and g at the points of ``grid``, their own grid or a coarsening of it."""
+    if grid == g.grid:
+        return F, g
     idx = (Ellipsis,) + (slice(None, None, g.grid.N // grid.N),) * grid.num_axes
     off = None if g.off is None else g.off[idx].copy()
     sampled = HermitianMetricField(grid, g.diag[idx].copy(), off)
     return make_field(grid, F.values[idx].copy()), sampled
 
 
-def _sequenced_solve(F, g, cfg, grids) -> SolveResult | None:
-    """The path on grids[0], then one t = 1 Newton solve on each finer grid from the
-    prolonged potential; None on any failure (the module docstring)."""
+def _solve_on(grids, F, g, cfg) -> SolveResult:
+    """The path on grids[0], then one t = 1 Newton solve on each finer grid (the module
+    docstring); a failure ends it unconverged, its message naming the stage and N."""
     Fc, gc = _sample_at(grids[0], F, g)
-    it, steps, _, message = _follow_path([_zero_iterate(gc)], Fc, cfg)
-    if message:
-        return None
-    for fine in grids[1:]:
-        Ff, gf = (F, g) if fine == g.grid else _sample_at(fine, F, g)
+    it, steps, t, message = _follow_path(_zero_iterate(gc), Fc, cfg)
+    message = f"the N={grids[0].N} path: {message}" if message and len(grids) > 1 else message
+    for fine in grids[1:] if not message else ():
+        Ff, gf = _sample_at(fine, F, g)
         spec = it.phi.grid.rfftn(it.phi.values) if it.spec is None else it.spec
         spec = it.phi.grid.prolong(spec, fine)
         phi = fine.irfftn(spec)
         phi -= np.mean(phi)  # mean_zero_project's bytes, with no second field
         it = metric_iterate(gf, make_field(fine, phi), spec)
-        outcome = None if it.min_eig < cfg.damping_eig_floor else _newton_at_t(it, Ff, 1.0, cfg)
-        if outcome is None:
-            return None
+        below = it.min_eig < cfg.damping_eig_floor
+        if (outcome := None if below else _newton_at_t(it, Ff, 1.0, cfg)) is None:
+            message = (f"the prolonged iterate on N={fine.N} is below damping_eig_floor" if below
+                       else f"the t = 1 correction on N={fine.N} was rejected")
+            break
         it, iters, res_sup = outcome
         steps.append(ContinuityStep(t=1.0, newton_iters=iters, residual_sup=res_sup,
                                     **yau_estimate_report(it)))
-    return SolveResult(phi=it.phi, metric=it.gt, trace=steps, converged=True, t_reached=1.0,
-                       grid_sizes=tuple(grid.N for grid in grids))
+    return SolveResult(phi=it.phi, metric=it.gt, trace=steps, converged=not message,
+                       t_reached=t, message=message, grid_sizes=tuple(grid.N for grid in grids))
 
 
 def continuity_solve(
@@ -555,10 +556,10 @@ def continuity_solve(
     if (cfg.n, cfg.N) != (g.grid.n, g.grid.N):
         raise GridMismatchError(
             f"config is for n={cfg.n} N={cfg.N}, grid n={g.grid.n} N={g.grid.N}")
-    # the path pops the t = 0 iterate from this list, so that it is freed once the
-    # path has moved on
-    start = [_zero_iterate(g)]
-    if not start[0].min_eig > 0.0:
+    # from a copy freed at once: positivity_check(g) forms g.det on the caller's g, and an
+    # n = 2 N = 16 solve then took up to 42943 minor page faults, not 5958 (ROADMAP item 11)
+    eig_min = _zero_iterate(g).min_eig
+    if not eig_min > 0.0:
         raise NonPositiveMetricError("background metric is not positive")
     # tr(ddbar phi) has zero mean, so min_x eig_min(g + ddbar phi) <= mean(tr g)/n
     eig_bound = float(np.mean(g.diag))
@@ -566,15 +567,13 @@ def continuity_solve(
         raise NonPositiveMetricError(
             f"damping_eig_floor {cfg.damping_eig_floor:.6g} is above {eig_bound:.6g}, the "
             f"mean trace of g over n, which no g + ddbar phi can exceed in its smallest "
-            f"eigenvalue (the background's smallest eigenvalue is {start[0].min_eig:.6g})"
+            f"eigenvalue (the background's smallest eigenvalue is {eig_min:.6g})"
         )
     _band_limit_warning(F)
     grids = _sequence_grids(g.grid)
-    if len(grids) > 1:
-        result = _sequenced_solve(F, g, cfg, grids)
-        if result is not None:
-            return result
-    it, steps, t, message = _follow_path(start, F, cfg)
-    return SolveResult(phi=it.phi, metric=it.gt, trace=steps, converged=not message,
-                       t_reached=t, message=message, grid_sizes=(g.grid.N,),
-                       fell_back=len(grids) > 1)
+    result = _solve_on(grids, F, g, cfg)
+    if result.converged or len(grids) == 1:
+        return result
+    direct = _solve_on([g.grid], F, g, cfg)
+    return replace(direct, fell_back=True, message=f"{result.message}; the N={g.grid.N} "
+                   f"path: {direct.message or 'converged'}")

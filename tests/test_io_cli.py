@@ -499,6 +499,7 @@ class TestCliSolve:
         assert "smallest eigenvalue 0.802608 is below damping_eig_floor 0.9," in err, err
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["converged"] is False and manifest["t_reached"] == 0.0
+        assert manifest["message"].startswith(err.removeprefix("solve failed: ").rstrip("\n"))
 
     def test_long_expression_error_is_one_short_line(self, tmp_path, capsys):
         # the message used to quote the whole 18 KB expression

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -156,7 +157,7 @@ class TestMetricIterate:
         hessians = count_calls(monkeypatch, tm.Grid, "hessian")
 
         def spy(start, F, cfg):
-            starts.append((start[-1], len(hessians)))
+            starts.append((start, len(hessians)))
             return follow_path(start, F, cfg)
 
         monkeypatch.setattr(solver, "_follow_path", spy)
@@ -720,6 +721,48 @@ class TestGridSequencing:
         assert result.trace == direct.trace and result.converged
         assert result.phi.values.tobytes() == direct.phi.values.tobytes()
         assert result.metric.diag.tobytes() == direct.metric.diag.tobytes()
+        # the message names the failed stage and its grid, and that the fallback converged
+        stage = {"fine-newton-rejected": "the t = 1 correction on N=512 was rejected",
+                 "prolonged-below-floor": "the prolonged iterate on N=128 is below "
+                                          "damping_eig_floor",
+                 "coarse-path-underflow": "the N=64 path: continuity step underflow below "
+                                          "0.0001 at t=0.0"}[fault]
+        assert result.message.startswith(stage), result.message
+        assert result.message.endswith("; the N=512 path: converged"), result.message
+
+    def test_a_failed_fallback_names_both_failures(self):
+        # the damping floor 0.9 lies above the background's smallest eigenvalue
+        # 0.8026, so the coarse path and then the requested grid's path underflow
+        grid = tm.Grid(n=1, N=128)
+        x1 = grid.coordinate(0)
+        chi = tm.make_field(grid, 0.02 * np.cos(2 * np.pi * x1))
+        g = tm.metric_from_potential(tm.flat_metric(grid), chi)
+        F = tm.make_field(grid, 0.1 * np.sin(2 * np.pi * x1))
+        result = tm.continuity_solve(F, g, tm.SolverConfig(n=1, N=128, damping_eig_floor=0.9))
+        assert result.fell_back and not result.converged and result.grid_sizes == (128,)
+        coarse, direct = result.message.split("; the N=128 path: ")
+        underflow = "continuity step underflow below 0.0001 at t=0.0: "
+        assert coarse.startswith("the N=64 path: " + underflow), result.message
+        assert direct.startswith(underflow) and "damping_eig_floor 0.9," in direct, result.message
+
+    def test_no_requested_grid_iterate_is_alive_during_the_coarse_path(self, monkeypatch):
+        # the background's smallest eigenvalue is read from an iterate freed at
+        # once, so the coarse path runs with no copy of g on the requested grid
+        grid = tm.Grid(n=1, N=128)
+        g = tm.flat_metric(grid)
+        alive = []
+        follow_path = solver._follow_path
+
+        def spy(*args):
+            gc.collect()
+            alive.append(sum(1 for o in gc.get_objects()
+                             if isinstance(o, solver.MetricIterate) and o.g is g))
+            return follow_path(*args)
+
+        monkeypatch.setattr(solver, "_follow_path", spy)
+        result = tm.continuity_solve(tm.poisson_forcing_n1(grid), g, tm.SolverConfig(n=1, N=128))
+        assert result.converged and result.grid_sizes == (64, 128) and not result.fell_back
+        assert alive == [0]
 
 
 class TestNewtonExits:
