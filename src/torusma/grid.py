@@ -88,11 +88,6 @@ class Grid:
         shape[axis] = self.N
         return np.broadcast_to(x.reshape(shape), self.shape)
 
-    @property
-    def wavenumbers(self) -> np.ndarray:
-        """The integer wavenumbers k of one axis in fftfreq order."""
-        return np.rint(np.fft.fftfreq(self.N, d=1.0 / self.N)).astype(int)
-
     def along(self, sym: np.ndarray, axis: int) -> np.ndarray:
         """A 1-D array over fftfreq wavenumbers, shaped to broadcast along ``axis``."""
         self.check_axis(axis)
@@ -114,13 +109,15 @@ class Grid:
         if (fine.n != self.n or fine.N < self.N
                 or spec.shape != self.shape[:-1] + (self.N // 2 + 1,)):
             raise ValueError(f"cannot prolong {spec.shape} from N={self.N} to {fine}")
-        h, d = self.N // 2, self.num_axes
-        src = np.ix_(*[np.r_[0:h, self.N - h + 1 : self.N]] * (d - 1), np.arange(h))
-        dst = np.ix_(*[np.r_[0:h, fine.N - h + 1 : fine.N]] * (d - 1), np.arange(h))
         padded = np.zeros(fine.shape[:-1] + (fine.N // 2 + 1,), dtype=complex)
         # numpy's inverse transform divides by the number of points
-        padded[dst] = spec[src] * (fine.num_points / self.num_points)
+        padded[fine.band(self.N // 2)] = spec[self.band(self.N // 2)] * (
+            fine.num_points / self.num_points)
         return padded
+
+    def band(self, h: int) -> tuple[np.ndarray, ...]:
+        """The np.ix_ index of the half-spectrum entries with |k| < h on every axis."""
+        return np.ix_(*[np.r_[0:h, self.N - h + 1 : self.N]] * (self.num_axes - 1), np.arange(h))
 
     def derivative(self, values: np.ndarray, axis: int) -> np.ndarray:
         """Spectral first derivative of a sample array along real axis ``axis``.
@@ -206,7 +203,7 @@ class Grid:
         """(2 pi i k, -(2 pi k)^2) of d/dx and d^2/dx^2 over one axis, k in fftfreq
         order; the odd first symbol zeroes the Nyquist mode, the second keeps it
         at -(pi N)^2."""
-        k = self.wavenumbers
+        k = np.rint(np.fft.fftfreq(self.N, d=1.0 / self.N)).astype(int)
         first = np.where(np.abs(k) == self.N // 2, 0.0, 2j * np.pi * k)
         return first, -((2.0 * np.pi * k) ** 2)
 

@@ -128,10 +128,13 @@ class SolveResult:
     metric: HermitianMetricField  # g~ = g + ddbar phi of the final iterate
     trace: list[ContinuityStep]  # the path's accepted t, then one t = 1 step per finer grid
     converged: bool
-    t_reached: float
     message: str = ""
     grid_sizes: tuple[int, ...] = ()  # N of each grid the trace has steps on, coarsest first
     fell_back: bool = False  # a sequenced solve failed and the path was rerun on the grid
+
+    @property
+    def t_reached(self) -> float:  # the last accepted t, 0.0 if the trace is empty
+        return self.trace[-1].t if self.trace else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -145,17 +148,20 @@ class MetricIterate:
     phi: PeriodicScalarField
     gt: HermitianMetricField
     min_eig: float  # smallest pointwise eigenvalue of gt
+    max_eig: float  # largest pointwise eigenvalue of gt
     spec: np.ndarray | None = None  # phi's rfftn half spectrum at n = 1, None at n = 2
 
 
 def metric_iterate(g: HermitianMetricField, phi: PeriodicScalarField,
                    spec: np.ndarray | None = None) -> MetricIterate:
-    """Form g~ = g + ddbar phi and its smallest eigenvalue, once per iterate, from
+    """Form g~ = g + ddbar phi and its eigenvalue range, once per iterate, from
     phi's half spectrum at n = 1: spec if the caller holds it, else rfftn(phi)."""
     if g.grid.n == 1 and spec is None and phi.is_real:  # metric_from_potential refuses complex phi
         spec = g.grid.rfftn(phi.values)
     gt = metric_from_potential(g, phi, spec)
-    return MetricIterate(g, phi, gt, positivity_check(gt), spec if g.grid.n == 1 else None)
+    lo, hi = eigenvalue_fields(gt)
+    spec = spec if g.grid.n == 1 else None
+    return MetricIterate(g, phi, gt, float(np.min(lo)), float(np.max(hi)), spec)
 
 
 def _zero_iterate(g: HermitianMetricField) -> MetricIterate:
@@ -167,7 +173,9 @@ def _zero_iterate(g: HermitianMetricField) -> MetricIterate:
     grid = g.grid
     gt = HermitianMetricField(grid, g.diag.copy(), None if g.off is None else g.off.copy())
     spec = np.broadcast_to(0j, grid.shape[:-1] + (grid.N // 2 + 1,)) if grid.n == 1 else None
-    return MetricIterate(g, make_field(grid, np.zeros(grid.shape)), gt, positivity_check(gt), spec)
+    phi = make_field(grid, np.zeros(grid.shape))
+    lo, hi = eigenvalue_fields(gt)
+    return MetricIterate(g, phi, gt, float(np.min(lo)), float(np.max(hi)), spec)
 
 
 def _require_real_on(f: PeriodicScalarField, it: MetricIterate, name: str) -> None:
@@ -323,11 +331,11 @@ def _pcg(op: _LinearizedOperator, rhs: np.ndarray, tol: float, max_iter: int) ->
 def yau_estimate_report(it: MetricIterate) -> dict[str, float]:
     """sup|phi|, sup|grad phi|, eigenvalue range of g~ = g + ddbar phi, sup third derivs.
 
-    The keys are the monitored fields of ContinuityStep; sup_third is the sup of
-    |d_l d_j dbar_k phi| over all l, j, k.  At n = 1 grad phi and d h, h the
-    Hessian, are symbol products of the iterate's half spectrum, with no forward
-    transform; at n = 2, Grid.derivative calls on phi and h = g~ - g.  A real
-    diagonal entry has |d_l h| = |dbar_l h| = sqrt(h_x^2 + h_y^2) / 2; for n = 2,
+    The keys are ContinuityStep's monitored fields; the eigenvalue range is the iterate's.
+    sup_third is the sup of |d_l d_j dbar_k phi| over all l, j, k.  At n = 1 grad phi
+    and d h, h the Hessian, are symbol products of the iterate's half spectrum, with
+    no forward transform; at n = 2, Grid.derivative calls on phi and h = g~ - g.  A
+    real diagonal entry has |d_l h| = |dbar_l h| = sqrt(h_x^2 + h_y^2) / 2; for n = 2,
     d_l of conj(off) is conj(dbar_l off), so |d_l off| and |dbar_l off| cover both.
     """
     grid = it.phi.grid
@@ -348,12 +356,11 @@ def yau_estimate_report(it: MetricIterate) -> dict[str, float]:
             ox, oy = grid.derivative(hess.off, 2 * l), grid.derivative(hess.off, 2 * l + 1)
             for d in (ox - 1j * oy, ox + 1j * oy):  # 2 d_l off and 2 dbar_l off
                 third_sq = max(third_sq, 0.25 * float(np.max(d.real ** 2 + d.imag ** 2)))
-    lo, hi = eigenvalue_fields(it.gt)
     return {
         "sup_phi": float(np.max(np.abs(phi))),
         "sup_grad_phi": float(np.sqrt(np.max(grad_sq))),
-        "eig_min": float(np.min(lo)),
-        "eig_max": float(np.max(hi)),
+        "eig_min": it.min_eig,
+        "eig_max": it.max_eig,
         "sup_third": float(np.sqrt(third_sq)),
     }
 
@@ -376,12 +383,8 @@ def _band_limit_warning(F: PeriodicScalarField) -> None:
     # an interior last-axis wavenumber of the half spectrum also stands for its mirror
     spec[..., 1 : grid.N // 2] *= 2.0
     total = float(np.sum(spec))
-    # |k| > N/4 on some axis, the last axis cut to the half spectrum
-    above = np.abs(grid.wavenumbers) > grid.N // 4
-    mask = np.zeros(spec.shape, dtype=bool)
-    for a in range(grid.num_axes):
-        mask |= grid.along(above, a)[..., : grid.N // 2 + 1]
-    high = float(np.sum(spec[mask]))
+    # |k| > N/4 on some axis: all but the block with |k| <= N/4 on every axis
+    high = total - float(np.sum(spec[grid.band(grid.N // 4 + 1)]))
     if high > 1e-10 * total:
         warnings.warn(
             "F carries significant spectral content above N/4; the solve "
@@ -459,7 +462,7 @@ def _newton_at_t(it, F, t, cfg, secant=None):
 
 def _follow_path(it: MetricIterate, F: PeriodicScalarField, cfg: SolverConfig):
     """The t-path from the iterate ``it`` at t = 0 to 1 on its grid:
-    (last accepted iterate, steps, t reached, underflow message or "")."""
+    (last accepted iterate, steps, underflow message or "")."""
     steps: list[ContinuityStep] = []
     t = 0.0
     dt = cfg.t_step_initial
@@ -494,7 +497,7 @@ def _follow_path(it: MetricIterate, F: PeriodicScalarField, cfg: SolverConfig):
                                 f"{it.min_eig:.6g} is below damping_eig_floor "
                                 f"{cfg.damping_eig_floor:.6g}, which shorter t-steps cannot clear")
                 break
-    return it, steps, t, message
+    return it, steps, message
 
 
 def _sequence_grids(grid: Grid) -> list[Grid]:
@@ -519,7 +522,7 @@ def _solve_on(grids, F, g, cfg) -> SolveResult:
     """The path on grids[0], then one t = 1 Newton solve on each finer grid (the module
     docstring); a failure ends it unconverged, its message naming the stage and N."""
     Fc, gc = _sample_at(grids[0], F, g)
-    it, steps, t, message = _follow_path(_zero_iterate(gc), Fc, cfg)
+    it, steps, message = _follow_path(_zero_iterate(gc), Fc, cfg)
     message = f"the N={grids[0].N} path: {message}" if message and len(grids) > 1 else message
     for fine in grids[1:] if not message else ():
         Ff, gf = _sample_at(fine, F, g)
@@ -537,7 +540,7 @@ def _solve_on(grids, F, g, cfg) -> SolveResult:
         steps.append(ContinuityStep(t=1.0, newton_iters=iters, residual_sup=res_sup,
                                     **yau_estimate_report(it)))
     return SolveResult(phi=it.phi, metric=it.gt, trace=steps, converged=not message,
-                       t_reached=t, message=message, grid_sizes=tuple(grid.N for grid in grids))
+                       message=message, grid_sizes=tuple(grid.N for grid in grids))
 
 
 def continuity_solve(

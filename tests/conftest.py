@@ -148,6 +148,18 @@ def raises_exactly(error, call):
     assert type(info.value) is error, repr(info.value)
 
 
+def analytic_manufactured_n1(grid):
+    """(phi*, F) with phi* = a exp(sin(2 pi x1)), a = 0.02: analytic but not
+    band-limited, so the discretization error is genuinely resolution-dependent."""
+    a = 0.02
+    x = grid.coordinate(0)
+    s = np.sin(2 * np.pi * x)
+    c = np.cos(2 * np.pi * x)
+    phi_star = tm.mean_zero_project(tm.make_field(grid, a * np.exp(s)))
+    det_target = 1.0 + a * np.pi ** 2 * (c ** 2 - s) * np.exp(s)
+    return phi_star, tm.make_field(grid, np.log(det_target))
+
+
 def solve_quietly(F, g, cfg):
     # a forcing such as the manufactured log det(g~) is not band-limited, so the
     # solver warns about it; every other warning still fails the test

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import torusma as tm
-from conftest import record_acceptance, solve_quietly
+from conftest import analytic_manufactured_n1, record_acceptance, solve_quietly
 
 
 def test_criterion_1_identity_suite(suite_report):
@@ -144,16 +144,8 @@ def test_criterion_9_linearization_order():
 
 
 def _analytic_manufactured_error(N):
-    # phi* = a exp(sin(2 pi x1)) is analytic but not band-limited, so the
-    # discretization error is genuinely resolution-dependent
-    a = 0.02
     grid = tm.Grid(n=1, N=N)
-    x = grid.coordinate(0)
-    s = np.sin(2 * np.pi * x)
-    c = np.cos(2 * np.pi * x)
-    phi_star = tm.mean_zero_project(tm.make_field(grid, a * np.exp(s)))
-    det_target = 1.0 + a * np.pi ** 2 * (c ** 2 - s) * np.exp(s)
-    F = tm.make_field(grid, np.log(det_target))
+    phi_star, F = analytic_manufactured_n1(grid)
     result = solve_quietly(F, tm.flat_metric(grid), tm.SolverConfig(n=1, N=N))
     return float(np.max(np.abs(result.phi.values.real - phi_star.values.real)))
 

@@ -338,6 +338,20 @@ class TestTransformPath:
         assert calls["rfftn"] and calls["irfftn"]
 
 
+@pytest.mark.parametrize("n,N,h", [(1, 16, 5), (1, 16, 8), (2, 8, 3), (2, 8, 4)],
+                         ids=["n1-quarter", "n1-below-nyquist", "n2-quarter", "n2-below-nyquist"])
+def test_band_is_the_half_spectrum_block_below_h(n, N, h):
+    # every entry with |k| < h on every axis, each once: (2h - 1) per full axis, h on the last
+    grid = tm.Grid(n=n, N=N)
+    inside = np.ones(grid.shape[:-1] + (N // 2 + 1,), dtype=bool)
+    for a in range(grid.num_axes):
+        inside &= grid.along(np.abs(wavenumbers(N)) < h, a)[..., : N // 2 + 1]
+    marked = np.zeros(inside.shape, dtype=bool)
+    marked[grid.band(h)] = True
+    assert np.array_equal(marked, inside)
+    assert inside[grid.band(h)].size == (2 * h - 1) ** (grid.num_axes - 1) * h
+
+
 class TestProlong:
     """Grid.prolong: the coarse half spectrum zero-padded, the coarse Nyquist modes dropped.
     The fine samples are the irfftn of the padded spectrum."""

@@ -149,6 +149,21 @@ class TestMetricIterate:
             assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
         assert np.float64(it.min_eig).tobytes() == np.float64(ref.min_eig).tobytes()
 
+    @pytest.mark.parametrize("background", ["flat-n1-N64", "flat-n2-N16", "ricci-flat-n2-N16"])
+    def test_max_eig_is_the_eigenvalue_fields_maximum(self, background):
+        if background == "ricci-flat-n2-N16":
+            g = tm.ricci_flat_background_n2(tm.Grid(n=2, N=16))[1]
+        else:
+            n, N = {"flat-n1-N64": (1, 64), "flat-n2-N16": (2, 16)}[background]
+            g = tm.flat_metric(tm.Grid(n=n, N=N))
+        grid = g.grid
+        phi = (tm.manufactured_potential_n1(grid) if grid.n == 1
+               else tm.manufactured_potential_n2(grid))
+        for it in (tm.metric_iterate(g, phi), solver._zero_iterate(g)):
+            expected = float(np.max(tm.eigenvalue_fields(it.gt)[1]))
+            assert np.float64(it.max_eig).tobytes() == np.float64(expected).tobytes()
+            assert it.min_eig == tm.positivity_check(it.gt)
+
     @pytest.mark.parametrize("N,path_N", [(32, 32), (128, 64)], ids=["direct", "sequenced"])
     def test_the_path_starts_from_the_zero_iterate(self, N, path_N, monkeypatch):
         grid = tm.Grid(n=1, N=N)
@@ -421,6 +436,22 @@ class TestContinuitySolve:
         assert result.t_reached == 1.0
         eig_min_path = min(s.eig_min for s in result.trace)
         assert eig_min_path == pytest.approx(1 - 0.1 * np.pi ** 2, abs=1e-3)
+
+    def test_t_reached_is_the_last_accepted_t(self, monkeypatch):
+        # every t above 0.3 is rejected, so the path stops short of 1 and reports
+        # the trace's last t, which the underflow message also names
+        newton_at_t = solver._newton_at_t
+
+        def capped(it, F, t, cfg, secant=None):
+            return None if t > 0.3 else newton_at_t(it, F, t, cfg, secant)
+
+        monkeypatch.setattr(solver, "_newton_at_t", capped)
+        grid = tm.Grid(n=1, N=16)
+        result = tm.continuity_solve(tm.poisson_forcing_n1(grid), tm.flat_metric(grid),
+                                     tm.SolverConfig(n=1, N=16))
+        assert not result.converged
+        assert 0.0 < result.t_reached < 1.0 and result.t_reached == result.trace[-1].t
+        assert result.message.endswith(f"at t={result.t_reached}")
 
     def test_forcing_terms_cut_krylov_work(self, manufactured_solve):
         # each correction is solved only as accurately as its Newton step
@@ -867,6 +898,16 @@ class TestYauReport:
         assert rep["sup_grad_phi"] > 0
         assert rep["sup_third"] > 0
         assert 0 < rep["eig_min"] < 1 < rep["eig_max"]
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)], ids=["n1", "n2"])
+    def test_reads_the_iterates_eigenvalue_range(self, n, N, monkeypatch):
+        grid = tm.Grid(n=n, N=N)
+        phi = tm.manufactured_potential_n1(grid) if n == 1 else tm.manufactured_potential_n2(grid)
+        it = tm.metric_iterate(tm.flat_metric(grid), phi)
+        calls = count_calls(monkeypatch, solver, "eigenvalue_fields")
+        rep = tm.yau_estimate_report(it)
+        assert calls == []
+        assert (rep["eig_min"], rep["eig_max"]) == (it.min_eig, it.max_eig)
 
     def test_eigenvalues_are_those_of_the_solved_metric(self, ricci_flat_solve, tmp_path):
         # on a non-flat background the trace must report g~ = g + ddbar phi,

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import torusma as tm
-from conftest import (HELD_SPECTRAL_DATA, axis_derivative, complex_hessian_symbol,
-                      complex_precondition, count_calls)
+from conftest import (HELD_SPECTRAL_DATA, analytic_manufactured_n1, axis_derivative,
+                      complex_hessian_symbol, complex_precondition, count_calls)
 from torusma.solver import _LinearizedOperator, _band_limit_warning, yau_estimate_report
 
 
@@ -187,6 +187,36 @@ class TestBandLimitWarning:
         x1 = grid.coordinate(0)
         F = tm.make_field(grid, 0.1 * np.cos(2 * np.pi * x1)
                           + amplitude * np.cos(2 * np.pi * 12 * x1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _band_limit_warning(F)
+        assert len(caught) == warns
+
+    # which of the package's own forcings warn: every manufactured log det g~ and the
+    # Ricci-flat F carry content above N/4, the Poisson forcing is one wave
+    @pytest.mark.parametrize("problem,n,N,warns", [
+        ("manufactured", 1, 64, True),
+        ("manufactured", 1, 512, True),
+        ("manufactured", 2, 16, True),
+        ("manufactured", 2, 32, True),
+        ("ricci_flat", 2, 16, True),
+        ("analytic", 1, 16, True),
+        ("analytic", 1, 32, True),
+        ("poisson", 1, 64, False),
+        ("poisson", 1, 512, False),
+    ], ids=lambda v: str(v))
+    def test_package_forcings(self, problem, n, N, warns):
+        grid = tm.Grid(n=n, N=N)
+        if problem == "manufactured":
+            phi_star = (tm.manufactured_potential_n1(grid) if n == 1
+                        else tm.manufactured_potential_n2(grid))
+            F = tm.manufactured_forcing(tm.flat_metric(grid), phi_star)
+        elif problem == "ricci_flat":
+            F = tm.ricci_flat_background_n2(grid)[2]
+        elif problem == "analytic":
+            F = analytic_manufactured_n1(grid)[1]
+        else:
+            F = tm.poisson_forcing_n1(grid)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             _band_limit_warning(F)
