@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
 import json
 import os
@@ -277,7 +278,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_memory() -> None:
+    """Have glibc keep freed arrays on its heap, not hand them back to be faulted in again."""
+    try:
+        libc = ctypes.CDLL(None)
+        libc.gnu_get_libc_version  # glibc alone: musl's mallopt ignores its arguments
+        mallopt = libc.mallopt
+    except (OSError, TypeError, AttributeError):  # TypeError: Windows loads no NULL library
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at glibc's own 64-bit ceiling
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD, above the identities suite's 150 MB heap swing
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command.  On glibc it first sets the calling process's malloc policy for good."""
+    _keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -166,10 +166,9 @@ def metric_iterate(g: HermitianMetricField, phi: PeriodicScalarField,
 
 def _zero_iterate(g: HermitianMetricField) -> MetricIterate:
     """The iterate at phi = 0, whose metric is g: copied, not formed from a Hessian of
-    zeros, and whose n = 1 spectrum is a read-only zero that allocates nothing.  The
-    copy owns fresh arrays, as metric_iterate's g~ does; sharing g's arrays kept
-    glibc's mmap threshold low, and the n = 2 N = 16 solve then page-faulted in
-    every apply_B, 20 % slower (ROADMAP item 11)."""
+    zeros, and whose n = 1 spectrum is a read-only zero that allocates nothing.  The copy
+    is for library callers, who keep glibc's heap defaults: sharing g's arrays kept its
+    mmap threshold low, and an n = 2 N = 16 solve then page-faulted in every apply_B."""
     grid = g.grid
     gt = HermitianMetricField(grid, g.diag.copy(), None if g.off is None else g.off.copy())
     spec = np.broadcast_to(0j, grid.shape[:-1] + (grid.N // 2 + 1,)) if grid.n == 1 else None
@@ -559,8 +558,8 @@ def continuity_solve(
     if (cfg.n, cfg.N) != (g.grid.n, g.grid.N):
         raise GridMismatchError(
             f"config is for n={cfg.n} N={cfg.N}, grid n={g.grid.n} N={g.grid.N}")
-    # from a copy freed at once: positivity_check(g) forms g.det on the caller's g, and an
-    # n = 2 N = 16 solve then took up to 42943 minor page faults, not 5958 (ROADMAP item 11)
+    # from a copy freed at once, for library callers on glibc's heap defaults: forming g.det
+    # on the caller's g took an n = 2 N = 16 solve from 5958 to 42943 minor page faults
     eig_min = _zero_iterate(g).min_eig
     if not eig_min > 0.0:
         raise NonPositiveMetricError("background metric is not positive")

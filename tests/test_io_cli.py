@@ -1,5 +1,7 @@
+import ctypes
 import json
 import os
+import platform
 import struct
 import subprocess
 import sys
@@ -57,6 +59,16 @@ class TestDtypes:
         path = tmp_path / "f.cmaf"
         tm.write_field(path, tm.random_band_limited(grid, rng, kmax=3, real=False))
         assert tm.read_field(path).values.dtype == np.complex128
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_field_writes_the_packed_header_and_samples(self, tmp_path, grid, rng, real):
+        f = tm.random_band_limited(grid, rng, kmax=3, real=real)
+        # the layout written out by hand: packed header, then row-major little-endian samples
+        expected = (struct.pack("<4sHHIB", b"CMAF", 1, grid.n, grid.N, 0 if real else 1)
+                    + f.values.astype("<f8" if real else "<c16").tobytes())
+        path = tmp_path / "f.cmaf"
+        tm.write_field(path, f)
+        assert path.read_bytes() == expected
 
     @pytest.mark.parametrize("background", [False, True], ids=["flat", "non-flat"])
     def test_packed_metric_writes_the_lower_triangle_layout(self, tmp_path, grid,
@@ -318,6 +330,15 @@ def _snapshot_ref(tmp_path, **extra):
     return {"path": str(path), **extra}
 
 
+def _run_fresh(code: str, *args: str) -> str:
+    """Standard output of code run in a fresh interpreter that imports this torusma."""
+    src = str(Path(tm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
 def test_cli_import_loads_numpy_alone():
     # every CLI command starts with this import, so a third-party module behind it
     # adds to each command's setup time; the modules the interpreter's own startup
@@ -327,12 +348,44 @@ def test_cli_import_loads_numpy_alone():
             "before = tops()\n"
             "import torusma.cli\n"
             "print(' '.join(sorted(m for m in tops() - before if m not in sys.stdlib_module_names)))")
-    src = str(Path(tm.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.split() == ["numpy", "torusma"]
+    assert _run_fresh(code).split() == ["numpy", "torusma"]
+
+
+class TestHeapPolicy:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is glibc's mallopt")
+    def test_second_solve_faults_in_no_fresh_memory(self, tmp_path):
+        pytest.importorskip("resource")
+        # glibc's defaults hand each freed array back to the kernel: the second n=1 N=512
+        # solve then faults 6000-7500 pages in again, against about 5 with the CLI's policy
+        cfg = _write_config(tmp_path, N=512, F="0.3*sin(2*pi*x1)*sin(2*pi*y1)")
+        code = ("import resource, sys\n"
+                "from torusma import cli\n"
+                "argv = ['solve', '--config', sys.argv[1], '--out', sys.argv[2]]\n"
+                "assert cli.main(argv) == 0\n"
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                "assert cli.main(argv) == 0\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
+        faults = int(_run_fresh(code, str(cfg), str(tmp_path / "out")).split()[-1])
+        assert faults < 500
+
+    @pytest.mark.parametrize("libc", ["no-mallopt", "unloadable"])
+    def test_solves_where_mallopt_cannot_be_called(self, libc, tmp_path, monkeypatch):
+        loaded = []
+
+        class NoMallopt:  # glibc's version call, and no mallopt
+            gnu_get_libc_version = None
+
+        def load(name):
+            loaded.append(name)
+            if libc == "unloadable":
+                raise OSError("no C library")
+            return NoMallopt()
+
+        monkeypatch.setattr(ctypes, "CDLL", load)
+        cfg = _write_config(tmp_path, N=16)
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert loaded == [None]
+        assert tm.read_field(tmp_path / "out" / "phi.cmaf").grid == tm.Grid(n=1, N=16)
 
 
 class TestCliSolve:
